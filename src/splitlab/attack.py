@@ -242,7 +242,7 @@ def run_attack(transcript: Transcript, bottom: FcNetwork, train: Dataset,
     for epoch in range(config.epochs):
         totals = []
         inversions = []
-        for rec, cut_values in zip(records, cuts):
+        for batch_no, (rec, cut_values) in enumerate(zip(records, cuts)):
             try:
                 tape = Tape()
                 handles = surrogate.attach(tape)
@@ -257,7 +257,8 @@ def run_attack(transcript: Transcript, bottom: FcNetwork, train: Dataset,
                     surrogate.parameters(), [g.data for g in w_grads]))
                 state.dummy_opt.step(state.dummy_labels, rec.indices, d_grad.data)
             except AutogradError as exc:
-                raise AttackError(f"attack epoch {epoch} diverged: {exc}") from exc
+                raise AttackError(
+                    f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc
             finally:
                 surrogate.detach()
             totals.append(total.item())

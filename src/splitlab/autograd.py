@@ -8,7 +8,13 @@ a second backward yields second-order derivatives. This is what lets a loss
 contain "the gradient of another loss" as a differentiable sub-expression.
 
 Conventions:
-  - all arithmetic is float64; results must be finite (NaN/Inf raises),
+  - all arithmetic is float64; results must be finite (NaN/Inf raises,
+    naming the first operation that produced such a value). Untaped
+    operations, ``constant`` and ``Tape.leaf`` check their result at once.
+    Taped operations, recorded or computed while the tape is paused, are
+    checked together when ``backward`` runs on their tape: once on entry,
+    for everything computed since the last check, and once on exit, for
+    what the backward pass itself computed,
   - relu is given a zero second derivative everywhere (subgradient 0 at 0),
   - a tape and its tensors belong to one logical thread.
 """
@@ -66,7 +72,12 @@ def _require_finite(arr: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """A 2-D float64 matrix, optionally attached to a tape node."""
+    """A 2-D float64 matrix, optionally attached to a tape node.
+
+    A tensor computed while its tape was paused keeps a reference to the
+    tape (so its values are checked with the tape's) but has no node, and
+    enters later operations as a constant.
+    """
 
     __slots__ = ("data", "tape", "node")
 
@@ -94,18 +105,27 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A constant view of the same values, off any tape."""
-        return Tensor(self.data)
+        return _wrap(self.data)
 
     def __repr__(self) -> str:
         tag = "" if self.node is None else f", node={self.node}"
         return f"Tensor(shape={self.shape}{tag})"
 
 
+def _wrap(data: np.ndarray, tape: "Tape | None" = None, node: int | None = None) -> Tensor:
+    """A tensor over an array this module produced, already float64 and 2-D."""
+    t = object.__new__(Tensor)
+    t.data = data
+    t.tape = tape
+    t.node = node
+    return t
+
+
 def constant(data) -> Tensor:
     """Wrap an array as an untaped constant."""
     arr = _as_matrix(data)
     _require_finite(arr, "constant")
-    return Tensor(arr)
+    return _wrap(arr)
 
 
 class _Node:
@@ -125,6 +145,9 @@ class Tape:
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
         self._recording = True
+        # (op, output) of every taped operation not yet checked for
+        # finiteness; backward checks and clears it
+        self._pending: list[tuple[str, np.ndarray]] = []
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -144,10 +167,22 @@ class Tape:
         arr = _as_matrix(data).copy()
         _require_finite(arr, "leaf")
         self.nodes.append(_Node("leaf", (), (), arr, None))
-        return Tensor(arr, self, len(self.nodes) - 1)
+        return _wrap(arr, self, len(self.nodes) - 1)
+
+    def _check_pending(self) -> None:
+        """Raise for the first pending output holding NaN/Inf; one scan over
+        all of them when every value is finite."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        if np.isfinite(np.concatenate([out for _, out in pending], axis=None)).all():
+            return
+        for op, out in pending:
+            _require_finite(out, op)
 
 
-def _recording_tape(inputs: tuple[Tensor, ...]) -> Tape | None:
+def _emit(op: str, inputs: tuple[Tensor, ...], out: np.ndarray, aux=None) -> Tensor:
     tape = None
     for t in inputs:
         if t.tape is not None:
@@ -155,19 +190,15 @@ def _recording_tape(inputs: tuple[Tensor, ...]) -> Tape | None:
                 tape = t.tape
             elif tape is not t.tape:
                 raise AutogradError("operation inputs live on different tapes")
-    if tape is not None and tape._recording:
-        return tape
-    return None
-
-
-def _emit(op: str, inputs: tuple[Tensor, ...], out: np.ndarray, aux=None) -> Tensor:
-    _require_finite(out, op)
-    tape = _recording_tape(inputs)
     if tape is None:
-        return Tensor(out)
-    node = _Node(op, tuple(t.node for t in inputs), tuple(t.data for t in inputs), out, aux)
-    tape.nodes.append(node)
-    return Tensor(out, tape, len(tape.nodes) - 1)
+        _require_finite(out, op)
+        return _wrap(out)
+    tape._pending.append((op, out))
+    if not tape._recording:
+        return _wrap(out, tape)
+    nodes = tape.nodes
+    nodes.append(_Node(op, tuple(t.node for t in inputs), tuple(t.data for t in inputs), out, aux))
+    return _wrap(out, tape, len(nodes) - 1)
 
 
 def _t(x) -> Tensor:
@@ -258,6 +289,24 @@ def tanh(x) -> Tensor:
     return _emit("tanh", (x,), np.tanh(x.data))
 
 
+def add_bias(x, b) -> Tensor:
+    """Row-broadcast addition of a 1 x cols bias."""
+    x, b = _t(x), _t(b)
+    if b.shape != (1, x.cols):
+        raise AutogradError(f"bias shape {b.shape} does not broadcast over {x.shape}")
+    return _emit("add_bias", (x, b), x.data + b.data)
+
+
+def mse(pred, target) -> Tensor:
+    """Mean over all entries of the squared difference; 1x1 result."""
+    pred, target = _t(pred), _t(target)
+    if pred.shape != target.shape:
+        raise AutogradError(f"mse shapes {pred.shape} vs {target.shape}")
+    d = pred.data - target.data
+    scale = 1.0 / (pred.rows * pred.cols)
+    return _emit("mse", (pred, target), np.array([[(d * d).sum()]]) * scale, aux=scale)
+
+
 # ---------------------------------------------------------------- composites
 
 def activation(x, kind: str) -> Tensor:
@@ -268,23 +317,6 @@ def activation(x, kind: str) -> Tensor:
     if kind == "identity":
         return _t(x)
     raise AutogradError(f"unknown activation '{kind}' (expected one of {ACTIVATIONS})")
-
-
-def add_bias(x, b) -> Tensor:
-    """Row-broadcast addition of a 1 x cols bias."""
-    x, b = _t(x), _t(b)
-    if b.shape != (1, x.cols):
-        raise AutogradError(f"bias shape {b.shape} does not broadcast over {x.shape}")
-    return add(x, tile_rows(b, x.rows))
-
-
-def mse(pred, target) -> Tensor:
-    """Mean over all entries of the squared difference; 1x1 result."""
-    pred, target = _t(pred), _t(target)
-    if pred.shape != target.shape:
-        raise AutogradError(f"mse shapes {pred.shape} vs {target.shape}")
-    d = sub(pred, target)
-    return smul(sum_all(mul(d, d)), 1.0 / (pred.rows * pred.cols))
 
 
 def select_column(x, j: int) -> Tensor:
@@ -298,60 +330,72 @@ def select_column(x, j: int) -> Tensor:
 
 
 # ------------------------------------------------------------------ backward
+#
+# One rule per op: rule(node, nid, g, tape, need) returns the adjoint
+# contribution for each input, in input order. need[i] says whether input i
+# can reach a requested tensor; a rule may return None for an input it is not
+# asked for, and backward ignores whatever it returns there. Contributions are
+# built from the public primitives so that, while the tape is recording, they
+# are differentiable in their own right.
 
 def _input_handle(node: _Node, i: int, tape: Tape) -> Tensor:
     nid = node.inputs[i]
     if nid is None:
-        return Tensor(node.values[i])
-    return Tensor(node.values[i], tape, nid)
+        return _wrap(node.values[i])
+    return _wrap(node.values[i], tape, nid)
 
 
-def _vjp(node: _Node, nid: int, g: Tensor, tape: Tape) -> list[tuple[int | None, Tensor]]:
-    """Adjoint contributions (input node id, gradient) for one node.
+def _matmul_vjp(node, nid, g, tape, need):
+    return (matmul(g, transpose(_input_handle(node, 1, tape))) if need[0] else None,
+            matmul(transpose(_input_handle(node, 0, tape)), g) if need[1] else None)
 
-    Contributions are built from the public primitives so that, while the
-    tape is recording, they are differentiable in their own right.
-    """
-    op = node.op
-    if op == "matmul":
-        a = _input_handle(node, 0, tape)
-        b = _input_handle(node, 1, tape)
-        return [
-            (node.inputs[0], matmul(g, transpose(b))),
-            (node.inputs[1], matmul(transpose(a), g)),
-        ]
-    if op == "transpose":
-        return [(node.inputs[0], transpose(g))]
-    if op == "add":
-        return [(node.inputs[0], g), (node.inputs[1], g)]
-    if op == "sub":
-        return [(node.inputs[0], g), (node.inputs[1], smul(g, -1.0))]
-    if op == "mul":
-        a = _input_handle(node, 0, tape)
-        b = _input_handle(node, 1, tape)
-        return [(node.inputs[0], mul(g, b)), (node.inputs[1], mul(g, a))]
-    if op == "smul":
-        return [(node.inputs[0], smul(g, node.aux))]
-    if op == "mulc":
-        return [(node.inputs[0], mulc(g, node.aux))]
-    if op == "tile_rows":
-        return [(node.inputs[0], sum_rows(g))]
-    if op == "sum_rows":
-        return [(node.inputs[0], tile_rows(g, node.values[0].shape[0]))]
-    if op == "sum_all":
-        r, c = node.values[0].shape
-        return [(node.inputs[0], spread(g, r, c))]
-    if op == "spread":
-        return [(node.inputs[0], sum_all(g))]
-    if op == "relu":
-        mask = (node.values[0] > 0.0).astype(np.float64)
-        return [(node.inputs[0], mulc(g, mask))]
-    if op == "tanh":
-        # d tanh = 1 - tanh^2; route through the node's own taped output so
-        # second-order terms survive.
-        t = Tensor(node.out, tape, nid)
-        return [(node.inputs[0], mul(g, sub(constant(np.ones_like(node.out)), mul(t, t))))]
-    raise AutogradError(f"no backward rule for op '{op}'")
+
+def _sub_vjp(node, nid, g, tape, need):
+    return g, smul(g, -1.0) if need[1] else None
+
+
+def _mul_vjp(node, nid, g, tape, need):
+    return (mul(g, _input_handle(node, 1, tape)) if need[0] else None,
+            mul(g, _input_handle(node, 0, tape)) if need[1] else None)
+
+
+def _relu_vjp(node, nid, g, tape, need):
+    return (mulc(g, (node.values[0] > 0.0).astype(np.float64)),)
+
+
+def _tanh_vjp(node, nid, g, tape, need):
+    # d tanh = 1 - tanh^2; route through the node's own taped output so
+    # second-order terms survive.
+    t = _wrap(node.out, tape, nid)
+    return (mul(g, sub(_wrap(np.ones_like(node.out)), mul(t, t))),)
+
+
+def _mse_vjp(node, nid, g, tape, need):
+    # d mse / d pred = (2 / n) (pred - target) = -d mse / d target, formed
+    # as 2 * ((g / n) * (pred - target))
+    rows, cols = node.values[0].shape
+    d = sub(_input_handle(node, 0, tape), _input_handle(node, 1, tape))
+    g_pred = smul(mul(spread(smul(g, node.aux), rows, cols), d), 2.0)
+    return g_pred, smul(g_pred, -1.0) if need[1] else None
+
+
+_VJP = {
+    "matmul": _matmul_vjp,
+    "transpose": lambda node, nid, g, tape, need: (transpose(g),),
+    "add": lambda node, nid, g, tape, need: (g, g),
+    "sub": _sub_vjp,
+    "mul": _mul_vjp,
+    "smul": lambda node, nid, g, tape, need: (smul(g, node.aux),),
+    "mulc": lambda node, nid, g, tape, need: (mulc(g, node.aux),),
+    "tile_rows": lambda node, nid, g, tape, need: (sum_rows(g),),
+    "sum_rows": lambda node, nid, g, tape, need: (tile_rows(g, node.values[0].shape[0]),),
+    "sum_all": lambda node, nid, g, tape, need: (spread(g, *node.values[0].shape),),
+    "spread": lambda node, nid, g, tape, need: (sum_all(g),),
+    "relu": _relu_vjp,
+    "tanh": _tanh_vjp,
+    "add_bias": lambda node, nid, g, tape, need: (g, sum_rows(g) if need[1] else None),
+    "mse": _mse_vjp,
+}
 
 
 def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
@@ -360,7 +404,13 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     With ``create_graph=True`` the returned gradients stay on the tape, so a
     further ``backward`` over an expression of them yields second-order
     derivatives. With ``create_graph=False`` the same arithmetic runs with
-    recording suspended; first-order values are bit-identical either way.
+    recording suspended and the gradients come back off the tape;
+    first-order values are bit-identical either way.
+
+    Only adjoints that can reach a requested tensor are formed: a node older
+    than the oldest requested one cannot depend on any of them, so the walk
+    stops there and no contribution to such a node (or to a constant) is
+    computed.
     """
     if loss.tape is None or loss.node is None:
         raise AutogradError("loss is not attached to a tape")
@@ -370,29 +420,40 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     for w in wrt:
         if w.tape is not tape or w.node is None:
             raise AutogradError("a requested tensor does not live on the loss tape")
+    tape._check_pending()
 
     want: dict[int, Tensor | None] = {w.node: None for w in wrt}
+    lowest = min(want, default=loss.node + 1)
     adjoint: dict[int, Tensor] = {loss.node: constant(np.ones((1, 1)))}
+    nodes = tape.nodes
 
-    ctx = contextlib.nullcontext() if create_graph else tape.paused()
-    with ctx:
-        for nid in range(loss.node, -1, -1):
+    recording = tape._recording
+    tape._recording = recording and create_graph
+    try:
+        for nid in range(loss.node, lowest - 1, -1):
             g = adjoint.pop(nid, None)
             if g is None:
                 continue
             if nid in want:
                 want[nid] = g
-            node = tape.nodes[nid]
-            if node.op == "leaf":
+            node = nodes[nid]
+            need = [i is not None and i >= lowest for i in node.inputs]
+            if not any(need):
                 continue
-            for input_id, contrib in _vjp(node, nid, g, tape):
-                if input_id is None:
-                    continue
-                seen = adjoint.get(input_id)
-                adjoint[input_id] = contrib if seen is None else add(seen, contrib)
+            contribs = _VJP[node.op](node, nid, g, tape, need)
+            for input_id, wanted, contrib in zip(node.inputs, need, contribs):
+                if wanted:
+                    seen = adjoint.get(input_id)
+                    adjoint[input_id] = contrib if seen is None else add(seen, contrib)
+    finally:
+        tape._recording = recording
+    tape._check_pending()
 
     out = []
     for w in wrt:
         g = want[w.node]
-        out.append(constant(np.zeros(w.shape)) if g is None else g)
+        if g is None:
+            out.append(_wrap(np.zeros(w.shape)))
+        else:
+            out.append(g if g.node is not None else _wrap(g.data))
     return out

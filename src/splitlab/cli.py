@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .attack import AttackConfig, run_attack
+from .attack import AttackConfig, AttackError, run_attack
 from .data import sample_leaked, split_standardize
 from .defense import defense_from_dict, defense_to_dict, is_extension
 from .harness import (
@@ -33,7 +33,7 @@ from .harness import (
 )
 from .metrics import mean_value_baseline
 from .nn import load_checkpoint, save_checkpoint
-from .protocol import Transcript, train_split
+from .protocol import ProtocolError, Transcript, train_split
 
 
 def _parse_value(text: str):
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HarnessError, OSError, ValueError) as exc:
+    except (HarnessError, ProtocolError, AttackError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

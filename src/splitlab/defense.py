@@ -4,8 +4,9 @@ Two families:
   - perturbation of what crosses the wire: additive label/gradient noise and
     top-k gradient sparsification,
   - label extension: the scalar label hides at a secret column of a wider
-    target matrix, either drawn once at random (random extension) or refreshed
-    every step from the current top model's own outputs (adaptive extension).
+    target matrix, either drawn once at random (random extension) or taken
+    from the outputs of a snapshot of the top model made at the start of
+    each epoch (adaptive extension).
 
 All functions are pure: inputs are never modified.
 """
@@ -92,10 +93,11 @@ class RandomLabelExtension:
 
 @dataclass(frozen=True)
 class AdaptiveLabelExtension:
-    """Like the random extension, but the non-label columns are refreshed each
-    step from the current top model's own outputs, so only the label column
-    produces training signal. noise_std sets the pre-training draw that fixes
-    the top model's initial output width."""
+    """Like the random extension, but the non-label columns are the outputs
+    of a snapshot of the top model taken at the start of each epoch, so at
+    that moment only the label column produces training signal. noise_std
+    sets the pre-training draw that fixes the top model's initial output
+    width."""
 
     dims: int
     label_index: int
@@ -214,10 +216,12 @@ def extend_labels_random(y: np.ndarray, dims: int, label_index: int,
 
 def adaptive_targets(top: FcNetwork, cut_values: np.ndarray, y_batch: np.ndarray,
                      label_index: int) -> np.ndarray:
-    """Per-step targets: the current top model's own outputs with the true
-    labels written into label_index. Returned as plain values (a constant for
-    the subsequent loss), so every non-label column contributes zero loss at
-    the moment the targets are formed."""
+    """Targets from `top`'s own outputs with the true labels written into
+    label_index. train_split passes a snapshot of the top model taken at the
+    start of the epoch, so the targets stay fixed within the epoch while the
+    live model moves. Returned as plain values (a constant for the
+    subsequent loss), so every non-label column contributes zero loss for
+    the model they were formed from."""
     if not 0 <= label_index < top.out_dim:
         raise ValueError(f"label_index {label_index} out of range for output dim {top.out_dim}")
     if y_batch.shape != (cut_values.shape[0], 1):

@@ -38,6 +38,8 @@ __all__ = [
 # derived attack seeds: run seed XOR this constant, for independent streams
 ATTACK_SEED_XOR = 0x9E3779B9
 
+ATTACK_READOUTS = ("secret_column", "leak_selected")
+
 
 class HarnessError(RuntimeError):
     pass
@@ -87,6 +89,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise HarnessError("repeats must be >= 1")
+        if self.attack_readout not in ATTACK_READOUTS:
+            raise HarnessError(
+                f"attack_readout must be one of {ATTACK_READOUTS}, got '{self.attack_readout}'")
 
     @classmethod
     def paper_profile(cls, dataset_path: str, batch_size: int = 128, **overrides) -> "ExperimentConfig":
@@ -291,15 +296,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 activation=cfg.activation,
                 transcript_window=cfg.attack_window,
             )
+            evaluation_column = None
             if (cfg.attack_readout == "secret_column" and is_extension(defense)
                     and cfg.attacker_knows_extension):
                 evaluation_column = defense.label_index
-            elif cfg.attack_readout in ("secret_column", "leak_selected"):
-                evaluation_column = None
-            else:
-                raise HarnessError(
-                    f"attack_readout must be secret_column or leak_selected, "
-                    f"got '{cfg.attack_readout}'")
             attack = run_attack(transcript, session.bottom, train, leaked,
                                 attack_cfg, test=test,
                                 evaluation_column=evaluation_column)

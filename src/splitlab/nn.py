@@ -210,12 +210,36 @@ def save_checkpoint(net: FcNetwork, path) -> None:
         json.dump(payload, fh)
 
 
+def _parse_layer(spec: dict) -> Layer:
+    in_dim, out_dim = int(spec["in_dim"]), int(spec["out_dim"])
+    arrays = []
+    for name, shape in (("weight", (in_dim, out_dim)), ("bias", (1, out_dim))):
+        arr = np.array(spec[name], dtype=np.float64)
+        if arr.size != shape[0] * shape[1]:
+            raise ValueError(f"'{name}' has {arr.size} values, expected {shape[0]} x {shape[1]}")
+        arrays.append(arr.reshape(shape))
+    return Layer(*arrays, str(spec["activation"]))
+
+
 def load_checkpoint(path) -> FcNetwork:
+    """Read a checkpoint written by save_checkpoint. A malformed file raises
+    ValueError naming the path and, where it applies, the layer and field."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("layers"), list):
+        raise ValueError(f"{path}: checkpoint has no 'layers' list")
     layers = []
-    for spec in payload["layers"]:
-        w = np.array(spec["weight"], dtype=np.float64).reshape(spec["in_dim"], spec["out_dim"])
-        b = np.array(spec["bias"], dtype=np.float64).reshape(1, spec["out_dim"])
-        layers.append(Layer(w, b, spec["activation"]))
-    return FcNetwork(layers, role=payload.get("role", ""))
+    for i, spec in enumerate(payload["layers"]):
+        try:
+            layers.append(_parse_layer(spec))
+        except KeyError as exc:
+            raise ValueError(f"{path}: layer {i}: missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: layer {i}: {exc}") from exc
+    try:
+        return FcNetwork(layers, role=payload.get("role", ""))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -94,27 +94,49 @@ class Transcript:
 
     @classmethod
     def load(cls, path) -> "Transcript":
+        """Read a file written by save(). Every header and payload must fit
+        in the file and nothing may follow the last record; a malformed file
+        raises ProtocolError naming the path and the record."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[:8] != _MAGIC:
             raise ProtocolError(f"{path}: not a transcript file")
         off = 8
+
+        def need(size: int, what: str) -> None:
+            left = len(blob) - off
+            if size > left:
+                raise ProtocolError(
+                    f"{path}: {what} truncated: needs {size} bytes at offset {off}, "
+                    f"{left} left")
+
+        need(8, "record count")
         (count,) = struct.unpack_from("<Q", blob, off)
         off += 8
         records = []
-        for _ in range(count):
+        for i in range(count):
+            need(8, f"record {i} header")
             epoch, n_idx = struct.unpack_from("<II", blob, off)
             off += 8
+            need(8 * n_idx, f"record {i} indices")
             idx = np.frombuffer(blob, dtype="<u8", count=n_idx, offset=off).astype(np.int64)
             off += 8 * n_idx
             mats = []
-            for _ in range(2):
+            for name in ("activations", "gradient"):
+                need(8, f"record {i} {name} header")
                 rows, cols = struct.unpack_from("<II", blob, off)
                 off += 8
+                need(8 * rows * cols, f"record {i} {name}")
                 m = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=off)
                 mats.append(m.reshape(rows, cols).copy())
                 off += 8 * rows * cols
-            records.append(TranscriptRecord(epoch, idx, mats[0], mats[1]))
+            try:
+                records.append(TranscriptRecord(epoch, idx, mats[0], mats[1]))
+            except ProtocolError as exc:
+                raise ProtocolError(f"{path}: record {i}: {exc}") from exc
+        if off != len(blob):
+            raise ProtocolError(
+                f"{path}: {len(blob) - off} trailing bytes after the last of {count} records")
         return cls(records)
 
 
@@ -202,7 +224,8 @@ def train_split(session: SplitSession, train: Dataset,
                                         d.noise_std, ext_seed).matrix
     elif isinstance(d, AdaptiveLabelExtension):
         # pre-training draw only fixes the top model's output width; targets
-        # are recomputed from the model every step
+        # come from a snapshot of the top model taken at the start of each
+        # epoch
         pass
     elif isinstance(d, LabelNoise):
         noise_seed = int(np.random.SeedSequence([session.seed, 0xA0]).generate_state(1)[0])
@@ -227,9 +250,10 @@ def train_split(session: SplitSession, train: Dataset,
             try:
                 tape = Tape()
                 bottom_handles = session.bottom.attach(tape)
-                top_handles = session.top.attach(tape)
-
                 cut = session.bottom.forward(constant(x_batch))
+                # attached after the cut, so the label party's backward,
+                # whose oldest requested node is then the cut, stops there
+                top_handles = session.top.attach(tape)
                 targets = _effective_targets(session, extended, noised,
                                              target_model, idx, cut.data, y_batch)
                 pred = session.top.forward(cut)

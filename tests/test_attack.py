@@ -273,3 +273,15 @@ def test_attack_validations(trained_run):
     from splitlab.protocol import Transcript
     with pytest.raises(AttackError):
         run_attack(Transcript(), session.bottom, train, leaked, AttackConfig(epochs=1))
+
+
+def test_divergence_names_epoch_batch_and_op(frozen_run):
+    session, transcript, train, _ = frozen_run
+    from splitlab.protocol import Transcript, TranscriptRecord
+    blown = Transcript([TranscriptRecord(r.epoch, r.indices, r.activations, r.gradient * 1e300)
+                        for r in transcript.records])
+    leaked = sample_leaked(train, 0.05, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AttackError, match=r"attack epoch 0, batch 0 diverged: "
+                                              r"non-finite values produced by 'mse'"):
+            run_attack(blown, session.bottom, train, leaked, AttackConfig(epochs=1))

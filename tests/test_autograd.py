@@ -173,6 +173,30 @@ def test_nonfinite_is_rejected():
         Tape().leaf([[np.nan]])
 
 
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_nonfinite_intermediate_names_its_op(create_graph):
+    # tanh saturates, so the loss is finite although the matmul overflowed
+    tape = Tape()
+    x = tape.leaf([[1e200]])
+    w = tape.leaf([[1e200]])
+    with np.errstate(over="ignore"):
+        loss = sum_all(tanh(matmul(x, w)))
+    assert np.isfinite(loss.data).all()
+    with pytest.raises(AutogradError, match="non-finite values produced by 'matmul'"):
+        backward(loss, [x, w], create_graph=create_graph)
+
+
+def test_first_order_gradients_come_back_off_the_tape():
+    tape = Tape()
+    x = tape.leaf([[1.0, 2.0]])
+    b = tape.leaf([[0.5, -0.5]])
+    loss = mse(add_bias(x, b), constant([[0.0, 1.0]]))
+    for g in backward(loss, [x, b]):
+        assert g.tape is None and g.node is None
+    for g in backward(loss, [x, b], create_graph=True):
+        assert g.tape is tape and g.node is not None
+
+
 def test_gradient_for_unused_variable_is_zero():
     tape = Tape()
     x = tape.leaf([[1.5]])
@@ -233,6 +257,7 @@ def _gradcheck_cases():
         ("smul", (2, 3), lambda x: sum_all(mul(smul(x, -1.7), constant(r)))),
         ("mulc", (2, 3), lambda x: sum_all(mul(mulc(x, r), constant(r)))),
         ("tile_rows", (1, 3), lambda x: sum_all(mul(tile_rows(x, 4), constant(r_wide)))),
+        ("add_bias", (1, 3), lambda x: sum_all(mul(tanh(add_bias(constant(r_wide), x)), constant(r_wide)))),
         ("sum_rows", (4, 3), lambda x: sum_all(mul(sum_rows(x), constant(one_row)))),
         ("sum_all", (2, 3), lambda x: smul(sum_all(x), 0.3)),
         ("spread", (1, 1), lambda x: sum_all(mul(spread(x, 2, 3), constant(r)))),
@@ -327,3 +352,36 @@ def test_grad_norm_of_inner_gradient_matches_fd():
     numeric = central_diff(grad_norm_sq, w0, step=1e-4)
     diff = np.abs(gw.data - numeric)
     assert (diff <= np.maximum(1e-6, 1e-3 * np.abs(numeric))).all()
+
+
+def test_inner_gradient_through_add_bias_and_mse_matches_fd():
+    # Second order through the fused primitives: the squared norm of
+    # dL/dE for L = mse(tanh(E W + b), Y), differentiated w.r.t. W, b and
+    # the target Y. E is registered last, so the inner backward's walk stops
+    # at E and forms no adjoint for W, b or Y.
+    rng = np.random.default_rng(37)
+    e0 = rng.normal(size=(5, 4))
+    w0 = rng.normal(size=(4, 3)) * 0.6
+    b0 = rng.normal(size=(1, 3)) * 0.3
+    y0 = rng.normal(size=(5, 3))
+
+    def inner_norm_sq(w_val, b_val, y_val):
+        tape = Tape()
+        w, b, y = tape.leaf(w_val), tape.leaf(b_val), tape.leaf(y_val)
+        e = tape.leaf(e0)
+        loss = mse(tanh(add_bias(matmul(e, w), b)), y)
+        (ge,) = backward(loss, [e], create_graph=True)
+        return tape, (w, b, y), sum_all(mul(ge, ge))
+
+    _, leaves, norm_sq = inner_norm_sq(w0, b0, y0)
+    grads = backward(norm_sq, list(leaves))
+
+    points = [w0, b0, y0]
+    for k, g in enumerate(grads):
+        def f(v, k=k):
+            args = list(points)
+            args[k] = v
+            return inner_norm_sq(*args)[2].item()
+
+        numeric = central_diff(f, points[k], step=1e-5)
+        assert_grad_close(g.data, numeric, abs_tol=1e-7, rel_tol=1e-4)

@@ -136,3 +136,39 @@ def test_missing_csv_reports_error(tmp_path, capsys):
     code = main(["baseline-mp", "--dataset", str(tmp_path / "nope.csv")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def trained_run(tmp_path):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", tiny_config_file(tmp_path), "--out", str(run_dir)]) == 0
+    return run_dir
+
+
+def test_attack_on_garbage_transcript_is_a_one_line_error(tmp_path, capsys):
+    run_dir = trained_run(tmp_path)
+    (run_dir / "transcript.bin").write_bytes(b"definitely not a transcript")
+    capsys.readouterr()
+    assert main(["attack", "--run", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "transcript.bin" in err
+
+
+def test_bad_readout_fails_before_training_or_attack(tmp_path, monkeypatch, capsys):
+    run_dir = trained_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["attack"]["readout"] = "bogus"
+    manifest_path.write_text(json.dumps(manifest))
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started despite a bad config")
+
+    monkeypatch.setattr("splitlab.cli.run_attack", never)
+    monkeypatch.setattr("splitlab.harness.train_split", never)
+    capsys.readouterr()
+    assert main(["attack", "--run", str(run_dir)]) == 1
+    assert "attack_readout" in capsys.readouterr().err
+    assert main(["experiment", "--config", tiny_config_file(tmp_path),
+                 "--set", "attack.readout=bogus"]) == 1
+    assert "attack_readout" in capsys.readouterr().err

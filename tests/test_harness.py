@@ -50,6 +50,17 @@ def test_config_rejects_bad_repeats():
         tiny_config(repeats=0)
 
 
+def test_config_rejects_bad_readout_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("splitlab.harness.train_split", no_training)
+    with pytest.raises(HarnessError, match="attack_readout"):
+        tiny_config(attack_readout="bogus")
+    with pytest.raises(HarnessError, match="attack_readout"):
+        ExperimentConfig.from_dict({"attack": {"readout": "bogus"}})
+
+
 def test_run_has_all_metric_blocks(tiny_result):
     run = tiny_result.runs[0]
     for pair in (run.original_train, run.original_test, run.attack_train,

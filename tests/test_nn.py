@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,25 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(a.weight, b.weight)
         assert np.array_equal(a.bias, b.bias)
         assert a.activation == b.activation
+
+
+def test_checkpoint_missing_field_names_path_layer_and_field(tmp_path):
+    net = build_network([5, 4, 2], seed=6, role="bottom")
+    path = tmp_path / "bottom.json"
+    save_checkpoint(net, path)
+    payload = json.loads(path.read_text())
+    del payload["layers"][1]["weight"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"bottom\.json: layer 1: missing 'weight'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_size_mismatch_names_path_layer_and_field(tmp_path):
+    net = build_network([5, 4, 2], seed=6, role="bottom")
+    path = tmp_path / "bottom.json"
+    save_checkpoint(net, path)
+    payload = json.loads(path.read_text())
+    payload["layers"][0]["in_dim"] = 6
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"bottom\.json: layer 0: 'weight' has 20 values, expected 6 x 4"):
+        load_checkpoint(path)

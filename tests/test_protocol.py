@@ -191,3 +191,45 @@ def test_transcript_rejects_garbage(tmp_path):
     p.write_bytes(b"definitely not a transcript")
     with pytest.raises(ProtocolError):
         Transcript.load(p)
+
+
+@pytest.fixture
+def saved_transcript(tmp_path, small_data):
+    train, _ = small_data
+    session = make_session(train, epochs=2, batch_size=64)
+    _, transcript, _ = train_split(session, train)
+    path = tmp_path / "run.transcript"
+    transcript.save(path)
+    return path, len(transcript)
+
+
+def test_transcript_rejects_truncated_file(saved_transcript):
+    path, count = saved_transcript
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-100])
+    with pytest.raises(ProtocolError, match=rf"{path.name}: record {count - 1} gradient truncated"):
+        Transcript.load(path)
+    # a cut inside a record header is reported the same way, not as struct.error
+    path.write_bytes(blob[:8 + 8 + 4])
+    with pytest.raises(ProtocolError, match=rf"{path.name}: record 0 header truncated"):
+        Transcript.load(path)
+
+
+def test_transcript_rejects_trailing_bytes(saved_transcript):
+    path, count = saved_transcript
+    path.write_bytes(path.read_bytes() + b"\0" * 5)
+    with pytest.raises(ProtocolError, match=rf"{path.name}: 5 trailing bytes after the last of {count} records"):
+        Transcript.load(path)
+
+
+def test_divergence_raises_with_context_before_any_update(small_data):
+    train, _ = small_data
+    session = make_session(train, epochs=1, batch_size=64)
+    session.bottom.layers[0].weight[:] = 1e308
+    before = [p.copy() for p in session.bottom.parameters() + session.top.parameters()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ProtocolError, match=r"epoch 0, batch 0: non-finite values produced by 'matmul'"):
+            train_split(session, train)
+    after = session.bottom.parameters() + session.top.parameters()
+    assert all(np.array_equal(b, a) for b, a in zip(before, after))
+    assert session.top_opt.step_count == session.bottom_opt.step_count == 0
