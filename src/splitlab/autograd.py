@@ -1,6 +1,11 @@
 """Dense 2-D tensors with reverse-mode differentiation on a re-entrant tape.
 
-Every tensor is a rows x cols float64 matrix. Operations record nodes on a
+Every tensor is a rows x cols float64 matrix, optionally stacked along a
+leading lane axis as a (lanes, rows, cols) array. Lanes are independent
+problems computed in lock-step: primitives treat axes -2 and -1 as rows and
+columns and reduce or broadcast within each lane, a loss is one 1x1 value
+per lane, and the gradient of the summed lane losses with respect to one
+lane's inputs is that lane's own gradient. Operations record nodes on a
 ``Tape`` whenever at least one input is attached to it. A backward pass walks
 the tape in reverse; with ``create_graph=True`` the backward computations are
 themselves recorded, so the returned gradients are ordinary taped tensors and
@@ -14,7 +19,8 @@ Conventions:
     Taped operations, recorded or computed while the tape is paused, are
     checked together when ``backward`` runs on their tape: once on entry,
     for everything computed since the last check, and once on exit, for
-    what the backward pass itself computed,
+    what the backward pass itself computed. With a lane axis the error also
+    names the first lane holding such a value,
   - relu is given a zero second derivative everywhere (subgradient 0 at 0),
   - a tape and its tensors belong to one logical thread.
 """
@@ -56,23 +62,36 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 class AutogradError(ValueError):
-    """Shape mismatch, non-finite result, or a tensor used off its tape."""
+    """Shape mismatch, non-finite result, or a tensor used off its tape.
+
+    ``lane`` is the lane that held the first non-finite value, when the
+    offending array had a lane axis; otherwise None."""
+
+    def __init__(self, message: str, lane: int | None = None):
+        super().__init__(message)
+        self.lane = lane
 
 
 def _as_matrix(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise AutogradError(f"expected a 2-D array, got shape {arr.shape}")
+    if arr.ndim not in (2, 3):
+        raise AutogradError(f"expected a 2-D array or a lane stack, got shape {arr.shape}")
     return arr
 
 
 def _require_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    finite = np.isfinite(arr)
+    if finite.all():
+        return
+    if arr.ndim == 2:
         raise AutogradError(f"non-finite values produced by '{op}'")
+    lane = int(np.argmin(finite.reshape(len(arr), -1).all(axis=1)))
+    raise AutogradError(f"non-finite values produced by '{op}' (lane {lane})", lane=lane)
 
 
 class Tensor:
-    """A 2-D float64 matrix, optionally attached to a tape node.
+    """A 2-D float64 matrix, or a (lanes, rows, cols) stack of them,
+    optionally attached to a tape node.
 
     A tensor computed while its tape was paused keeps a reference to the
     tape (so its values are checked with the tape's) but has no node, and
@@ -88,14 +107,14 @@ class Tensor:
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def item(self) -> float:
@@ -113,7 +132,8 @@ class Tensor:
 
 
 def _wrap(data: np.ndarray, tape: "Tape | None" = None, node: int | None = None) -> Tensor:
-    """A tensor over an array this module produced, already float64 and 2-D."""
+    """A tensor over an array this module produced, already float64 and of
+    a valid rank."""
     t = object.__new__(Tensor)
     t.data = data
     t.tape = tape
@@ -208,15 +228,16 @@ def _t(x) -> Tensor:
 # ---------------------------------------------------------------- primitives
 
 def matmul(a, b) -> Tensor:
+    """Matrix product, per lane; both operands have the same lane axis."""
     a, b = _t(a), _t(b)
-    if a.cols != b.rows:
+    if a.cols != b.rows or a.data.shape[:-2] != b.data.shape[:-2]:
         raise AutogradError(f"matmul dims {a.shape} x {b.shape}")
     return _emit("matmul", (a, b), a.data @ b.data)
 
 
 def transpose(a) -> Tensor:
     a = _t(a)
-    return _emit("transpose", (a,), a.data.T.copy())
+    return _emit("transpose", (a,), a.data.swapaxes(-1, -2).copy())
 
 
 def add(a, b) -> Tensor:
@@ -259,24 +280,28 @@ def tile_rows(b, n: int) -> Tensor:
     b = _t(b)
     if b.rows != 1:
         raise AutogradError(f"tile_rows needs a 1 x m tensor, got {b.shape}")
-    return _emit("tile_rows", (b,), np.repeat(b.data, n, axis=0), aux=n)
+    return _emit("tile_rows", (b,), np.repeat(b.data, n, axis=-2), aux=n)
 
 
 def sum_rows(x) -> Tensor:
     x = _t(x)
-    return _emit("sum_rows", (x,), x.data.sum(axis=0, keepdims=True))
+    return _emit("sum_rows", (x,), x.data.sum(axis=-2, keepdims=True))
 
 
 def sum_all(x) -> Tensor:
+    """Sum of every entry, one 1x1 value per lane."""
     x = _t(x)
-    return _emit("sum_all", (x,), np.array([[x.data.sum()]]))
+    return _emit("sum_all", (x,), x.data.sum(axis=(-2, -1), keepdims=True))
 
 
 def spread(s, rows: int, cols: int) -> Tensor:
     s = _t(s)
-    if s.shape != (1, 1):
+    lead = s.data.shape[:-2]
+    if s.data.shape != (*lead, 1, 1):
         raise AutogradError(f"spread needs a 1x1 tensor, got {s.shape}")
-    return _emit("spread", (s,), np.full((rows, cols), s.data[0, 0]), aux=(rows, cols))
+    out = np.empty((*lead, rows, cols))
+    out[...] = s.data
+    return _emit("spread", (s,), out, aux=(rows, cols))
 
 
 def relu(x) -> Tensor:
@@ -290,21 +315,23 @@ def tanh(x) -> Tensor:
 
 
 def add_bias(x, b) -> Tensor:
-    """Row-broadcast addition of a 1 x cols bias."""
+    """Row-broadcast addition of a 1 x cols bias (per lane)."""
     x, b = _t(x), _t(b)
-    if b.shape != (1, x.cols):
+    xs = x.data.shape
+    if b.data.shape != (*xs[:-2], 1, xs[-1]):
         raise AutogradError(f"bias shape {b.shape} does not broadcast over {x.shape}")
     return _emit("add_bias", (x, b), x.data + b.data)
 
 
 def mse(pred, target) -> Tensor:
-    """Mean over all entries of the squared difference; 1x1 result."""
+    """Mean over all entries of the squared difference; 1x1 result per lane."""
     pred, target = _t(pred), _t(target)
     if pred.shape != target.shape:
         raise AutogradError(f"mse shapes {pred.shape} vs {target.shape}")
     d = pred.data - target.data
     scale = 1.0 / (pred.rows * pred.cols)
-    return _emit("mse", (pred, target), np.array([[(d * d).sum()]]) * scale, aux=scale)
+    return _emit("mse", (pred, target), (d * d).sum(axis=(-2, -1), keepdims=True) * scale,
+                 aux=scale)
 
 
 # ---------------------------------------------------------------- composites
@@ -320,12 +347,12 @@ def activation(x, kind: str) -> Tensor:
 
 
 def select_column(x, j: int) -> Tensor:
-    """Column j as a rows x 1 tensor (differentiable slice)."""
+    """Column j as a rows x 1 tensor (differentiable slice, per lane)."""
     x = _t(x)
     if not 0 <= j < x.cols:
         raise AutogradError(f"column {j} out of range for {x.shape}")
-    picker = np.zeros((x.cols, 1))
-    picker[j, 0] = 1.0
+    picker = np.zeros((*x.shape[:-2], x.cols, 1))
+    picker[..., j, 0] = 1.0
     return matmul(x, picker)
 
 
@@ -373,7 +400,7 @@ def _tanh_vjp(node, nid, g, tape, need):
 def _mse_vjp(node, nid, g, tape, need):
     # d mse / d pred = (2 / n) (pred - target) = -d mse / d target, formed
     # as 2 * ((g / n) * (pred - target))
-    rows, cols = node.values[0].shape
+    rows, cols = node.values[0].shape[-2:]
     d = sub(_input_handle(node, 0, tape), _input_handle(node, 1, tape))
     g_pred = smul(mul(spread(smul(g, node.aux), rows, cols), d), 2.0)
     return g_pred, smul(g_pred, -1.0) if need[1] else None
@@ -388,8 +415,8 @@ _VJP = {
     "smul": lambda node, nid, g, tape, need: (smul(g, node.aux),),
     "mulc": lambda node, nid, g, tape, need: (mulc(g, node.aux),),
     "tile_rows": lambda node, nid, g, tape, need: (sum_rows(g),),
-    "sum_rows": lambda node, nid, g, tape, need: (tile_rows(g, node.values[0].shape[0]),),
-    "sum_all": lambda node, nid, g, tape, need: (spread(g, *node.values[0].shape),),
+    "sum_rows": lambda node, nid, g, tape, need: (tile_rows(g, node.values[0].shape[-2]),),
+    "sum_all": lambda node, nid, g, tape, need: (spread(g, *node.values[0].shape[-2:]),),
     "spread": lambda node, nid, g, tape, need: (sum_all(g),),
     "relu": _relu_vjp,
     "tanh": _tanh_vjp,
@@ -399,7 +426,10 @@ _VJP = {
 
 
 def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
-    """Gradients of a scalar loss w.r.t. the requested taped tensors.
+    """Gradients of a scalar loss (one 1x1 value per lane) w.r.t. the
+    requested taped tensors. The pass is seeded with ones of the loss's
+    shape, so with lanes it differentiates the sum of the lane losses, and
+    each lane's inputs receive that lane's own gradient.
 
     With ``create_graph=True`` the returned gradients stay on the tape, so a
     further ``backward`` over an expression of them yields second-order
@@ -414,8 +444,8 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     """
     if loss.tape is None or loss.node is None:
         raise AutogradError("loss is not attached to a tape")
-    if loss.shape != (1, 1):
-        raise AutogradError(f"loss must be scalar (1x1), got {loss.shape}")
+    if loss.shape[-2:] != (1, 1):
+        raise AutogradError(f"loss must be scalar (1x1 per lane), got {loss.shape}")
     tape = loss.tape
     for w in wrt:
         if w.tape is not tape or w.node is None:
@@ -424,7 +454,7 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
 
     want: dict[int, Tensor | None] = {w.node: None for w in wrt}
     lowest = min(want, default=loss.node + 1)
-    adjoint: dict[int, Tensor] = {loss.node: constant(np.ones((1, 1)))}
+    adjoint: dict[int, Tensor] = {loss.node: constant(np.ones(loss.shape))}
     nodes = tape.nodes
 
     recording = tape._recording

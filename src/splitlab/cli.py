@@ -15,17 +15,16 @@ import json
 import sys
 from pathlib import Path
 
-from .attack import AttackConfig, AttackError, run_attack
-from .data import sample_leaked, split_standardize
-from .defense import defense_from_dict, defense_to_dict, is_extension
+from .attack import AttackError, run_attack
+from .data import split_standardize
+from .defense import defense_from_dict, defense_to_dict
 from .harness import (
-    ATTACK_SEED_XOR,
     ExperimentConfig,
     HarnessError,
-    _build_session,
-    _load_dataset,
-    _surrogate_dims,
+    build_session,
     emit_results,
+    load_dataset,
+    plan_attack,
     result_rows,
     run_experiment,
     sweep_defense,
@@ -111,10 +110,10 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    raw = _load_dataset(cfg)
+    raw = load_dataset(cfg)
     train, _ = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
     defense = defense_from_dict(cfg.defense, cut_dim=cfg.cut_dim, seed=cfg.seed)
-    session = _build_session(cfg, defense, raw.d, cfg.seed)
+    session = build_session(cfg, defense, raw.d, cfg.seed)
     _, transcript, trace = train_split(session, train)
 
     transcript.save(out / "transcript.bin")
@@ -134,32 +133,43 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _manifest_entry(manifest, path, *keys):
+    """manifest[keys[0]][keys[1]]...; a missing key is a one-line error
+    naming the manifest and the key."""
+    node = manifest
+    for key in keys:
+        if not isinstance(node, dict) or key not in node:
+            raise HarnessError(f"{path}: missing '{key}'")
+        node = node[key]
+    return node
+
+
 def cmd_attack(args) -> int:
     run_dir = Path(args.run)
-    with open(run_dir / "manifest.json") as fh:
-        manifest = json.load(fh)
-    cfg = ExperimentConfig.from_dict(manifest["config"])
-    defense = defense_from_dict(dict(manifest["defense_resolved"]),
-                                cut_dim=cfg.cut_dim, seed=cfg.seed)
+    manifest_path = run_dir / "manifest.json"
+    with open(manifest_path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise HarnessError(f"{manifest_path}: not JSON: {exc}") from None
+    entries = [_manifest_entry(manifest, manifest_path, *keys)
+               for keys in (("config",), ("defense_resolved",), ("files", "bottom"),
+                            ("files", "transcript"))]
+    config, defense_spec, bottom_file, transcript_file = entries
+    try:
+        cfg = ExperimentConfig.from_dict(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HarnessError(f"{manifest_path}: bad config: {exc!r}") from None
+    defense = defense_from_dict(dict(defense_spec), cut_dim=cfg.cut_dim, seed=cfg.seed)
 
-    raw = _load_dataset(cfg)
+    raw = load_dataset(cfg)
     train, test = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
-    bottom = load_checkpoint(run_dir / manifest["files"]["bottom"])
-    transcript = Transcript.load(run_dir / manifest["files"]["transcript"])
+    bottom = load_checkpoint(run_dir / bottom_file)
+    transcript = Transcript.load(run_dir / transcript_file)
 
-    attack_seed = cfg.seed ^ ATTACK_SEED_XOR
-    leaked = sample_leaked(train, cfg.leak_fraction, seed=attack_seed)
-    attack_cfg = AttackConfig(
-        alpha=cfg.attack_alpha, lr=cfg.attack_lr, epochs=cfg.attack_epochs,
-        seed=attack_seed, surrogate_dims=_surrogate_dims(cfg, defense),
-        activation=cfg.activation, transcript_window=cfg.attack_window,
-    )
-    evaluation_column = None
-    if (cfg.attack_readout == "secret_column" and is_extension(defense)
-            and cfg.attacker_knows_extension):
-        evaluation_column = defense.label_index
-    result = run_attack(transcript, bottom, train, leaked, attack_cfg,
-                        test=test, evaluation_column=evaluation_column)
+    plan = plan_attack(cfg, defense, train, cfg.seed)
+    result = run_attack(transcript, bottom, train, plan.leaked, plan.config,
+                        test=test, evaluation_column=plan.evaluation_column)
 
     mp_train = mean_value_baseline(train.labels, train.labels)
     summary = {
@@ -189,13 +199,14 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_sweep_defense(args) -> int:
-    cfg = _build_config(args)
     if not args.param:
         raise SystemExit("sweep-defense needs --param NAME=V1,V2,...")
     if len(args.param) != 1:
         raise SystemExit("sweep-defense sweeps exactly one parameter")
     key, raw = _parse_kv(args.param[0])
     values = [_parse_value(v) for v in raw.split(",") if v != ""]
+    # --param holds the grid, which each sweep point sets on its own
+    cfg = _build_config(argparse.Namespace(**{**vars(args), "param": None}))
     results = sweep_defense(cfg, args.defense or "label_noise", key, values)
     _emit(results, args)
     return 0
@@ -212,7 +223,7 @@ def cmd_sweep_dims(args) -> int:
 
 def cmd_baseline_mp(args) -> int:
     cfg = _build_config(args)
-    raw = _load_dataset(cfg)
+    raw = load_dataset(cfg)
     train, test = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
     tr = mean_value_baseline(train.labels, train.labels)
     te = mean_value_baseline(train.labels, test.labels)

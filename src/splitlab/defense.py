@@ -215,19 +215,26 @@ def extend_labels_random(y: np.ndarray, dims: int, label_index: int,
 
 
 def adaptive_targets(top: FcNetwork, cut_values: np.ndarray, y_batch: np.ndarray,
-                     label_index: int) -> np.ndarray:
+                     label_index) -> np.ndarray:
     """Targets from `top`'s own outputs with the true labels written into
-    label_index. train_split passes a snapshot of the top model taken at the
+    label_index. The trainer passes a snapshot of the top model taken at the
     start of the epoch, so the targets stay fixed within the epoch while the
     live model moves. Returned as plain values (a constant for the
     subsequent loss), so every non-label column contributes zero loss for
-    the model they were formed from."""
-    if not 0 <= label_index < top.out_dim:
+    the model they were formed from.
+
+    For a lane stack of top models, cut_values and y_batch carry the lane
+    axis and label_index holds one column per lane."""
+    index = np.asarray(label_index)
+    if not ((0 <= index) & (index < top.out_dim)).all():
         raise ValueError(f"label_index {label_index} out of range for output dim {top.out_dim}")
-    if y_batch.shape != (cut_values.shape[0], 1):
-        raise ValueError(f"labels {y_batch.shape} do not match batch of {cut_values.shape[0]}")
+    if y_batch.shape != (*cut_values.shape[:-1], 1):
+        raise ValueError(f"labels {y_batch.shape} do not match batch of {cut_values.shape[-2]}")
     targets = top.forward_values(cut_values)
-    targets[:, label_index] = y_batch[:, 0]
+    if targets.ndim == 2:
+        targets[:, label_index] = y_batch[:, 0]
+    else:
+        targets[np.arange(len(targets)), :, index] = y_batch[..., 0]
     return targets
 
 

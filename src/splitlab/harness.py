@@ -4,7 +4,8 @@ One experiment = load data, train the split protocol under a defense, replay
 the transcript through the attack, and score the original task, the attack,
 and the constant-mean baseline on both splits. Repeats run with derived seeds
 and best-of selection; sweeps map a defense parameter or the extension width
-over a grid of values.
+over a grid of values. The runs of an experiment or sweep that can share
+one tape walk per batch are trained and attacked in lock-step.
 """
 
 from __future__ import annotations
@@ -16,18 +17,32 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attack import AttackConfig, run_attack
-from .data import Dataset, load_csv, sample_leaked, split_standardize, synth_regression
+from .attack import AttackConfig, AttackLane, attack_lanes, run_attack  # noqa: F401
+from .data import (
+    Dataset,
+    LeakedSet,
+    load_csv,
+    sample_leaked,
+    split_standardize,
+    synth_regression,
+)
 from .defense import Defense, defense_from_dict, defense_to_dict, is_extension, target_dim
 from .metrics import MetricPair, best_of_runs, mean_value_baseline, metric_pair
 from .nn import build_network
-from .protocol import SplitSession, predict, train_split
+from .protocol import SplitSession, predict, train_lanes, train_split  # noqa: F401
+
+# run_attack and train_split, the single-run entry points, stay importable
+# from here for code that wraps them where the harness used to call them.
 
 __all__ = [
     "HarnessError",
     "ExperimentConfig",
     "RunOutcome",
     "ExperimentResult",
+    "AttackPlan",
+    "load_dataset",
+    "build_session",
+    "plan_attack",
     "run_experiment",
     "sweep_defense",
     "sweep_extension_dims",
@@ -92,6 +107,10 @@ class ExperimentConfig:
         if self.attack_readout not in ATTACK_READOUTS:
             raise HarnessError(
                 f"attack_readout must be one of {ATTACK_READOUTS}, got '{self.attack_readout}'")
+        try:
+            defense_from_dict(self.defense, cut_dim=self.cut_dim, seed=self.seed)
+        except (TypeError, ValueError) as exc:
+            raise HarnessError(f"bad defense {self.defense!r}: {exc}") from None
 
     @classmethod
     def paper_profile(cls, dataset_path: str, batch_size: int = 128, **overrides) -> "ExperimentConfig":
@@ -205,6 +224,7 @@ class RunOutcome:
     original_test: MetricPair
     attack_train: MetricPair
     attack_test: MetricPair
+    # the run's lock-step group's wall time divided by its lane count
     runtime_ms: float
 
 
@@ -216,6 +236,7 @@ class ExperimentResult:
     runs: tuple[RunOutcome, ...]
     mp_train: MetricPair
     mp_test: MetricPair
+    # wall time of the producing call divided by its number of points
     runtime_ms: float
 
     @property
@@ -233,7 +254,9 @@ class ExperimentResult:
         return max(self.runs, key=lambda r: r.attack_train.mae)
 
 
-def _load_dataset(cfg: ExperimentConfig) -> Dataset:
+def load_dataset(cfg: ExperimentConfig) -> Dataset:
+    """The configured dataset: the CSV at cfg.dataset_path, or the synthetic
+    generator when there is none."""
     if cfg.dataset_path is None:
         ds = synth_regression(cfg.synth_n, cfg.synth_d, cfg.synth_noise_std,
                               seed=cfg.seed)
@@ -245,8 +268,9 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
-def _build_session(cfg: ExperimentConfig, defense: Defense, feature_dim: int,
-                   run_seed: int) -> SplitSession:
+def build_session(cfg: ExperimentConfig, defense: Defense, feature_dim: int,
+                  run_seed: int) -> SplitSession:
+    """A fresh, untrained session for one run, its models seeded from run_seed."""
     bottom_seed = int(np.random.SeedSequence([run_seed, 0xB0]).generate_state(1)[0])
     top_seed = int(np.random.SeedSequence([run_seed, 0x70]).generate_state(1)[0])
     bottom = build_network([feature_dim, *cfg.bottom_hidden, cfg.cut_dim],
@@ -257,100 +281,172 @@ def _build_session(cfg: ExperimentConfig, defense: Defense, feature_dim: int,
                         epochs=cfg.epochs, seed=run_seed)
 
 
-def _surrogate_dims(cfg: ExperimentConfig, defense: Defense) -> list[int]:
-    out = target_dim(defense) if cfg.attacker_knows_extension else 1
-    return [cfg.cut_dim, *cfg.top_hidden, out]
+@dataclass(frozen=True)
+class AttackPlan:
+    """What the attacker of one run brings: its leaked labels, its attack
+    settings and the column its answer is read from (None: chosen by the
+    leak)."""
+
+    leaked: LeakedSet
+    config: AttackConfig
+    evaluation_column: int | None
+
+
+def plan_attack(cfg: ExperimentConfig, defense: Defense, train: Dataset,
+                run_seed: int) -> AttackPlan:
+    """The attack on the run seeded run_seed: the leaked set and the attack
+    seed derive from run_seed ^ ATTACK_SEED_XOR, the surrogate matches the
+    top model's width when the attacker knows the extension, and the
+    readout column follows cfg.attack_readout."""
+    attack_seed = run_seed ^ ATTACK_SEED_XOR
+    width = target_dim(defense) if cfg.attacker_knows_extension else 1
+    config = AttackConfig(
+        alpha=cfg.attack_alpha,
+        lr=cfg.attack_lr,
+        epochs=cfg.attack_epochs,
+        seed=attack_seed,
+        surrogate_dims=[cfg.cut_dim, *cfg.top_hidden, width],
+        activation=cfg.activation,
+        transcript_window=cfg.attack_window,
+    )
+    evaluation_column = None
+    if (cfg.attack_readout == "secret_column" and is_extension(defense)
+            and cfg.attacker_knows_extension):
+        evaluation_column = defense.label_index
+    leaked = sample_leaked(train, cfg.leak_fraction, seed=attack_seed)
+    return AttackPlan(leaked, config, evaluation_column)
+
+
+@dataclass
+class _Lane:
+    """One (grid point, repeat) pair of an experiment or sweep."""
+
+    point: int
+    run: int
+    label: str  # names the point's defense, run index and seed in errors
+    session: SplitSession
+    plan: AttackPlan
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Train, attack, and evaluate `cfg.repeats` times with derived seeds."""
+    return _run_points([cfg])[0]
+
+
+def _run_points(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
+    """Every repeat of every config, which differ only in their defense.
+
+    Each (point, repeat) pair is a lane. Lanes whose defense kind and
+    top-model width agree train and are attacked in lock-step (see
+    train_lanes and attack_lanes), and each lane computes exactly what it
+    would alone. A run's runtime_ms is its lock-step group's wall time
+    divided by the group's lane count; a result's runtime_ms is the wall
+    time of the whole call divided by the number of configs.
+    """
     started = time.perf_counter()
-    raw = _load_dataset(cfg)
+    cfg = configs[0]
+    raw = load_dataset(cfg)
     train, test = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
     if cfg.batch_size > train.n:
         raise HarnessError(f"batch size {cfg.batch_size} exceeds train size {train.n}")
-    defense = defense_from_dict(cfg.defense, cut_dim=cfg.cut_dim, seed=cfg.seed)
+    defenses = [defense_from_dict(c.defense, cut_dim=c.cut_dim, seed=c.seed) for c in configs]
+
+    groups: dict[tuple, list[_Lane]] = {}
+    for point, (c, defense) in enumerate(zip(configs, defenses)):
+        for i in range(c.repeats):
+            run_seed = c.seed + i
+            label = f"{_defense_label(defense)} run {i} (seed {run_seed})"
+            try:
+                lane = _Lane(point, i, label, build_session(c, defense, raw.d, run_seed),
+                             plan_attack(c, defense, train, run_seed))
+            except Exception as exc:
+                raise HarnessError(f"{label}: {exc}") from exc
+            groups.setdefault((type(defense), target_dim(defense)), []).append(lane)
+
+    runs: list[list[RunOutcome | None]] = [[None] * c.repeats for c in configs]
+    for lanes in groups.values():
+        for lane, outcome in zip(lanes, _run_group(lanes, train, test)):
+            runs[lane.point][lane.run] = outcome
 
     mp_train = mean_value_baseline(train.labels, train.labels)
     mp_test = mean_value_baseline(train.labels, test.labels)
+    runtime_ms = (time.perf_counter() - started) * 1e3 / len(configs)
+    return [ExperimentResult(config=c, dataset_name=raw.name, defense=defense,
+                             runs=tuple(point_runs), mp_train=mp_train, mp_test=mp_test,
+                             runtime_ms=runtime_ms)
+            for c, defense, point_runs in zip(configs, defenses, runs)]
 
-    runs = []
-    for i in range(cfg.repeats):
-        run_seed = cfg.seed + i
-        attack_seed = run_seed ^ ATTACK_SEED_XOR
-        run_started = time.perf_counter()
-        try:
-            session = _build_session(cfg, defense, raw.d, run_seed)
-            _, transcript, _ = train_split(session, train)
 
-            original_train = metric_pair(predict(session, train.features), train.labels)
-            original_test = metric_pair(predict(session, test.features), test.labels)
+def _run_group(lanes: list[_Lane], train: Dataset, test: Dataset) -> list[RunOutcome]:
+    """Train, evaluate and attack one lock-step group of lanes."""
+    started = time.perf_counter()
+    try:
+        # the attack replays only the final attack_window epochs, so the
+        # trainer keeps no older records
+        trained = train_lanes([lane.session for lane in lanes], train,
+                              keep_epochs=lanes[0].plan.config.transcript_window)
+        originals = [(metric_pair(predict(lane.session, train.features), train.labels),
+                      metric_pair(predict(lane.session, test.features), test.labels))
+                     for lane in lanes]
+        attacks = attack_lanes(
+            [AttackLane(transcript, lane.session.bottom, lane.plan.leaked, lane.plan.config,
+                        lane.plan.evaluation_column)
+             for lane, (transcript, _) in zip(lanes, trained)],
+            train, test=test)
+    except Exception as exc:
+        lane = _failed_lane(exc)
+        where = (lanes[lane].label if lane is not None
+                 else "; ".join(l.label for l in lanes))
+        raise HarnessError(f"{where}: {exc}") from exc
+    share_ms = (time.perf_counter() - started) * 1e3 / len(lanes)
+    return [RunOutcome(
+        seed=lane.session.seed,
+        attack_seed=lane.plan.config.seed,
+        original_train=original_train,
+        original_test=original_test,
+        attack_train=attack.train_metrics,
+        attack_test=attack.test_metrics,
+        runtime_ms=share_ms,
+    ) for lane, (original_train, original_test), attack in zip(lanes, originals, attacks)]
 
-            leaked = sample_leaked(train, cfg.leak_fraction, seed=attack_seed)
-            attack_cfg = AttackConfig(
-                alpha=cfg.attack_alpha,
-                lr=cfg.attack_lr,
-                epochs=cfg.attack_epochs,
-                seed=attack_seed,
-                surrogate_dims=_surrogate_dims(cfg, defense),
-                activation=cfg.activation,
-                transcript_window=cfg.attack_window,
-            )
-            evaluation_column = None
-            if (cfg.attack_readout == "secret_column" and is_extension(defense)
-                    and cfg.attacker_knows_extension):
-                evaluation_column = defense.label_index
-            attack = run_attack(transcript, session.bottom, train, leaked,
-                                attack_cfg, test=test,
-                                evaluation_column=evaluation_column)
-        except Exception as exc:
-            raise HarnessError(f"run {i} (seed {run_seed}): {exc}") from exc
-        runs.append(RunOutcome(
-            seed=run_seed,
-            attack_seed=attack_seed,
-            original_train=original_train,
-            original_test=original_test,
-            attack_train=attack.train_metrics,
-            attack_test=attack.test_metrics,
-            runtime_ms=(time.perf_counter() - run_started) * 1e3,
-        ))
 
-    return ExperimentResult(
-        config=cfg,
-        dataset_name=raw.name,
-        defense=defense,
-        runs=tuple(runs),
-        mp_train=mp_train,
-        mp_test=mp_test,
-        runtime_ms=(time.perf_counter() - started) * 1e3,
-    )
+def _failed_lane(exc: BaseException | None) -> int | None:
+    """The lane a failure names (a non-finite value is traced to its lane),
+    from the exception or its causes; None when it names none."""
+    while exc is not None:
+        lane = getattr(exc, "lane", None)
+        if lane is not None:
+            return lane
+        exc = exc.__cause__
+    return None
+
+
+def _defense_label(defense: Defense) -> str:
+    name = defense_to_dict(defense)["name"]
+    params = _param_string(defense)
+    return f"{name} ({params})" if params else name
 
 
 def sweep_defense(cfg: ExperimentConfig, variant: str, param: str,
                   values: list) -> list[ExperimentResult]:
-    """One experiment per grid value of a single defense parameter."""
+    """One experiment per grid value of a single defense parameter. Every
+    grid value is checked before any run starts."""
     if not values:
         raise HarnessError("empty parameter grid")
-    results = []
-    for value in values:
-        spec = {"name": variant, param: value}
-        results.append(run_experiment(replace(cfg, defense=spec)))
-    return results
+    return _run_points([replace(cfg, defense={"name": variant, param: value})
+                        for value in values])
 
 
 def sweep_extension_dims(cfg: ExperimentConfig, dims_list: list[int],
                          variants: tuple[str, ...] = ("random_extension",
                                                       "adaptive_extension")
                          ) -> list[ExperimentResult]:
-    """Both extension defenses at every requested width."""
+    """Both extension defenses at every requested width. Every width is
+    checked before any run starts."""
     if not dims_list or any(d < 1 for d in dims_list):
         raise HarnessError("dims must be a non-empty list of positive widths")
-    results = []
-    for variant in variants:
-        for dims in dims_list:
-            spec = {"name": variant, "dims": int(dims)}
-            results.append(run_experiment(replace(cfg, defense=spec)))
-    return results
+    return _run_points([replace(cfg, defense={"name": variant, "dims": int(dims)})
+                        for variant in variants for dims in dims_list])
 
 
 # ------------------------------------------------------------------ emission

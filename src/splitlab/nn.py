@@ -6,6 +6,13 @@ attacker's surrogate. Hidden layers use the configured activation; the final
 layer is always linear (regression output). Parameters live in plain float64
 arrays; for a differentiation step the network is attached to a tape, which
 registers leaf tensors for every parameter.
+
+Networks of the same architecture can be stacked along a leading lane axis
+(``stack_networks``): every parameter becomes a (lanes, rows, cols) array and
+one pass computes every lane's network on its own lane of the input. The
+helpers at the end of the module stack, split and index per-lane arrays the
+same way; with one lane they add no axis, so a single network computes
+exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -26,19 +33,22 @@ from .autograd import (
     matmul,
 )
 
-__all__ = ["Layer", "FcNetwork", "build_network", "Adam", "save_checkpoint", "load_checkpoint"]
+__all__ = ["Layer", "FcNetwork", "build_network", "stack_networks", "Adam",
+           "save_checkpoint", "load_checkpoint", "stack_lanes", "split_lanes",
+           "gather_rows"]
 
 
 @dataclass
 class Layer:
-    weight: np.ndarray  # in_dim x out_dim
-    bias: np.ndarray    # 1 x out_dim
+    weight: np.ndarray  # in_dim x out_dim, or lanes x in_dim x out_dim
+    bias: np.ndarray    # 1 x out_dim, or lanes x 1 x out_dim
     activation: str
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (1, self.weight.shape[1]):
+        w = self.weight.shape
+        if self.weight.ndim not in (2, 3) or self.bias.shape != (*w[:-2], 1, w[-1]):
             raise ValueError(f"layer shapes {self.weight.shape} / {self.bias.shape} inconsistent")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{self.activation}'")
@@ -53,23 +63,39 @@ class FcNetwork:
         if not layers:
             raise ValueError("network needs at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
-            if prev.weight.shape[1] != nxt.weight.shape[0]:
+            if prev.weight.shape[-1] != nxt.weight.shape[-2]:
                 raise ValueError("consecutive layer dims do not chain")
+            if prev.weight.shape[:-2] != nxt.weight.shape[:-2]:
+                raise ValueError("layers disagree on the lane axis")
         self.layers = layers
         self.role = role
         self._handles: list[Tensor] | None = None
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].weight.shape[0]
+        return self.layers[0].weight.shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[1]
+        return self.layers[-1].weight.shape[-1]
 
     @property
     def dims(self) -> list[int]:
-        return [self.in_dim] + [l.weight.shape[1] for l in self.layers]
+        return [self.in_dim] + [l.weight.shape[-1] for l in self.layers]
+
+    @property
+    def lanes(self) -> int | None:
+        """Number of stacked lanes, or None for a plain network."""
+        w = self.layers[0].weight
+        return w.shape[0] if w.ndim == 3 else None
+
+    def split(self) -> list["FcNetwork"]:
+        """The plain networks of a lane stack, as copies, in lane order."""
+        if self.lanes is None:
+            raise ValueError("network has no lane axis")
+        return [FcNetwork([Layer(l.weight[r].copy(), l.bias[r].copy(), l.activation)
+                           for l in self.layers], role=self.role)
+                for r in range(self.lanes)]
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -118,9 +144,11 @@ class FcNetwork:
         return h
 
     def forward_values(self, x: np.ndarray) -> np.ndarray:
-        """Plain numpy forward pass (no tape); same arithmetic as forward()."""
+        """Plain numpy forward pass (no tape); same arithmetic as forward().
+        A lane stack takes one input per lane."""
         h = np.asarray(x, dtype=np.float64)
-        if h.ndim != 2 or h.shape[1] != self.in_dim:
+        lead = self.layers[0].weight.shape[:-2]
+        if h.ndim != 2 + len(lead) or h.shape[:-2] != lead or h.shape[-1] != self.in_dim:
             raise ValueError(f"input shape {h.shape} incompatible with in_dim {self.in_dim}")
         for layer in self.layers:
             h = h @ layer.weight + layer.bias
@@ -153,6 +181,23 @@ def build_network(dims: list[int], activation: str = "relu", seed: int = 0,
     return FcNetwork(layers, role=role)
 
 
+def stack_networks(nets: list[FcNetwork]) -> FcNetwork:
+    """One lane stack of plain networks of the same architecture, lane r
+    holding a copy of nets[r]'s parameters."""
+    first = nets[0]
+    for net in nets:
+        if net.lanes is not None:
+            raise ValueError("cannot stack networks that already have a lane axis")
+        if net.dims != first.dims or [l.activation for l in net.layers] != \
+                [l.activation for l in first.layers]:
+            raise ValueError(f"cannot stack networks {first.dims} and {net.dims}: "
+                             "architectures differ")
+    layers = [Layer(np.stack([n.layers[i].weight for n in nets]),
+                    np.stack([n.layers[i].bias for n in nets]), layer.activation)
+              for i, layer in enumerate(first.layers)]
+    return FcNetwork(layers, role=first.role)
+
+
 class Adam:
     """Standard Adam with bias correction over a fixed list of parameters."""
 
@@ -169,6 +214,33 @@ class Adam:
     @classmethod
     def for_network(cls, net: FcNetwork, lr: float = 0.01, **kw) -> "Adam":
         return cls([p.shape for p in net.parameters()], lr=lr, **kw)
+
+    @classmethod
+    def stack(cls, opts: list["Adam"]) -> "Adam":
+        """One optimizer over lane-stacked parameters whose lane r continues
+        opts[r]; every optimizer must share settings and step count."""
+        first = opts[0]
+        settings = (first.lr, first.beta1, first.beta2, first.epsilon, first.step_count)
+        for opt in opts:
+            if (opt.lr, opt.beta1, opt.beta2, opt.epsilon, opt.step_count) != settings:
+                raise ValueError("cannot stack optimizers with different settings or step counts")
+        out = cls([], lr=first.lr, beta1=first.beta1, beta2=first.beta2, epsilon=first.epsilon)
+        out.m = [np.stack(ms) for ms in zip(*(o.m for o in opts))]
+        out.v = [np.stack(vs) for vs in zip(*(o.v for o in opts))]
+        out.step_count = first.step_count
+        return out
+
+    def split(self) -> list["Adam"]:
+        """The per-lane optimizers of a stacked one, in lane order."""
+        lanes = len(self.m[0])
+        out = []
+        for r in range(lanes):
+            opt = Adam([], lr=self.lr, beta1=self.beta1, beta2=self.beta2, epsilon=self.epsilon)
+            opt.m = [m[r].copy() for m in self.m]
+            opt.v = [v[r].copy() for v in self.v]
+            opt.step_count = self.step_count
+            out.append(opt)
+        return out
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
         """One update; returns the new parameter arrays (inputs untouched)."""
@@ -192,7 +264,10 @@ class Adam:
 
 
 def save_checkpoint(net: FcNetwork, path) -> None:
-    """Structured-text (JSON) checkpoint: dims, activations, row-major params."""
+    """Structured-text (JSON) checkpoint: dims, activations, row-major params.
+    A checkpoint holds one plain network; split a lane stack first."""
+    if net.lanes is not None:
+        raise ValueError("a checkpoint holds one network, not a lane stack")
     payload = {
         "role": net.role,
         "layers": [
@@ -243,3 +318,24 @@ def load_checkpoint(path) -> FcNetwork:
         return FcNetwork(layers, role=payload.get("role", ""))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+# ------------------------------------------------------------------- lanes
+
+def stack_lanes(arrays: list[np.ndarray]) -> np.ndarray:
+    """Per-lane arrays as one array with a leading lane axis; a single lane
+    is returned as it is, with no axis added."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def split_lanes(stacked: np.ndarray, lanes: int) -> list[np.ndarray]:
+    """Inverse of stack_lanes: the per-lane views of a stacked array."""
+    return [stacked] if lanes == 1 else list(stacked)
+
+
+def gather_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx of a table. A per-lane table (lanes x n x k) takes per-lane
+    indices (lanes x batch); a shared table (n x k) takes either."""
+    if table.ndim == 3:
+        return table[np.arange(len(table))[:, None], idx]
+    return table[idx]

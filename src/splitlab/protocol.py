@@ -24,7 +24,6 @@ from .defense import (
     GradientCompression,
     GradientNoise,
     LabelNoise,
-    NoDefense,
     RandomLabelExtension,
     adaptive_targets,
     batch_noise_seed,
@@ -35,10 +34,10 @@ from .defense import (
     noise_labels,
     target_dim,
 )
-from .nn import Adam, FcNetwork
+from .nn import Adam, FcNetwork, gather_rows, split_lanes, stack_lanes, stack_networks
 
 __all__ = ["ProtocolError", "TranscriptRecord", "Transcript", "SplitSession",
-           "train_split", "predict"]
+           "train_split", "train_lanes", "predict"]
 
 _MAGIC = b"SLTRAN01"
 
@@ -170,127 +169,195 @@ class SplitSession:
         return self.bottom.out_dim
 
 
-def _effective_targets(session: SplitSession, extended: np.ndarray | None,
-                       noised: np.ndarray | None, target_model: FcNetwork | None,
-                       idx: np.ndarray, cut_values: np.ndarray,
-                       y_batch: np.ndarray) -> np.ndarray:
-    d = session.defense
-    if isinstance(d, AdaptiveLabelExtension):
-        # Targets come from the epoch-start snapshot of the top model, so the
-        # non-label columns chase a reference the live model drifts away from
-        # within the epoch; that drift is what keeps the outgoing gradients
-        # from being a pure label-residual signal.
-        return adaptive_targets(target_model, cut_values, y_batch, d.label_index)
+def _derived_seed(seed: int, tag: int) -> int:
+    return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
+
+
+def _target_table(sessions: list[SplitSession], train: Dataset) -> np.ndarray | None:
+    """Per-lane target tables fixed before training (label noise, random
+    extension), stacked; None when the targets are not drawn up front."""
+    d = sessions[0].defense
     if isinstance(d, RandomLabelExtension):
-        return extended[idx]
-    if isinstance(d, LabelNoise):
-        return noised[idx]
-    return y_batch
+        tables = [extend_labels_random(train.labels, s.defense.dims, s.defense.label_index,
+                                       s.defense.noise_std, _derived_seed(s.seed, 0xE7)).matrix
+                  for s in sessions]
+    elif isinstance(d, LabelNoise):
+        tables = [noise_labels(train.labels, s.defense.distribution, s.defense.scale,
+                               _derived_seed(s.seed, 0xA0))
+                  for s in sessions]
+    else:
+        # the adaptive extension's pre-training draw only fixes the top
+        # model's output width; its targets come from a snapshot of the top
+        # model taken at the start of each epoch
+        return None
+    return stack_lanes(tables)
 
 
 def _outgoing_gradient(session: SplitSession, raw: np.ndarray, epoch: int,
                        batch_no: int) -> np.ndarray:
+    """The gradient-side defense of one lane applied to its raw gradient."""
     d = session.defense
     if isinstance(d, GradientNoise):
         seed = batch_noise_seed(session.seed, epoch, batch_no)
         return noise_gradient(raw, d.distribution, d.scale, seed)
-    if isinstance(d, GradientCompression):
-        return compress_gradient(raw, d.keep_rate)
-    return raw
+    return compress_gradient(raw, d.keep_rate)
+
+
+def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
+    first = sessions[0]
+    for r, s in enumerate(sessions):
+        where = f"lane {r}: " if len(sessions) > 1 else ""
+        if train.d != s.bottom.in_dim:
+            raise ProtocolError(
+                f"{where}dataset has {train.d} features, bottom model expects {s.bottom.in_dim}")
+        if s.batch_size > train.n:
+            raise ProtocolError(f"{where}batch size exceeds training set size")
+        if (type(s.defense), s.top.out_dim, s.lr, s.batch_size, s.epochs) != \
+                (type(first.defense), first.top.out_dim, first.lr, first.batch_size, first.epochs):
+            raise ProtocolError(
+                f"{where}sessions trained in lock-step need the same defense kind, "
+                "top-model width, learning rate, batch size and epochs")
 
 
 def train_split(session: SplitSession, train: Dataset,
                 consistency_check: bool = False) -> tuple[SplitSession, Transcript, list[float]]:
     """Run the full protocol; returns the trained session, the feature
     party's transcript (every batch of every epoch), and the per-epoch mean
-    training loss.
+    training loss. This is train_lanes with one lane.
 
     With consistency_check=True (and no gradient-side defense) the received
     gradient is re-derived from the stored activations and the label party's
     pre-update top model each batch, and must match what was recorded.
     """
-    if train.d != session.bottom.in_dim:
-        raise ProtocolError(
-            f"dataset has {train.d} features, bottom model expects {session.bottom.in_dim}")
-    if session.batch_size > train.n:
-        raise ProtocolError("batch size exceeds training set size")
-
-    d = session.defense
-    extended = None
-    noised = None
-    if isinstance(d, RandomLabelExtension):
-        ext_seed = int(np.random.SeedSequence([session.seed, 0xE7]).generate_state(1)[0])
-        extended = extend_labels_random(train.labels, d.dims, d.label_index,
-                                        d.noise_std, ext_seed).matrix
-    elif isinstance(d, AdaptiveLabelExtension):
-        # pre-training draw only fixes the top model's output width; targets
-        # come from a snapshot of the top model taken at the start of each
-        # epoch
-        pass
-    elif isinstance(d, LabelNoise):
-        noise_seed = int(np.random.SeedSequence([session.seed, 0xA0]).generate_state(1)[0])
-        noised = noise_labels(train.labels, d.distribution, d.scale, noise_seed)
-
-    gradient_side = isinstance(d, (GradientNoise, GradientCompression))
-    transcript = Transcript()
-    trace: list[float] = []
-
-    adaptive = isinstance(d, AdaptiveLabelExtension)
-    for epoch in range(session.epochs):
-        rng = np.random.default_rng(np.random.SeedSequence([session.seed, epoch, 0xB5]))
-        order = rng.permutation(train.n)
-        epoch_losses = []
-        # Algorithm step: the label party re-derives its extended targets from
-        # the model as it stands when the epoch begins.
-        target_model = session.top.copy() if adaptive else None
-        for batch_no, start in enumerate(range(0, train.n, session.batch_size)):
-            idx = order[start:start + session.batch_size]
-            x_batch = train.features[idx]
-            y_batch = train.labels[idx]
-            try:
-                tape = Tape()
-                bottom_handles = session.bottom.attach(tape)
-                cut = session.bottom.forward(constant(x_batch))
-                # attached after the cut, so the label party's backward,
-                # whose oldest requested node is then the cut, stops there
-                top_handles = session.top.attach(tape)
-                targets = _effective_targets(session, extended, noised,
-                                             target_model, idx, cut.data, y_batch)
-                pred = session.top.forward(cut)
-                loss = mse(pred, constant(targets))
-
-                # label party: gradients for its own update and for the wire
-                *top_grads, cut_grad = backward(loss, [*top_handles, cut])
-                sent = _outgoing_gradient(session, cut_grad.data, epoch, batch_no)
-                transcript.records.append(TranscriptRecord(
-                    epoch, idx.copy(), cut.data.copy(), sent.copy()))
-
-                if consistency_check and not gradient_side:
-                    _check_gradient_consistency(session, cut.data, targets, sent,
-                                                epoch, batch_no)
-
-                # feature party: backprop resumes from the gradient actually
-                # received, whatever the defense did to it
-                relay = sum_all(mul(cut, constant(sent)))
-                bottom_grads = backward(relay, bottom_handles)
-
-                session.top.set_parameters(session.top_opt.step(
-                    session.top.parameters(), [g.data for g in top_grads]))
-                session.bottom.set_parameters(session.bottom_opt.step(
-                    session.bottom.parameters(), [g.data for g in bottom_grads]))
-            except AutogradError as exc:
-                raise ProtocolError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
-            finally:
-                session.bottom.detach()
-                session.top.detach()
-            epoch_losses.append(loss.item())
-        trace.append(float(np.mean(epoch_losses)))
+    ((transcript, trace),) = train_lanes([session], train, consistency_check=consistency_check)
     return session, transcript, trace
 
 
-def _check_gradient_consistency(session, cut_values, targets, sent, epoch, batch_no):
+def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int | None = None,
+                consistency_check: bool = False) -> list[tuple[Transcript, list[float]]]:
+    """Train several sessions on one dataset in lock-step; returns each
+    session's (transcript, per-epoch mean loss), in session order.
+
+    The sessions ("lanes") share the defense kind, top-model width, learning
+    rate, batch size and epochs; each keeps its own seed, networks,
+    optimizer state and defense parameters. Their networks and optimizers
+    are stacked along a lane axis, so one tape walk per batch serves every
+    lane, and each lane computes exactly what it would alone. With one
+    session nothing is stacked. The trained parameters and optimizer states
+    are written back to the sessions, also when training fails.
+
+    keep_epochs=k keeps only the records of the final k epochs in the
+    transcripts (all epochs when None).
+    """
+    if not sessions:
+        raise ProtocolError("no sessions to train")
+    _check_lanes(sessions, train)
+    lanes = len(sessions)
+    first = sessions[0]
+    if lanes == 1:
+        bottom, top = first.bottom, first.top
+        bottom_opt, top_opt = first.bottom_opt, first.top_opt
+    else:
+        try:
+            bottom = stack_networks([s.bottom for s in sessions])
+            top = stack_networks([s.top for s in sessions])
+            bottom_opt = Adam.stack([s.bottom_opt for s in sessions])
+            top_opt = Adam.stack([s.top_opt for s in sessions])
+        except ValueError as exc:
+            raise ProtocolError(f"sessions cannot train in lock-step: {exc}") from exc
+
+    d = first.defense
+    table = _target_table(sessions, train)
+    adaptive = isinstance(d, AdaptiveLabelExtension)
+    if adaptive:
+        label_index = (d.label_index if lanes == 1
+                       else np.array([s.defense.label_index for s in sessions]))
+    gradient_side = isinstance(d, (GradientNoise, GradientCompression))
+    first_kept = 0 if keep_epochs is None else first.epochs - keep_epochs
+    transcripts = [Transcript() for _ in sessions]
+    traces: list[list[float]] = [[] for _ in sessions]
+    # this epoch's per-batch losses, one row per lane
+    epoch_losses = np.empty((lanes, -(-train.n // first.batch_size)))
+
+    try:
+        for epoch in range(first.epochs):
+            order = stack_lanes([
+                np.random.default_rng(np.random.SeedSequence([s.seed, epoch, 0xB5]))
+                .permutation(train.n) for s in sessions])
+            # Algorithm step: the label party re-derives its extended targets
+            # from the model as it stands when the epoch begins. The non-label
+            # columns then chase a reference the live model drifts away from
+            # within the epoch; that drift is what keeps the outgoing
+            # gradients from being a pure label-residual signal.
+            target_model = top.copy() if adaptive else None
+            for batch_no, start in enumerate(range(0, train.n, first.batch_size)):
+                idx = order[..., start:start + first.batch_size]
+                x_batch = train.features[idx]
+                y_batch = train.labels[idx]
+                try:
+                    tape = Tape()
+                    bottom_handles = bottom.attach(tape)
+                    cut = bottom.forward(constant(x_batch))
+                    # attached after the cut, so the label party's backward,
+                    # whose oldest requested node is then the cut, stops there
+                    top_handles = top.attach(tape)
+                    if adaptive:
+                        targets = adaptive_targets(target_model, cut.data, y_batch, label_index)
+                    elif table is not None:
+                        targets = gather_rows(table, idx)
+                    else:
+                        targets = y_batch
+                    pred = top.forward(cut)
+                    loss = mse(pred, constant(targets))
+
+                    # label party: gradients for its own update and for the wire
+                    *top_grads, cut_grad = backward(loss, [*top_handles, cut])
+                    sent = cut_grad.data
+                    if gradient_side:
+                        sent = stack_lanes([
+                            _outgoing_gradient(s, g, epoch, batch_no)
+                            for s, g in zip(sessions, split_lanes(sent, lanes))])
+                    if epoch >= first_kept:
+                        for transcript, i, a, g in zip(transcripts, split_lanes(idx, lanes),
+                                                       split_lanes(cut.data, lanes),
+                                                       split_lanes(sent, lanes)):
+                            transcript.records.append(
+                                TranscriptRecord(epoch, i.copy(), a.copy(), g.copy()))
+
+                    if consistency_check and not gradient_side:
+                        _check_gradient_consistency(top, cut.data, targets, sent,
+                                                    epoch, batch_no)
+
+                    # feature party: backprop resumes from the gradient
+                    # actually received, whatever the defense did to it
+                    relay = sum_all(mul(cut, constant(sent)))
+                    bottom_grads = backward(relay, bottom_handles)
+
+                    top.set_parameters(top_opt.step(top.parameters(),
+                                                    [g.data for g in top_grads]))
+                    bottom.set_parameters(bottom_opt.step(bottom.parameters(),
+                                                          [g.data for g in bottom_grads]))
+                except AutogradError as exc:
+                    raise ProtocolError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
+                finally:
+                    bottom.detach()
+                    top.detach()
+                epoch_losses[:, batch_no] = loss.data.reshape(lanes)
+            for trace, losses in zip(traces, epoch_losses):
+                trace.append(float(np.mean(losses)))
+    finally:
+        if lanes > 1:
+            for s, b, t, bo, to in zip(sessions, bottom.split(), top.split(),
+                                       bottom_opt.split(), top_opt.split()):
+                s.bottom.set_parameters(b.parameters())
+                s.top.set_parameters(t.parameters())
+                s.bottom_opt, s.top_opt = bo, to
+    return list(zip(transcripts, traces))
+
+
+def _check_gradient_consistency(top, cut_values, targets, sent, epoch, batch_no):
     # re-derive on a fresh tape from a detached copy of the pre-update top model
-    top = session.top.copy()
+    top = top.copy()
     tape = Tape()
     cut = tape.leaf(cut_values)
     loss = mse(top.forward(cut), constant(targets))

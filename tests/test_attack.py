@@ -4,7 +4,10 @@ import pytest
 from splitlab.attack import (
     AttackConfig,
     AttackError,
+    AttackLane,
     RowwiseAdam,
+    attack_lanes,
+    completion_target,
     evaluate_attack,
     gradient_inversion_loss,
     model_completion_loss,
@@ -15,7 +18,7 @@ from splitlab.data import sample_leaked, split_standardize, synth_regression
 from splitlab.defense import NoDefense
 from splitlab.metrics import mean_value_baseline
 from splitlab.nn import build_network
-from splitlab.protocol import SplitSession, train_split
+from splitlab.protocol import SplitSession, Transcript, train_split
 
 from oracles import loop_mae_mse
 
@@ -285,3 +288,75 @@ def test_divergence_names_epoch_batch_and_op(frozen_run):
         with pytest.raises(AttackError, match=r"attack epoch 0, batch 0 diverged: "
                                               r"non-finite values produced by 'mse'"):
             run_attack(blown, session.bottom, train, leaked, AttackConfig(epochs=1))
+
+
+def test_rowwise_adam_lanes_step_each_lane_alone():
+    rng = np.random.default_rng(19)
+    stacked = RowwiseAdam((3, 6, 2), lr=0.1)
+    alone = [RowwiseAdam((6, 2), lr=0.1) for _ in range(3)]
+    values = rng.normal(size=(3, 6, 2))
+    singles = [v.copy() for v in values]
+    for _ in range(3):
+        rows = np.stack([rng.permutation(6)[:4] for _ in range(3)])
+        grad = rng.normal(size=(3, 4, 2))
+        stacked.step(values, rows, grad)
+        for opt, v, r, g in zip(alone, singles, rows, grad):
+            opt.step(v, r, g)
+    for lane, (opt, v) in enumerate(zip(alone, singles)):
+        assert values[lane].tobytes() == v.tobytes()
+        assert np.array_equal(stacked.counts[lane], opt.counts)
+
+
+def test_model_completion_accepts_prewrapped_constants(frozen_run):
+    session, _, train, _ = frozen_run
+    leaked = sample_leaked(train, 0.05, seed=4)
+    surrogate = build_network([4, 3, 2], seed=8)
+    leaked_cut = session.bottom.forward_values(leaked.features)
+    tape = Tape()
+    surrogate.attach(tape)
+    plain = model_completion_loss(tape, surrogate, leaked_cut, leaked.labels)
+    wrapped = model_completion_loss(tape, surrogate, constant(leaked_cut),
+                                    completion_target(leaked.labels, 2))
+    assert plain.data.tobytes() == wrapped.data.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_lock_step_attack_matches_separate_attacks(width):
+    ds = synth_regression(240, 4, noise_std=0.1, seed=13)
+    train, test = split_standardize(ds, seed=13)
+    lanes = []
+    for lane, seed in enumerate((3, 8, 3)):
+        bottom = build_network([4, 6, 4], seed=seed, role="bottom")
+        top = build_network([4, 1], seed=seed + 1, role="top")
+        session = SplitSession(bottom, top, NoDefense(), lr=0.01, batch_size=48,
+                               epochs=3, seed=seed + lane)
+        _, transcript, _ = train_split(session, train)
+        leaked = sample_leaked(train, 0.05, seed=20 + lane)
+        # a hidden surrogate layer takes the second-order inversion through it
+        cfg = AttackConfig(epochs=2, seed=30 + lane, transcript_window=2,
+                           surrogate_dims=[4, 3, width])
+        lanes.append(AttackLane(transcript, session.bottom, leaked, cfg,
+                                evaluation_column=[None, width - 1, None][lane]))
+    together = attack_lanes(lanes, train, test=test)
+    for lane, got in zip(lanes, together):
+        want = run_attack(lane.transcript, lane.bottom, train, lane.leaked, lane.config,
+                          test=test, evaluation_column=lane.evaluation_column)
+        assert got.dummy_labels.tobytes() == want.dummy_labels.tobytes()
+        assert got.inferred_labels.tobytes() == want.inferred_labels.tobytes()
+        assert got.test_predictions.tobytes() == want.test_predictions.tobytes()
+        assert got.loss_trace == want.loss_trace
+        assert got.inversion_trace == want.inversion_trace
+        assert (got.label_column, got.model_column) == (want.label_column, want.model_column)
+        assert (got.train_metrics, got.test_metrics) == (want.train_metrics, want.test_metrics)
+
+
+def test_lock_step_attack_rejects_mismatched_lanes(trained_run):
+    session, transcript, train, _ = trained_run
+    leaked = sample_leaked(train, 0.02, seed=9)
+    base = AttackLane(transcript, session.bottom, leaked, AttackConfig(epochs=1, seed=1))
+    other = AttackLane(transcript, session.bottom, leaked, AttackConfig(epochs=2, seed=2))
+    with pytest.raises(AttackError, match="lane 1"):
+        attack_lanes([base, other], train)
+    empty = AttackLane(Transcript(), session.bottom, leaked, AttackConfig(epochs=1))
+    with pytest.raises(AttackError, match="lane 1: transcript has no records"):
+        attack_lanes([base, empty], train)

@@ -385,3 +385,150 @@ def test_inner_gradient_through_add_bias_and_mse_matches_fd():
 
         numeric = central_diff(f, points[k], step=1e-5)
         assert_grad_close(g.data, numeric, abs_tol=1e-7, rel_tol=1e-4)
+
+
+# --- lanes: a (lanes, rows, cols) stack computes each lane as it would alone --
+
+LANES = 3
+
+
+def _lane_ops():
+    """(name, shape, op) triples; op(x, c) applies one primitive to x, where
+    c maps a per-lane stack of constants to what the same lane sees alone."""
+    rng = np.random.default_rng(3)
+
+    def per_lane(*shape):
+        return rng.normal(size=(LANES, *shape))
+
+    r = per_lane(2, 3)
+    r_mat = per_lane(3, 4)
+    r_wide = per_lane(4, 3)
+    one_row = per_lane(1, 3)
+    return [
+        ("matmul_left", (2, 3), lambda x, c: matmul(x, c(r_mat))),
+        ("matmul_right", (3, 2), lambda x, c: matmul(c(r), x)),
+        ("transpose", (2, 3), lambda x, c: transpose(x)),
+        ("add", (2, 3), lambda x, c: add(x, c(r))),
+        ("sub", (2, 3), lambda x, c: sub(c(r), x)),
+        ("mul", (2, 3), lambda x, c: mul(x, c(r))),
+        ("mul_self", (2, 3), lambda x, c: mul(x, x)),
+        ("smul", (2, 3), lambda x, c: smul(x, -1.7)),
+        ("mulc", (2, 3), lambda x, c: mulc(x, c(r))),
+        ("tile_rows", (1, 3), lambda x, c: tile_rows(x, 4)),
+        ("add_bias_bias", (1, 3), lambda x, c: add_bias(c(r_wide), x)),
+        ("add_bias_input", (4, 3), lambda x, c: add_bias(x, c(one_row))),
+        ("sum_rows", (4, 3), lambda x, c: sum_rows(x)),
+        ("sum_all", (2, 3), lambda x, c: sum_all(x)),
+        ("spread", (1, 1), lambda x, c: spread(x, 2, 3)),
+        ("relu", (2, 3), lambda x, c: relu(x)),
+        ("tanh", (2, 3), lambda x, c: tanh(x)),
+        ("select_column", (3, 3), lambda x, c: select_column(x, 1)),
+        ("mse", (2, 3), lambda x, c: mse(x, c(r))),
+        ("mse_target", (2, 3), lambda x, c: mse(c(r), x)),
+    ]
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+@pytest.mark.parametrize("name,shape,op", _lane_ops(), ids=[c[0] for c in _lane_ops()])
+def test_lane_stack_matches_each_lane_alone(name, shape, op, create_graph):
+    rng = np.random.default_rng(8)
+    x0 = rng.normal(size=(LANES, *shape))
+    stacked = Tape()
+    x = stacked.leaf(x0)
+    out = op(x, lambda a: a)
+    weight = rng.normal(size=out.shape)
+    loss = sum_all(mul(out, constant(weight)))
+    (g,) = backward(loss, [x], create_graph=create_graph)
+    assert out.shape[0] == LANES and loss.shape == (LANES, 1, 1)
+    for lane in range(LANES):
+        alone = Tape()
+        xl = alone.leaf(x0[lane])
+        out_l = op(xl, lambda a: a[lane])
+        loss_l = sum_all(mul(out_l, constant(weight[lane])))
+        (gl,) = backward(loss_l, [xl], create_graph=create_graph)
+        assert out.data[lane].tobytes() == out_l.data.tobytes()
+        assert loss.data[lane].tobytes() == loss_l.data.tobytes()
+        assert g.data[lane].tobytes() == gl.data.tobytes()
+
+
+def test_lane_gradient_matches_finite_differences():
+    # the gradient of the summed lane losses, checked entry by entry
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=(LANES, 3, 4))
+    b = rng.normal(size=(LANES, 1, 4))
+    y = rng.normal(size=(LANES, 2, 4))
+
+    def build(x):
+        return mse(tanh(add_bias(matmul(x, constant(w)), constant(b))), constant(y))
+
+    x0 = rng.normal(size=(LANES, 2, 3))
+    tape = Tape()
+    x = tape.leaf(x0)
+    (g,) = backward(build(x), [x])
+    numeric = central_diff(lambda v: float(build(Tape().leaf(v)).data.sum()), x0)
+    assert_grad_close(g.data, numeric, abs_tol=1e-7, rel_tol=1e-4)
+
+
+def test_lane_second_order_matches_each_lane_and_finite_differences():
+    # the attack's pattern per lane: the squared norm of dL/dE for
+    # L = mse(tanh(E W + b), Y), differentiated w.r.t. W
+    rng = np.random.default_rng(41)
+    e0 = rng.normal(size=(LANES, 5, 4))
+    w0 = rng.normal(size=(LANES, 4, 3)) * 0.6
+    b0 = rng.normal(size=(LANES, 1, 3)) * 0.3
+    y0 = rng.normal(size=(LANES, 5, 3))
+
+    def norm_sq_grad(e_val, w_val, b_val, y_val):
+        tape = Tape()
+        w = tape.leaf(w_val)
+        e = tape.leaf(e_val)
+        loss = mse(tanh(add_bias(matmul(e, w), constant(b_val))), constant(y_val))
+        (ge,) = backward(loss, [e], create_graph=True)
+        norm_sq = sum_all(mul(ge, ge))
+        (gw,) = backward(norm_sq, [w])
+        return norm_sq, gw
+
+    norm_sq, gw = norm_sq_grad(e0, w0, b0, y0)
+    for lane in range(LANES):
+        norm_l, gw_l = norm_sq_grad(e0[lane], w0[lane], b0[lane], y0[lane])
+        assert norm_sq.data[lane].tobytes() == norm_l.data.tobytes()
+        assert gw.data[lane].tobytes() == gw_l.data.tobytes()
+
+    numeric = central_diff(lambda v: float(norm_sq_grad(e0, v, b0, y0)[0].data.sum()),
+                           w0, step=1e-5)
+    assert_grad_close(gw.data, numeric, abs_tol=1e-7, rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_nonfinite_value_names_its_op_and_lane(create_graph):
+    x0 = np.ones((LANES, 1, 1))
+    x0[1] = 1e200
+    tape = Tape()
+    x = tape.leaf(x0)
+    w = tape.leaf(np.full((LANES, 1, 1), 1e200))
+    with np.errstate(over="ignore"):
+        loss = sum_all(tanh(matmul(x, w)))
+    with pytest.raises(AutogradError,
+                       match=r"non-finite values produced by 'matmul' \(lane 1\)") as info:
+        backward(loss, [x, w], create_graph=create_graph)
+    assert info.value.lane == 1
+    with pytest.raises(AutogradError, match=r"'constant' \(lane 2\)"):
+        constant(np.stack([np.zeros((2, 2)), np.zeros((2, 2)), np.full((2, 2), np.nan)]))
+
+
+def test_lane_shape_rules():
+    tape = Tape()
+    stacked = tape.leaf(np.ones((LANES, 2, 3)))
+    assert matmul(stacked, np.ones((LANES, 3, 2))).shape == (LANES, 2, 2)
+    with pytest.raises(AutogradError):
+        matmul(stacked, np.ones((3, 2)))
+    with pytest.raises(AutogradError):
+        matmul(stacked, np.ones((LANES + 1, 3, 2)))
+    with pytest.raises(AutogradError):
+        add_bias(stacked, np.ones((1, 3)))
+    with pytest.raises(AutogradError):
+        add(stacked, np.ones((2, 3)))
+    with pytest.raises(AutogradError):
+        backward(sum_rows(stacked), [stacked])
+    with pytest.raises(AutogradError):
+        constant(np.ones((1, 2, 3, 4)))

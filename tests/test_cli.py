@@ -166,9 +166,50 @@ def test_bad_readout_fails_before_training_or_attack(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr("splitlab.cli.run_attack", never)
     monkeypatch.setattr("splitlab.harness.train_split", never)
+    monkeypatch.setattr("splitlab.harness.train_lanes", never)
     capsys.readouterr()
     assert main(["attack", "--run", str(run_dir)]) == 1
     assert "attack_readout" in capsys.readouterr().err
     assert main(["experiment", "--config", tiny_config_file(tmp_path),
                  "--set", "attack.readout=bogus"]) == 1
     assert "attack_readout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [("files",), ("config",), ("defense_resolved",),
+                                  ("files", "bottom"), ("files", "transcript")])
+def test_attack_on_manifest_missing_a_key_is_a_one_line_error(tmp_path, capsys, path):
+    run_dir = trained_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    node = manifest
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["attack", "--run", str(run_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {manifest_path}: missing '{path[-1]}'\n"
+
+
+def test_attack_on_non_json_manifest_is_a_one_line_error(tmp_path, capsys):
+    run_dir = trained_run(tmp_path)
+    (run_dir / "manifest.json").write_text("{not json")
+    capsys.readouterr()
+    assert main(["attack", "--run", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / 'manifest.json'}: not JSON") and err.count("\n") == 1
+
+
+def test_bad_defense_fails_before_training(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("training started despite a bad defense")
+
+    monkeypatch.setattr("splitlab.cli.train_split", never)
+    monkeypatch.setattr("splitlab.harness.train_lanes", never)
+    for argv in (["train", "--defense", "label_noise", "--param", "scale=-1",
+                  "--out", str(tmp_path / "run")],
+                 ["sweep-defense", "--defense", "gradient_compression",
+                  "--param", "keep_rate=0.5,3"]):
+        capsys.readouterr()
+        assert main(argv + ["--config", tiny_config_file(tmp_path)]) == 1
+        assert "bad defense" in capsys.readouterr().err

@@ -55,6 +55,7 @@ def test_config_rejects_bad_readout_before_training(monkeypatch):
         raise AssertionError("training started")
 
     monkeypatch.setattr("splitlab.harness.train_split", no_training)
+    monkeypatch.setattr("splitlab.harness.train_lanes", no_training)
     with pytest.raises(HarnessError, match="attack_readout"):
         tiny_config(attack_readout="bogus")
     with pytest.raises(HarnessError, match="attack_readout"):
@@ -179,3 +180,60 @@ def test_run_context_in_errors():
     bad = tiny_config(cut_dim=0)
     with pytest.raises((HarnessError, ValueError)):
         run_experiment(bad)
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("training started")
+
+
+def test_config_rejects_bad_defense_before_training(monkeypatch):
+    monkeypatch.setattr("splitlab.harness.train_lanes", no_training)
+    for spec in ({"name": "bogus"}, {"name": "label_noise", "scale": -1},
+                 {"name": "gradient_compression", "keep_rate": 0},
+                 {"name": "random_extension", "dims": 4, "label_index": 7},
+                 {"name": "none", "scale": 1}, "none"):
+        with pytest.raises(HarnessError, match="bad defense"):
+            tiny_config(defense=spec)
+    with pytest.raises(HarnessError, match="bad defense"):
+        ExperimentConfig.from_dict({"defense": {"name": "label_noise", "scale": "x"}})
+
+
+def test_sweeps_reject_a_bad_grid_value_before_any_run(monkeypatch):
+    monkeypatch.setattr("splitlab.harness.train_lanes", no_training)
+    with pytest.raises(HarnessError, match="scale"):
+        sweep_defense(tiny_config(), "label_noise", "scale", [0.1, 0.5, -1.0])
+    with pytest.raises(HarnessError, match="keep_rate"):
+        sweep_defense(tiny_config(), "gradient_compression", "keep_rate", [0.5, 2.0])
+    with pytest.raises(HarnessError, match="bogus"):
+        sweep_extension_dims(tiny_config(), [2, 3], ("random_extension", "bogus"))
+
+
+@pytest.mark.parametrize("variant,param,values,overrides", [
+    # one lane per point: the sweep stacks two runs that alone are plain 2-D
+    ("gradient_noise", "scale", [0.01, 0.1], dict(repeats=1)),
+    ("label_noise", "scale", [0.1, 0.5], dict(repeats=2, top_hidden=(3,))),
+])
+def test_sweep_emits_the_bytes_of_its_points_run_alone(tmp_path, variant, param, values,
+                                                       overrides):
+    cfg = tiny_config(**overrides)
+    swept, alone = tmp_path / "swept.json", tmp_path / "alone.json"
+    emit_results(sweep_defense(cfg, variant, param, values), "json", swept)
+    emit_results([run_experiment(replace(cfg, defense={"name": variant, param: v}))
+                  for v in values], "json", alone)
+    assert swept.read_bytes() == alone.read_bytes()
+
+
+def test_failure_names_the_point_run_and_seed():
+    # a label-noise scale of 1e300 overflows the loss of that point's lanes
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(HarnessError, match=r"label_noise \(distribution=laplace;"
+                                               r"scale=1e\+300\) run 0 \(seed 0\): "
+                                               r"epoch 0, batch 0: .*'mse' \(lane 2\)"):
+            sweep_defense(tiny_config(repeats=2), "label_noise", "scale", [0.1, 1e300])
+
+
+def test_runtime_is_shared_over_a_group():
+    res = run_experiment(tiny_config(repeats=2))
+    first, second = res.runs
+    assert first.runtime_ms == second.runtime_ms > 0
+    assert res.runtime_ms >= first.runtime_ms + second.runtime_ms

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from splitlab.autograd import Tape, backward, constant, mse
-from splitlab.nn import Adam, FcNetwork, Layer, build_network, load_checkpoint, save_checkpoint
+from splitlab.nn import (
+    Adam,
+    FcNetwork,
+    Layer,
+    build_network,
+    gather_rows,
+    load_checkpoint,
+    save_checkpoint,
+    split_lanes,
+    stack_lanes,
+    stack_networks,
+)
 
 from oracles import loop_matmul
 
@@ -192,3 +203,69 @@ def test_checkpoint_size_mismatch_names_path_layer_and_field(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=r"bottom\.json: layer 0: 'weight' has 20 values, expected 6 x 4"):
         load_checkpoint(path)
+
+
+def test_stacked_networks_compute_each_network_alone():
+    rng = np.random.default_rng(6)
+    nets = [build_network([4, 5, 2], activation="tanh", seed=s) for s in (1, 2, 3)]
+    stack = stack_networks(nets)
+    assert (stack.lanes, stack.in_dim, stack.out_dim, stack.dims) == (3, 4, 2, [4, 5, 2])
+    xs = rng.normal(size=(3, 6, 4))
+    tape = Tape()
+    stack.attach(tape)
+    taped = stack.forward(constant(xs))
+    stack.detach()
+    for lane, net in enumerate(nets):
+        assert np.array_equal(stack.forward_values(xs)[lane], net.forward_values(xs[lane]))
+        assert np.array_equal(taped.data[lane], net.forward_values(xs[lane]))
+    for net, back in zip(nets, stack.split()):
+        assert back.lanes is None
+        assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), back.parameters()))
+
+
+def test_stack_networks_rejects_different_architectures():
+    with pytest.raises(ValueError):
+        stack_networks([build_network([4, 2], seed=0), build_network([4, 3], seed=0)])
+    with pytest.raises(ValueError):
+        stack_networks([build_network([4, 5, 2], activation="relu", seed=0),
+                        build_network([4, 5, 2], activation="tanh", seed=0)])
+
+
+def test_stacked_adam_steps_each_lane_as_alone():
+    rng = np.random.default_rng(14)
+    opts = [Adam([(2, 3), (1, 3)], lr=0.05) for _ in range(3)]
+    params = [[rng.normal(size=(2, 3)), rng.normal(size=(1, 3))] for _ in range(3)]
+    grads = [[[rng.normal(size=(2, 3)), rng.normal(size=(1, 3))] for _ in range(3)]
+             for _ in range(4)]
+    stacked = Adam.stack(opts)
+    p_stack = [np.stack(ps) for ps in zip(*params)]
+    for step in grads:
+        p_stack = stacked.step(p_stack, [np.stack(gs) for gs in zip(*step)])
+        params = [opt.step(p, g) for opt, p, g in zip(opts, params, step)]
+    for lane, (opt, back) in enumerate(zip(opts, stacked.split())):
+        assert back.step_count == opt.step_count == 4
+        for a, b in zip(params[lane], p_stack):
+            assert np.array_equal(a, b[lane])
+        for a, b in zip(opt.m + opt.v, back.m + back.v):
+            assert np.array_equal(a, b)
+    opts[0].step(params[0], grads[0][0])
+    with pytest.raises(ValueError):
+        Adam.stack(opts)
+
+
+def test_lane_array_helpers():
+    one = np.arange(6.0).reshape(3, 2)
+    assert stack_lanes([one]) is one
+    assert split_lanes(one, 1)[0] is one
+    both = stack_lanes([one, one + 10])
+    assert both.shape == (2, 3, 2)
+    assert np.array_equal(split_lanes(both, 2)[1], one + 10)
+    idx = np.array([[2, 0], [1, 1]])
+    assert np.array_equal(gather_rows(both, idx), [one[[2, 0]], one[[1, 1]] + 10])
+    assert np.array_equal(gather_rows(one, idx), one[idx])
+
+
+def test_checkpoint_rejects_a_lane_stack(tmp_path):
+    stack = stack_networks([build_network([3, 2], seed=s) for s in (0, 1)])
+    with pytest.raises(ValueError, match="lane stack"):
+        save_checkpoint(stack, tmp_path / "stack.json")

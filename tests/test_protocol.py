@@ -5,12 +5,21 @@ from splitlab.data import split_standardize, synth_regression
 from splitlab.defense import (
     AdaptiveLabelExtension,
     GradientCompression,
+    GradientNoise,
+    LabelNoise,
     NoDefense,
     RandomLabelExtension,
 )
 from splitlab.metrics import mean_value_baseline, metric_pair
 from splitlab.nn import build_network
-from splitlab.protocol import ProtocolError, SplitSession, Transcript, predict, train_split
+from splitlab.protocol import (
+    ProtocolError,
+    SplitSession,
+    Transcript,
+    predict,
+    train_lanes,
+    train_split,
+)
 
 
 def make_session(train, cut_dim=4, defense=NoDefense(), lr=0.01, batch_size=32,
@@ -233,3 +242,95 @@ def test_divergence_raises_with_context_before_any_update(small_data):
     after = session.bottom.parameters() + session.top.parameters()
     assert all(np.array_equal(b, a) for b, a in zip(before, after))
     assert session.top_opt.step_count == session.bottom_opt.step_count == 0
+
+
+# --- lock-step lanes: each lane trains exactly as it would alone -------------
+
+LANE_DEFENSES = {
+    "none": [NoDefense(), NoDefense(), NoDefense()],
+    "label_noise": [LabelNoise(0.1), LabelNoise(1.0, "gaussian"), LabelNoise(0.0)],
+    "gradient_noise": [GradientNoise(0.01), GradientNoise(0.1, "gaussian"), GradientNoise(0.0)],
+    "compression": [GradientCompression(0.25), GradientCompression(0.75),
+                    GradientCompression(1.0)],
+    "random_extension": [RandomLabelExtension(3, 0), RandomLabelExtension(3, 2, 0.5),
+                         RandomLabelExtension(3, 1, 2.0)],
+    "adaptive_extension": [AdaptiveLabelExtension(3, 1), AdaptiveLabelExtension(3, 0),
+                           AdaptiveLabelExtension(3, 2)],
+}
+
+
+def lane_sessions(train, defenses):
+    return [make_session(train, defense=d, epochs=3, batch_size=48, seed=seed,
+                         bottom_hidden=(6,), top_hidden=(5,))
+            for seed, d in zip((4, 9, 4), defenses)]
+
+
+def assert_same_records(a, b):
+    assert len(a.records) == len(b.records)
+    for x, y in zip(a.records, b.records):
+        assert x.epoch == y.epoch
+        assert x.indices.tobytes() == y.indices.tobytes()
+        assert x.activations.tobytes() == y.activations.tobytes()
+        assert x.gradient.tobytes() == y.gradient.tobytes()
+
+
+def assert_same_state(a, b):
+    for net_a, net_b in ((a.bottom, b.bottom), (a.top, b.top)):
+        for p, q in zip(net_a.parameters(), net_b.parameters()):
+            assert p.tobytes() == q.tobytes()
+    for opt_a, opt_b in ((a.bottom_opt, b.bottom_opt), (a.top_opt, b.top_opt)):
+        assert opt_a.step_count == opt_b.step_count
+        for p, q in zip(opt_a.m + opt_a.v, opt_b.m + opt_b.v):
+            assert p.tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(LANE_DEFENSES))
+def test_lock_step_lanes_match_separate_runs(small_data, kind):
+    train, _ = small_data
+    defenses = LANE_DEFENSES[kind]
+    alone = lane_sessions(train, defenses)
+    together = lane_sessions(train, defenses)
+    outcomes = train_lanes(together, train)
+    for session, twin, (transcript, trace) in zip(alone, together, outcomes):
+        _, expected, expected_trace = train_split(session, train)
+        assert trace == expected_trace
+        assert_same_records(transcript, expected)
+        assert_same_state(twin, session)
+
+
+def test_lock_step_keep_epochs_trims_only_old_records(small_data):
+    train, _ = small_data
+    defenses = LANE_DEFENSES["label_noise"][:2]
+    full = train_lanes(lane_sessions(train, defenses)[:2], train)
+    kept = train_lanes(lane_sessions(train, defenses)[:2], train, keep_epochs=1)
+    for (transcript, trace), (trimmed, trimmed_trace) in zip(full, kept):
+        assert trimmed_trace == trace
+        assert_same_records(trimmed, Transcript(transcript.last_epochs(1)))
+
+
+def test_lock_step_consistency_check_holds_per_lane(small_data):
+    train, _ = small_data
+    train_lanes(lane_sessions(train, LANE_DEFENSES["adaptive_extension"]), train,
+                consistency_check=True)  # raises on mismatch
+
+
+def test_lock_step_rejects_incompatible_sessions(small_data):
+    train, _ = small_data
+    mixed = lane_sessions(train, [NoDefense(), LabelNoise(0.1), NoDefense()])
+    with pytest.raises(ProtocolError, match="lane 1"):
+        train_lanes(mixed, train)
+    wider = [make_session(train, top_hidden=(5,)), make_session(train, top_hidden=(6,))]
+    with pytest.raises(ProtocolError, match="lock-step"):
+        train_lanes(wider, train)
+    with pytest.raises(ProtocolError):
+        train_lanes([], train)
+
+
+def test_lock_step_divergence_names_the_lane(small_data):
+    train, _ = small_data
+    sessions = lane_sessions(train, LANE_DEFENSES["none"])
+    sessions[2].bottom.layers[0].weight[:] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ProtocolError, match=r"epoch 0, batch 0: non-finite values "
+                                                r"produced by 'matmul' \(lane 2\)"):
+            train_lanes(sessions, train)
