@@ -23,6 +23,7 @@ import numpy as np
 
 from .autograd import (
     AutogradError,
+    StepPlan,
     Tape,
     Tensor,
     add,
@@ -143,7 +144,7 @@ class AttackResult:
     dummy_labels: np.ndarray | None = None  # full n_train x width matrix
 
 
-def gradient_inversion_loss(tape: Tape, surrogate: FcNetwork, cut_values: np.ndarray,
+def gradient_inversion_loss(tape: Tape, surrogate: FcNetwork, cut_values,
                             dummy_batch: Tensor, recorded_grad) -> tuple[Tensor, Tensor]:
     """Per-batch inversion loss for a surrogate already attached to `tape` and
     a dummy-label batch living on it.
@@ -152,8 +153,10 @@ def gradient_inversion_loss(tape: Tape, surrogate: FcNetwork, cut_values: np.nda
     gradient induced by (surrogate, dummy labels) at the recorded activations
     reproduces the recorded gradient; the loss adds the anchor term
     mse(surrogate(cut), dummy). Both are differentiable in the surrogate
-    parameters and the dummy labels. `recorded_grad` is an array, or a
-    constant tensor wrapped once by a caller that replays it many times.
+    parameters and the dummy labels. `cut_values` is an array, or a leaf of
+    `tape` made by the caller. `recorded_grad` is an array, a constant
+    tensor, or a leaf of `tape`; a step captured as a StepPlan takes both as
+    leaves, so that replay reads each batch's own arrays.
 
     Gradients on the wire carry the mean-reduction of the batch loss, so
     their entries shrink with batch size; squaring that in a raw mse would
@@ -165,11 +168,11 @@ def gradient_inversion_loss(tape: Tape, surrogate: FcNetwork, cut_values: np.nda
     if recorded_grad.shape != (*cut_values.shape[:-1], surrogate.in_dim):
         raise AttackError(
             f"recorded gradient shape {recorded_grad.shape} does not match batch")
-    cut = tape.leaf(cut_values)
+    cut = cut_values if isinstance(cut_values, Tensor) else tape.leaf(cut_values)
     pred = surrogate.forward(cut)
     anchor = mse(pred, dummy_batch)
     (induced,) = backward(anchor, [cut], create_graph=True)
-    per_sample = float(cut_values.shape[-2])
+    per_sample = float(cut.rows)
     match = smul(mse(_const(recorded_grad), induced), per_sample ** 2)
     return add(match, anchor), match
 
@@ -204,6 +207,33 @@ def model_completion_loss(tape: Tape, surrogate: FcNetwork, leaked_cut,
 
 def _const(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
+
+
+def _capture_step(surrogate: FcNetwork, dummy_values: np.ndarray, cut_values: np.ndarray,
+                  recorded_grad: np.ndarray, leaked_cut: Tensor, leaked_target: Tensor,
+                  alpha: float) -> tuple[StepPlan, list[np.ndarray]]:
+    """One taped attack step, and the StepPlan that replays it on later
+    batches of the same shape. Its outputs, in plan order: the total loss,
+    the inversion loss, the surrogate's parameter gradients and the
+    dummy-label gradient. The plan's inputs are the surrogate's parameters,
+    the dummy-label batch, the activations and the recorded gradient; the
+    leaked pairs stay fixed for the whole attack and enter as constants."""
+    tape = Tape()
+    handles = surrogate.attach(tape)
+    try:
+        dummy_batch = tape.leaf(dummy_values)
+        cut = tape.leaf(cut_values)
+        recorded = tape.leaf(recorded_grad)
+        gi_loss, _ = gradient_inversion_loss(tape, surrogate, cut, dummy_batch, recorded)
+        mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_target)
+        total = add(gi_loss, smul(mc_loss, alpha))
+        # create_graph keeps every gradient a node the plan can name
+        grads = backward(total, [*handles, dummy_batch], create_graph=True)
+    finally:
+        surrogate.detach()
+    outputs = [total, gi_loss, *grads]
+    plan = StepPlan([*handles, dummy_batch, cut, recorded], outputs)
+    return plan, [t.data for t in outputs]
 
 
 def _best_column(candidates: np.ndarray, reference: np.ndarray) -> int:
@@ -327,8 +357,7 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     # the leaked activations with their broadcast labels, are formed once.
     batch_idx = [stack_lanes([rec.indices for rec in batch]) for batch in zip(*records)]
     batch_cuts = [bottom.forward_values(train.features[idx]) for idx in batch_idx]
-    batch_grads = [constant(stack_lanes([rec.gradient for rec in batch]))
-                   for batch in zip(*records)]
+    batch_grads = [stack_lanes([rec.gradient for rec in batch]) for batch in zip(*records)]
     leaked_cut = bottom.forward_values(stack_lanes([lane.leaked.features for lane in lanes]))
     leaked_cut_t = constant(leaked_cut)
     leaked_target = completion_target(stack_lanes([lane.leaked.labels for lane in lanes]),
@@ -339,28 +368,30 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     # this epoch's per-batch losses, one row per lane
     totals = np.empty((count, len(batch_idx)))
     inversions = np.empty((count, len(batch_idx)))
+    # one plan per batch shape: every batch but a short final one shares it
+    plans: dict[tuple[int, ...], StepPlan] = {}
     for epoch in range(config.epochs):
         for batch_no, (idx, cut_values, recorded_grad) in enumerate(
                 zip(batch_idx, batch_cuts, batch_grads)):
+            dummy_values = gather_rows(state.dummy_labels, idx)
             try:
-                tape = Tape()
-                handles = surrogate.attach(tape)
-                dummy_batch = tape.leaf(gather_rows(state.dummy_labels, idx))
-                gi_loss, _ = gradient_inversion_loss(tape, surrogate, cut_values,
-                                                     dummy_batch, recorded_grad)
-                mc_loss = model_completion_loss(tape, surrogate, leaked_cut_t, leaked_target)
-                total = add(gi_loss, smul(mc_loss, config.alpha))
-                *w_grads, d_grad = backward(total, [*handles, dummy_batch])
-                surrogate.set_parameters(state.surrogate_opt.step(
-                    surrogate.parameters(), [g.data for g in w_grads]))
-                state.dummy_opt.step(state.dummy_labels, idx, d_grad.data)
+                plan = plans.get(cut_values.shape)
+                if plan is None:
+                    plan, outputs = _capture_step(surrogate, dummy_values, cut_values,
+                                                  recorded_grad, leaked_cut_t, leaked_target,
+                                                  config.alpha)
+                    plans[cut_values.shape] = plan
+                else:
+                    outputs = plan.run([*surrogate.parameters(), dummy_values, cut_values,
+                                        recorded_grad])
             except AutogradError as exc:
                 raise AttackError(
                     f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc
-            finally:
-                surrogate.detach()
-            totals[:, batch_no] = total.data.reshape(count)
-            inversions[:, batch_no] = gi_loss.data.reshape(count)
+            total, gi_loss, *w_grads, d_grad = outputs
+            surrogate.set_parameters(state.surrogate_opt.step(surrogate.parameters(), w_grads))
+            state.dummy_opt.step(state.dummy_labels, idx, d_grad)
+            totals[:, batch_no] = total.reshape(count)
+            inversions[:, batch_no] = gi_loss.reshape(count)
         for traces, values in ((loss_traces, totals), (inversion_traces, inversions)):
             for trace, per_lane in zip(traces, values):
                 trace.append(float(np.mean(per_lane)))

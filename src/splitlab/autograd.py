@@ -12,6 +12,26 @@ themselves recorded, so the returned gradients are ordinary taped tensors and
 a second backward yields second-order derivatives. This is what lets a loss
 contain "the gradient of another loss" as a differentiable sub-expression.
 
+Step plans. A loop that runs the same graph many times over new arrays (the
+attack's second-order step) pays for the tape's bookkeeping on every step:
+node records, tensor wrappers and the adjoint dictionary cost far more than
+the small-matrix arithmetic itself. A ``StepPlan`` is captured from one
+normal taped step whose final backward ran with ``create_graph=True``, so
+that every gradient is a node. The caller names the plan's inputs (leaves)
+and outputs; the plan keeps only the outputs' ancestors, and ``run(arrays)``
+recomputes each of them in tape order through the same per-op forward table
+the primitives use, so a replayed step is bit-identical to a taped one on
+the same arrays. Its inputs must have the captured shapes; a loop keeps one
+plan per batch shape.
+
+Two rules make this sound:
+  - every array that changes from step to step enters the graph as a leaf.
+    A value that entered as a constant (an untaped tensor, or one computed
+    while the tape was paused) is replayed as it was at capture,
+  - VJPs take step data only through node inputs, never through an array
+    derived from them and stored in a node's aux (the relu VJP therefore
+    uses the ``relu_grad(g, x)`` primitive rather than ``mulc`` by a mask).
+
 Conventions:
   - all arithmetic is float64; results must be finite (NaN/Inf raises,
     naming the first operation that produced such a value). Untaped
@@ -19,8 +39,13 @@ Conventions:
     Taped operations, recorded or computed while the tape is paused, are
     checked together when ``backward`` runs on their tape: once on entry,
     for everything computed since the last check, and once on exit, for
-    what the backward pass itself computed. With a lane axis the error also
-    names the first lane holding such a value,
+    what the backward pass itself computed. A step plan checks its inputs
+    and results in one scan per run; on a hit it rescans them, inputs first
+    and then results in tape order, and raises the error the taped step
+    raises for the same arrays (that step also forms adjoints for leaves
+    nobody asked for, which the plan drops; only if one of those is the
+    first to overflow do the two name different operations). With a lane
+    axis the error also names the first lane holding such a value,
   - relu is given a zero second derivative everywhere (subgradient 0 at 0),
   - a tape and its tensors belong to one logical thread.
 """
@@ -49,12 +74,14 @@ __all__ = [
     "sum_all",
     "spread",
     "relu",
+    "relu_grad",
     "tanh",
     "activation",
     "add_bias",
     "mse",
     "select_column",
     "backward",
+    "StepPlan",
     "ACTIVATIONS",
 ]
 
@@ -202,7 +229,47 @@ class Tape:
             _require_finite(out, op)
 
 
-def _emit(op: str, inputs: tuple[Tensor, ...], out: np.ndarray, aux=None) -> Tensor:
+def _spread_forward(aux, s):
+    out = np.empty((*s.shape[:-2], *aux))
+    out[...] = s
+    return out
+
+
+def _mse_forward(aux, pred, target):
+    d = pred - target
+    return (d * d).sum(axis=(-2, -1), keepdims=True) * aux
+
+
+# The arithmetic of every primitive, fn(aux, *input_arrays) -> output. The
+# primitives and StepPlan.run both compute through this table, so a replayed
+# step repeats the taped one bit for bit.
+_FORWARD = {
+    "matmul": lambda aux, a, b: a @ b,
+    "transpose": lambda aux, a: a.swapaxes(-1, -2).copy(),
+    "add": lambda aux, a, b: a + b,
+    "sub": lambda aux, a, b: a - b,
+    "mul": lambda aux, a, b: a * b,
+    "smul": lambda aux, a: a * aux,
+    "mulc": lambda aux, a: a * aux,
+    "tile_rows": lambda aux, b: np.repeat(b, aux, axis=-2),
+    "sum_rows": lambda aux, x: x.sum(axis=-2, keepdims=True),
+    "sum_all": lambda aux, x: x.sum(axis=(-2, -1), keepdims=True),
+    "spread": _spread_forward,
+    "relu": lambda aux, x: np.maximum(x, 0.0),
+    "relu_grad": lambda aux, g, x: g * (x > 0.0).astype(np.float64),
+    "tanh": lambda aux, x: np.tanh(x),
+    "add_bias": lambda aux, x, b: x + b,
+    "mse": _mse_forward,
+}
+
+
+def _emit(op: str, inputs: tuple[Tensor, ...], aux=None) -> Tensor:
+    """Compute op on the inputs' values and record it on their tape, if any."""
+    forward = _FORWARD[op]
+    if len(inputs) == 1:
+        out = forward(aux, inputs[0].data)
+    else:
+        out = forward(aux, inputs[0].data, inputs[1].data)
     tape = None
     for t in inputs:
         if t.tape is not None:
@@ -232,39 +299,37 @@ def matmul(a, b) -> Tensor:
     a, b = _t(a), _t(b)
     if a.cols != b.rows or a.data.shape[:-2] != b.data.shape[:-2]:
         raise AutogradError(f"matmul dims {a.shape} x {b.shape}")
-    return _emit("matmul", (a, b), a.data @ b.data)
+    return _emit("matmul", (a, b))
 
 
 def transpose(a) -> Tensor:
     a = _t(a)
-    return _emit("transpose", (a,), a.data.swapaxes(-1, -2).copy())
+    return _emit("transpose", (a,))
 
 
 def add(a, b) -> Tensor:
     a, b = _t(a), _t(b)
     if a.shape != b.shape:
         raise AutogradError(f"add shapes {a.shape} vs {b.shape}")
-    return _emit("add", (a, b), a.data + b.data)
+    return _emit("add", (a, b))
 
 
 def sub(a, b) -> Tensor:
     a, b = _t(a), _t(b)
     if a.shape != b.shape:
         raise AutogradError(f"sub shapes {a.shape} vs {b.shape}")
-    return _emit("sub", (a, b), a.data - b.data)
+    return _emit("sub", (a, b))
 
 
 def mul(a, b) -> Tensor:
     a, b = _t(a), _t(b)
     if a.shape != b.shape:
         raise AutogradError(f"mul shapes {a.shape} vs {b.shape}")
-    return _emit("mul", (a, b), a.data * b.data)
+    return _emit("mul", (a, b))
 
 
 def smul(a, c: float) -> Tensor:
-    a = _t(a)
-    c = float(c)
-    return _emit("smul", (a,), a.data * c, aux=c)
+    return _emit("smul", (_t(a),), float(c))
 
 
 def mulc(a, m) -> Tensor:
@@ -273,45 +338,51 @@ def mulc(a, m) -> Tensor:
     m = _as_matrix(m)
     if a.shape != m.shape:
         raise AutogradError(f"mulc shapes {a.shape} vs {m.shape}")
-    return _emit("mulc", (a,), a.data * m, aux=m)
+    return _emit("mulc", (a,), m)
 
 
 def tile_rows(b, n: int) -> Tensor:
     b = _t(b)
     if b.rows != 1:
         raise AutogradError(f"tile_rows needs a 1 x m tensor, got {b.shape}")
-    return _emit("tile_rows", (b,), np.repeat(b.data, n, axis=-2), aux=n)
+    return _emit("tile_rows", (b,), n)
 
 
 def sum_rows(x) -> Tensor:
     x = _t(x)
-    return _emit("sum_rows", (x,), x.data.sum(axis=-2, keepdims=True))
+    return _emit("sum_rows", (x,))
 
 
 def sum_all(x) -> Tensor:
     """Sum of every entry, one 1x1 value per lane."""
     x = _t(x)
-    return _emit("sum_all", (x,), x.data.sum(axis=(-2, -1), keepdims=True))
+    return _emit("sum_all", (x,))
 
 
 def spread(s, rows: int, cols: int) -> Tensor:
     s = _t(s)
-    lead = s.data.shape[:-2]
-    if s.data.shape != (*lead, 1, 1):
+    if s.shape[-2:] != (1, 1):
         raise AutogradError(f"spread needs a 1x1 tensor, got {s.shape}")
-    out = np.empty((*lead, rows, cols))
-    out[...] = s.data
-    return _emit("spread", (s,), out, aux=(rows, cols))
+    return _emit("spread", (s,), (rows, cols))
 
 
 def relu(x) -> Tensor:
     x = _t(x)
-    return _emit("relu", (x,), np.maximum(x.data, 0.0))
+    return _emit("relu", (x,))
+
+
+def relu_grad(g, x) -> Tensor:
+    """g where x > 0, else 0: the adjoint relu passes back. Differentiable
+    in g; its derivative in x is zero (see the module conventions)."""
+    g, x = _t(g), _t(x)
+    if g.shape != x.shape:
+        raise AutogradError(f"relu_grad shapes {g.shape} vs {x.shape}")
+    return _emit("relu_grad", (g, x))
 
 
 def tanh(x) -> Tensor:
     x = _t(x)
-    return _emit("tanh", (x,), np.tanh(x.data))
+    return _emit("tanh", (x,))
 
 
 def add_bias(x, b) -> Tensor:
@@ -320,7 +391,7 @@ def add_bias(x, b) -> Tensor:
     xs = x.data.shape
     if b.data.shape != (*xs[:-2], 1, xs[-1]):
         raise AutogradError(f"bias shape {b.shape} does not broadcast over {x.shape}")
-    return _emit("add_bias", (x, b), x.data + b.data)
+    return _emit("add_bias", (x, b))
 
 
 def mse(pred, target) -> Tensor:
@@ -328,10 +399,7 @@ def mse(pred, target) -> Tensor:
     pred, target = _t(pred), _t(target)
     if pred.shape != target.shape:
         raise AutogradError(f"mse shapes {pred.shape} vs {target.shape}")
-    d = pred.data - target.data
-    scale = 1.0 / (pred.rows * pred.cols)
-    return _emit("mse", (pred, target), (d * d).sum(axis=(-2, -1), keepdims=True) * scale,
-                 aux=scale)
+    return _emit("mse", (pred, target), 1.0 / (pred.rows * pred.cols))
 
 
 # ---------------------------------------------------------------- composites
@@ -361,9 +429,13 @@ def select_column(x, j: int) -> Tensor:
 # One rule per op: rule(node, nid, g, tape, need) returns the adjoint
 # contribution for each input, in input order. need[i] says whether input i
 # can reach a requested tensor; a rule may return None for an input it is not
-# asked for, and backward ignores whatever it returns there. Contributions are
-# built from the public primitives so that, while the tape is recording, they
-# are differentiable in their own right.
+# asked for, and backward ignores whatever it returns there. None for an input
+# that is asked for means a contribution that is zero everywhere (relu_grad's
+# in x). Contributions are built from the public primitives so that, while
+# the tape is recording, they are differentiable in their own right. A rule
+# takes step data only through the node's inputs (_input_handle) or its own
+# output, never by baking an array derived from them into an aux: a StepPlan
+# replays aux values as they were at capture.
 
 def _input_handle(node: _Node, i: int, tape: Tape) -> Tensor:
     nid = node.inputs[i]
@@ -387,7 +459,7 @@ def _mul_vjp(node, nid, g, tape, need):
 
 
 def _relu_vjp(node, nid, g, tape, need):
-    return (mulc(g, (node.values[0] > 0.0).astype(np.float64)),)
+    return (relu_grad(g, _input_handle(node, 0, tape)),)
 
 
 def _tanh_vjp(node, nid, g, tape, need):
@@ -419,6 +491,8 @@ _VJP = {
     "sum_all": lambda node, nid, g, tape, need: (spread(g, *node.values[0].shape[-2:]),),
     "spread": lambda node, nid, g, tape, need: (sum_all(g),),
     "relu": _relu_vjp,
+    "relu_grad": lambda node, nid, g, tape, need: (
+        relu_grad(g, _input_handle(node, 1, tape)) if need[0] else None, None),
     "tanh": _tanh_vjp,
     "add_bias": lambda node, nid, g, tape, need: (g, sum_rows(g) if need[1] else None),
     "mse": _mse_vjp,
@@ -472,7 +546,7 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
                 continue
             contribs = _VJP[node.op](node, nid, g, tape, need)
             for input_id, wanted, contrib in zip(node.inputs, need, contribs):
-                if wanted:
+                if wanted and contrib is not None:
                     seen = adjoint.get(input_id)
                     adjoint[input_id] = contrib if seen is None else add(seen, contrib)
     finally:
@@ -487,3 +561,99 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
         else:
             out.append(g if g.node is not None else _wrap(g.data))
     return out
+
+
+# ---------------------------------------------------------------- step plans
+
+class StepPlan:
+    """A taped step captured as a flat numpy program (see the module
+    docstring).
+
+    `inputs` are leaves of one tape and `outputs` are nodes of the same tape,
+    typically a loss and the gradients a ``backward(..., create_graph=True)``
+    returned. The plan keeps the ancestors of the outputs; every leaf among
+    them must be one of the inputs, and every value that entered them as a
+    constant is kept as it was at capture. ``run`` recomputes the outputs for
+    new input arrays of the captured shapes.
+    """
+
+    def __init__(self, inputs: Sequence[Tensor], outputs: Sequence[Tensor]):
+        if not inputs or not outputs:
+            raise AutogradError("a step plan needs inputs and outputs")
+        tape = inputs[0].tape
+        if tape is None:
+            raise AutogradError("plan inputs must be leaves of a tape")
+        nodes = tape.nodes
+        for t in (*inputs, *outputs):
+            if t.tape is not tape or t.node is None:
+                raise AutogradError("plan inputs and outputs must be nodes of one tape")
+        for t in inputs:
+            if nodes[t.node].op != "leaf":
+                raise AutogradError(f"plan input node {t.node} is a '{nodes[t.node].op}', "
+                                    "not a leaf")
+        input_ids = [t.node for t in inputs]
+        if len(set(input_ids)) != len(input_ids):
+            raise AutogradError("a plan input is named twice")
+
+        needed = {t.node for t in outputs}
+        for nid in range(max(needed), -1, -1):
+            if nid in needed:
+                needed.update(i for i in nodes[nid].inputs if i is not None)
+        order = sorted(needed | set(input_ids))
+        for nid in order:
+            if nodes[nid].op == "leaf" and nid not in input_ids:
+                raise AutogradError(f"leaf node {nid} feeds the plan's outputs but is "
+                                    "not one of its inputs")
+
+        # slots: the captured constants, then the inputs, then the results,
+        # each in tape order. run() scans every slot after the constants for
+        # finiteness, in the order the taped step checks them: leaves when
+        # they are made, operations afterwards.
+        leaves = [nid for nid in order if nodes[nid].op == "leaf"]
+        ops = [nid for nid in order if nodes[nid].op != "leaf"]
+        constants: list[np.ndarray] = []
+        constant_slot: dict[int, int] = {}
+        for nid in ops:
+            for i, arr in zip(nodes[nid].inputs, nodes[nid].values):
+                if i is None and id(arr) not in constant_slot:
+                    constant_slot[id(arr)] = len(constants)
+                    constants.append(arr)
+        slot = {nid: len(constants) + k for k, nid in enumerate(leaves + ops)}
+        self._constants = constants
+        self._inputs = [input_ids.index(nid) for nid in leaves]
+        self._shapes = [t.shape for t in inputs]
+        self._ops = ["leaf"] * len(leaves) + [nodes[nid].op for nid in ops]
+        self._program = []
+        for nid in ops:
+            node = nodes[nid]
+            args = [constant_slot[id(arr)] if i is None else slot[i]
+                    for i, arr in zip(node.inputs, node.values)]
+            self._program.append((_FORWARD[node.op], args[0],
+                                  args[1] if len(args) > 1 else None, node.aux))
+        self._outputs = [slot[t.node] for t in outputs]
+
+    def __len__(self) -> int:
+        """Number of operations the plan computes per run."""
+        return len(self._program)
+
+    def run(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The outputs for new input arrays, given in the order of the
+        plan's inputs. Inputs and results are checked for finiteness in one
+        scan; a non-finite value raises the AutogradError the taped step
+        would raise, naming the first operation (or 'leaf', for an input) in
+        tape order that produced one, and its lane."""
+        if len(arrays) != len(self._shapes):
+            raise AutogradError(f"plan takes {len(self._shapes)} inputs, got {len(arrays)}")
+        given = [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
+        for k, (arr, shape) in enumerate(zip(given, self._shapes)):
+            if arr.shape != shape:
+                raise AutogradError(f"plan input {k} has shape {arr.shape}, "
+                                    f"the plan was captured for {shape}")
+        vals = self._constants + [given[k] for k in self._inputs]
+        for forward, a, b, aux in self._program:
+            vals.append(forward(aux, vals[a]) if b is None else forward(aux, vals[a], vals[b]))
+        checked = vals[len(self._constants):]
+        if not np.isfinite(np.concatenate(checked, axis=None)).all():
+            for arr, op in zip(checked, self._ops):
+                _require_finite(arr, op)
+        return [vals[s] for s in self._outputs]

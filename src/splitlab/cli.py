@@ -50,24 +50,40 @@ def _parse_kv(item: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _subsection(node: dict, key: str, where: str) -> dict:
+    """node[key], made empty when absent; a value there that is not a
+    section is a one-line error naming `where` and the key."""
+    child = node.setdefault(key, {})
+    if not isinstance(child, dict):
+        raise HarnessError(f"{where}: '{key}' is {child!r}, not a section")
+    return child
+
+
 def _build_config(args) -> ExperimentConfig:
     payload: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise HarnessError(f"{args.config}: not JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise HarnessError(f"{args.config}: a config is a JSON object, "
+                               f"not a {type(payload).__name__}")
     for item in getattr(args, "set", None) or []:
         key, raw = _parse_kv(item)
         node = payload
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            node = _subsection(node, part, f"--set {item}")
         node[parts[-1]] = _parse_value(raw)
     if getattr(args, "dataset", None):
+        dataset = _subsection(payload, "dataset", "--dataset")
         if args.dataset == "synth":
-            payload.setdefault("dataset", {})["kind"] = "synth"
+            dataset["kind"] = "synth"
         else:
             payload["dataset"] = {"kind": "csv", "path": args.dataset,
-                                  **{k: v for k, v in payload.get("dataset", {}).items()
+                                  **{k: v for k, v in dataset.items()
                                      if k in ("label_column", "header", "name")}}
     if getattr(args, "defense", None):
         spec = {"name": args.defense}
@@ -76,13 +92,10 @@ def _build_config(args) -> ExperimentConfig:
             spec[key] = _parse_value(raw)
         payload["defense"] = spec
     if getattr(args, "seed", None) is not None:
-        payload.setdefault("training", {})["seed"] = args.seed
+        _subsection(payload, "training", "--seed")["seed"] = args.seed
     if getattr(args, "repeats", None) is not None:
         payload["repeats"] = args.repeats
-    try:
-        return ExperimentConfig.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"bad configuration: {exc}") from exc
+    return ExperimentConfig.from_dict(payload)
 
 
 def _print_rows(rows: list[dict]) -> None:
@@ -158,8 +171,8 @@ def cmd_attack(args) -> int:
     config, defense_spec, bottom_file, transcript_file = entries
     try:
         cfg = ExperimentConfig.from_dict(config)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HarnessError(f"{manifest_path}: bad config: {exc!r}") from None
+    except HarnessError as exc:
+        raise HarnessError(f"{manifest_path}: {exc}") from None
     defense = defense_from_dict(dict(defense_spec), cut_dim=cfg.cut_dim, seed=cfg.seed)
 
     raw = load_dataset(cfg)
@@ -214,7 +227,11 @@ def cmd_sweep_defense(args) -> int:
 
 def cmd_sweep_dims(args) -> int:
     cfg = _build_config(args)
-    dims = [int(v) for v in args.dims.split(",") if v != ""]
+    try:
+        dims = [int(v) for v in args.dims.split(",") if v != ""]
+    except ValueError:
+        raise HarnessError(f"--dims: expected comma-separated whole numbers, "
+                           f"got '{args.dims}'") from None
     variants = tuple(v.strip().replace("-", "_") for v in args.variants.split(","))
     results = sweep_extension_dims(cfg, dims, variants)
     _emit(results, args)

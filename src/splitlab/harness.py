@@ -169,51 +169,92 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        """The config to_dict wrote. A malformed entry (a section that is
+        not an object, a missing CSV path, a number that does not parse, a
+        count that is not a whole number) raises HarnessError naming its
+        key."""
+        if not isinstance(payload, dict):
+            raise HarnessError(f"bad configuration: expected an object, got {payload!r}")
         kw: dict = {}
-        ds = payload.get("dataset", {})
+        ds = _section(payload, "dataset")
         if ds.get("kind", "synth") == "csv":
+            if "path" not in ds:
+                raise HarnessError("bad configuration: a csv dataset needs dataset.path")
             kw["dataset_path"] = ds["path"]
             kw["label_column"] = ds.get("label_column", -1)
             kw["csv_header"] = bool(ds.get("header", True))
         else:
-            kw["synth_n"] = int(ds.get("n", 2000))
-            kw["synth_d"] = int(ds.get("d", 8))
-            kw["synth_noise_std"] = float(ds.get("noise_std", 0.1))
+            kw["synth_n"] = _integer(ds.get("n", 2000), "dataset.n")
+            kw["synth_d"] = _integer(ds.get("d", 8), "dataset.d")
+            kw["synth_noise_std"] = _real(ds.get("noise_std", 0.1), "dataset.noise_std")
         if "name" in ds:
             kw["dataset_name"] = ds["name"]
         if "split_ratio" in payload:
-            kw["split_ratio"] = float(payload["split_ratio"])
-        model = payload.get("model", {})
-        if "bottom_hidden" in model:
-            kw["bottom_hidden"] = tuple(int(v) for v in model["bottom_hidden"])
-        if "top_hidden" in model:
-            kw["top_hidden"] = tuple(int(v) for v in model["top_hidden"])
+            kw["split_ratio"] = _real(payload["split_ratio"], "split_ratio")
+        model = _section(payload, "model")
+        for key in ("bottom_hidden", "top_hidden"):
+            if key in model:
+                widths = model[key]
+                if not isinstance(widths, list):
+                    raise HarnessError(f"bad configuration: model.{key} must be a list, "
+                                       f"got {widths!r}")
+                kw[key] = tuple(_integer(v, f"model.{key}") for v in widths)
         if "cut_dim" in model:
-            kw["cut_dim"] = int(model["cut_dim"])
+            kw["cut_dim"] = _integer(model["cut_dim"], "model.cut_dim")
         if "activation" in model:
             kw["activation"] = str(model["activation"])
-        training = payload.get("training", {})
-        for src, dst, cast in (("lr", "lr", float), ("epochs", "epochs", int),
-                               ("batch_size", "batch_size", int), ("seed", "seed", int)):
-            if src in training:
-                kw[dst] = cast(training[src])
+        training = _section(payload, "training")
+        if "lr" in training:
+            kw["lr"] = _real(training["lr"], "training.lr")
+        for key in ("epochs", "batch_size", "seed"):
+            if key in training:
+                kw[key] = _integer(training[key], f"training.{key}")
         if "defense" in payload:
-            kw["defense"] = dict(payload["defense"])
-        attack = payload.get("attack", {})
-        for src, dst, cast in (("alpha", "attack_alpha", float),
-                               ("lr", "attack_lr", float),
-                               ("epochs", "attack_epochs", int),
-                               ("window", "attack_window", int),
-                               ("leak_fraction", "leak_fraction", float)):
+            kw["defense"] = dict(_section(payload, "defense"))
+        attack = _section(payload, "attack")
+        for src, dst in (("alpha", "attack_alpha"), ("lr", "attack_lr"),
+                         ("leak_fraction", "leak_fraction")):
             if src in attack:
-                kw[dst] = cast(attack[src])
+                kw[dst] = _real(attack[src], f"attack.{src}")
+        for src, dst in (("epochs", "attack_epochs"), ("window", "attack_window")):
+            if src in attack:
+                kw[dst] = _integer(attack[src], f"attack.{src}")
         if "knows_extension" in attack:
             kw["attacker_knows_extension"] = bool(attack["knows_extension"])
         if "readout" in attack:
             kw["attack_readout"] = str(attack["readout"])
         if "repeats" in payload:
-            kw["repeats"] = int(payload["repeats"])
+            kw["repeats"] = _integer(payload["repeats"], "repeats")
         return cls(**kw)
+
+
+def _section(payload: dict, key: str) -> dict:
+    """payload[key], or {} when absent; anything but an object is an error."""
+    value = payload.get(key, {})
+    if not isinstance(value, dict):
+        raise HarnessError(f"bad configuration: '{key}' must be an object, got {value!r}")
+    return value
+
+
+def _real(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise HarnessError(f"bad configuration: {key} must be a number, "
+                           f"got {value!r}") from None
+
+
+def _integer(value, key: str) -> int:
+    """value as an int. A whole number (3 or 3.0) or a numeral string is
+    accepted; a fraction, a boolean or anything else raises HarnessError
+    naming the key, instead of being truncated."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise HarnessError(f"bad configuration: {key} must be a whole number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

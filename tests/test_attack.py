@@ -1,6 +1,10 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from splitlab import attack as attack_module
 from splitlab.attack import (
     AttackConfig,
     AttackError,
@@ -13,12 +17,13 @@ from splitlab.attack import (
     model_completion_loss,
     run_attack,
 )
-from splitlab.autograd import Tape, add, backward, constant, smul
+from splitlab.autograd import StepPlan, Tape, add, backward, constant, smul
 from splitlab.data import sample_leaked, split_standardize, synth_regression
 from splitlab.defense import NoDefense
+from splitlab.harness import _failed_lane
 from splitlab.metrics import mean_value_baseline
-from splitlab.nn import build_network
-from splitlab.protocol import SplitSession, Transcript, train_split
+from splitlab.nn import FcNetwork, Layer, build_network, stack_lanes, stack_networks
+from splitlab.protocol import SplitSession, Transcript, TranscriptRecord, train_split
 
 from oracles import loop_mae_mse
 
@@ -360,3 +365,129 @@ def test_lock_step_attack_rejects_mismatched_lanes(trained_run):
     empty = AttackLane(Transcript(), session.bottom, leaked, AttackConfig(epochs=1))
     with pytest.raises(AttackError, match="lane 1: transcript has no records"):
         attack_lanes([base, empty], train)
+
+
+# --- step plans: one capture per batch shape, every other batch replayed -----
+
+PLAN_SURROGATES = [([8, 1], "relu"), ([8, 16, 1], "relu"), ([8, 4, 2], "tanh")]
+
+
+def plan_lanes(dims, act, count, epochs=2):
+    """`count` attack lanes on a 240-row training split. Batches of 64 end in
+    a short one of 48, so every replayed window holds two batch shapes."""
+    ds = synth_regression(300, 4, noise_std=0.1, seed=41)
+    train, test = split_standardize(ds, seed=41)
+    assert train.n % 64 == 48
+    lanes = []
+    for lane in range(count):
+        bottom = build_network([4, 8], seed=50 + lane, role="bottom")
+        top = build_network([8, 1], seed=60 + lane, role="top")
+        session = SplitSession(bottom, top, NoDefense(), lr=0.01, batch_size=64,
+                               epochs=2, seed=70 + lane)
+        _, transcript, _ = train_split(session, train)
+        cfg = AttackConfig(lr=0.1, epochs=epochs, seed=80 + lane, transcript_window=2,
+                           surrogate_dims=dims, activation=act)
+        lanes.append(AttackLane(transcript, bottom, sample_leaked(train, 0.05, seed=90 + lane),
+                                cfg))
+    return lanes, train, test
+
+
+def recording_plans(lanes, taped, log):
+    """A StepPlan class for attack_lanes that appends each replayed batch's
+    outputs to `log`. With taped=True run() tapes the step afresh from its
+    arrays instead of replaying, which makes the attack a reference loop
+    that tapes every step."""
+    cfg = lanes[0].config
+    acts = [cfg.activation] * (len(cfg.surrogate_dims) - 2) + ["identity"]
+    bottom = lanes[0].bottom if len(lanes) == 1 else stack_networks([l.bottom for l in lanes])
+    leaked_cut = constant(bottom.forward_values(stack_lanes([l.leaked.features for l in lanes])))
+    leaked_target = completion_target(stack_lanes([l.leaked.labels for l in lanes]),
+                                      cfg.surrogate_dims[-1])
+
+    def taped_step(arrays):
+        *params, dummy, cut, recorded = arrays
+        surrogate = FcNetwork([Layer(w, b, a) for w, b, a in zip(params[::2], params[1::2], acts)])
+        tape = Tape()
+        handles = surrogate.attach(tape)
+        dummy_batch = tape.leaf(dummy)
+        gi_loss, _ = gradient_inversion_loss(tape, surrogate, cut, dummy_batch,
+                                             tape.leaf(recorded))
+        mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_target)
+        total = add(gi_loss, smul(mc_loss, cfg.alpha))
+        grads = backward(total, [*handles, dummy_batch])
+        return [total.data, gi_loss.data, *[g.data for g in grads]]
+
+    class Recording(StepPlan):
+        def run(self, arrays):
+            outputs = taped_step(arrays) if taped else super().run(arrays)
+            log.append([o.copy() for o in outputs])
+            return outputs
+
+    return Recording
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["one_lane", "three_lanes"])
+@pytest.mark.parametrize("dims,act", PLAN_SURROGATES,
+                         ids=[f"{a}{d}" for d, a in PLAN_SURROGATES])
+def test_replayed_batches_equal_a_loop_that_tapes_every_step(monkeypatch, dims, act, count):
+    lanes, train, test = plan_lanes(dims, act, count)
+    runs = []
+    for taped in (False, True):
+        log = []
+        monkeypatch.setattr(attack_module, "StepPlan", recording_plans(lanes, taped, log))
+        runs.append((attack_lanes(lanes, train, test=test), log))
+    (replayed, replayed_log), (reference, reference_log) = runs
+    # 2 epochs x 8 batches, of which the first of each shape is captured
+    assert len(replayed_log) == len(reference_log) == 14
+    for got, want in zip(replayed_log, reference_log):
+        assert [o.tobytes() for o in got] == [o.tobytes() for o in want]
+    for got, want in zip(replayed, reference):
+        assert got.dummy_labels.tobytes() == want.dummy_labels.tobytes()
+        assert got.test_predictions.tobytes() == want.test_predictions.tobytes()
+        assert got.loss_trace == want.loss_trace
+        assert got.inversion_trace == want.inversion_trace
+
+
+def test_an_attack_captures_one_plan_per_batch_shape(monkeypatch):
+    # three epochs over full batches and a short final one: two captures, and
+    # every other step is a replay (a fallback to taping would capture more)
+    lanes, train, _ = plan_lanes([8, 1], "relu", 1, epochs=3)
+    captured = []
+
+    class Counting(StepPlan):
+        def __init__(self, inputs, outputs):
+            super().__init__(inputs, outputs)
+            captured.append(inputs[-1].shape)
+
+    monkeypatch.setattr(attack_module, "StepPlan", Counting)
+    run_attack(lanes[0].transcript, lanes[0].bottom, train, lanes[0].leaked, lanes[0].config)
+    assert captured == [(64, 8), (48, 8)]
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["one_lane", "three_lanes"])
+@pytest.mark.parametrize("kind,op", [("overflow", "mse"), ("nan", "leaf")])
+def test_divergence_on_a_replayed_batch_is_named_like_the_taped_step(monkeypatch, count,
+                                                                     kind, op):
+    lanes, train, _ = plan_lanes([8, 16, 1], "relu", count)
+    bad = min(1, count - 1)
+    records = list(lanes[bad].transcript.records)
+    rec = records[2]  # batch 2 of attack epoch 0: a replay of batch 0's plan
+    if kind == "overflow":
+        gradient = rec.gradient * 1e300
+    else:
+        gradient = rec.gradient.copy()
+        gradient[3, 1] = np.nan
+    records[2] = TranscriptRecord(rec.epoch, rec.indices, rec.activations, gradient)
+    lanes[bad] = replace(lanes[bad], transcript=Transcript(records))
+    lane_tag = "" if count == 1 else f" (lane {bad})"
+    errors = []
+    for taped in (False, True):
+        monkeypatch.setattr(attack_module, "StepPlan", recording_plans(lanes, taped, []))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(AttackError) as info:
+                attack_lanes(lanes, train)
+        errors.append(str(info.value))
+        assert _failed_lane(info.value) == (None if count == 1 else bad)
+    assert re.fullmatch(rf"attack epoch 0, batch 2 diverged: non-finite values "
+                        rf"produced by '{op}'{re.escape(lane_tag)}", errors[0])
+    assert errors[1] == errors[0]

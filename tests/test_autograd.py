@@ -15,6 +15,7 @@ from splitlab.autograd import (
     mul,
     mulc,
     relu,
+    relu_grad,
     select_column,
     smul,
     spread,
@@ -25,6 +26,8 @@ from splitlab.autograd import (
     tile_rows,
     transpose,
 )
+
+from splitlab.nn import build_network, stack_networks
 
 from oracles import assert_grad_close, central_diff, loop_matmul, loop_mse
 
@@ -262,6 +265,7 @@ def _gradcheck_cases():
         ("sum_all", (2, 3), lambda x: smul(sum_all(x), 0.3)),
         ("spread", (1, 1), lambda x: sum_all(mul(spread(x, 2, 3), constant(r)))),
         ("relu", (2, 3), lambda x: sum_all(mul(relu(x), constant(r)))),
+        ("relu_grad", (2, 3), lambda x: sum_all(mul(relu_grad(x, constant(r)), constant(r)))),
         ("tanh", (2, 3), lambda x: sum_all(mul(tanh(x), constant(r)))),
         ("select_column", (3, 3), lambda x: sum_all(select_column(x, 1))),
         ("mse", (2, 3), lambda x: mse(x, constant(r))),
@@ -299,6 +303,8 @@ def _second_order_cases():
         ("cubic", lambda x: mul(mul(x, x), x)),
         ("tanh_sq", lambda x: mul(tanh(x), tanh(x))),
         ("quartic_mix", lambda x: mul(mul(x, x), tanh(x))),
+        # second order through relu_grad, relu's own VJP
+        ("relu_cubic", lambda x: mul(mul(relu(x), relu(x)), x)),
     ]
 
 
@@ -421,6 +427,7 @@ def _lane_ops():
         ("sum_all", (2, 3), lambda x, c: sum_all(x)),
         ("spread", (1, 1), lambda x, c: spread(x, 2, 3)),
         ("relu", (2, 3), lambda x, c: relu(x)),
+        ("relu_grad", (2, 3), lambda x, c: relu_grad(x, c(r))),
         ("tanh", (2, 3), lambda x, c: tanh(x)),
         ("select_column", (3, 3), lambda x, c: select_column(x, 1)),
         ("mse", (2, 3), lambda x, c: mse(x, c(r))),
@@ -532,3 +539,103 @@ def test_lane_shape_rules():
         backward(sum_rows(stacked), [stacked])
     with pytest.raises(AutogradError):
         constant(np.ones((1, 2, 3, 4)))
+
+
+# --- step plans: a captured step replayed as a flat numpy program ------------
+
+PLAN_NETS = [([8, 1], "relu"), ([8, 16, 1], "relu"), ([8, 4, 2], "tanh")]
+
+
+def _plan_net(dims, act, lanes):
+    nets = [build_network(dims, activation=act, seed=s) for s in range(lanes or 1)]
+    return nets[0] if lanes is None else stack_networks(nets)
+
+
+def _plan_arrays(rng, net, rows, lanes):
+    """New values for every input of _attack_like_step, in its input order."""
+    lead = () if lanes is None else (lanes,)
+    params = [rng.normal(size=p.shape) * 0.5 for p in net.parameters()]
+    return [*params, rng.normal(size=(*lead, rows, net.out_dim)),
+            rng.normal(size=(*lead, rows, net.in_dim)),
+            rng.normal(size=(*lead, rows, net.in_dim)) * 0.1]
+
+
+def _attack_like_step(net, arrays, create_graph):
+    """The attack's second-order step on a network: an inner backward inside
+    the loss, then an outer backward to the parameters and the dummy rows.
+    Returns the leaves (parameters, dummy, cut, recorded) and the outputs
+    (loss, then the gradients)."""
+    *params, dummy, cut, recorded = arrays
+    net.set_parameters(params)
+    tape = Tape()
+    handles = net.attach(tape)
+    try:
+        y, e, r = tape.leaf(dummy), tape.leaf(cut), tape.leaf(recorded)
+        anchor = mse(net.forward(e), y)
+        (induced,) = backward(anchor, [e], create_graph=True)
+        total = add(smul(mse(r, induced), 3.0), anchor)
+        grads = backward(total, [*handles, y], create_graph=create_graph)
+    finally:
+        net.detach()
+    return [*handles, y, e, r], [total, *grads]
+
+
+@pytest.mark.parametrize("lanes", [None, LANES], ids=["one_lane", "lane_stack"])
+@pytest.mark.parametrize("dims,act", PLAN_NETS, ids=[f"{a}{d}" for d, a in PLAN_NETS])
+def test_plan_replay_equals_a_fresh_taped_step(dims, act, lanes):
+    rng = np.random.default_rng(5)
+    net = _plan_net(dims, act, lanes)
+    leaves, outputs = _attack_like_step(net, _plan_arrays(rng, net, 6, lanes), True)
+    plan = ag.StepPlan(leaves, outputs)
+    # the plan drops what no output needs (here the cut's own adjoints)
+    assert len(plan) < len(leaves[0].tape) - len(leaves)
+    for _ in range(3):
+        arrays = _plan_arrays(rng, net, 6, lanes)
+        replayed = plan.run(arrays)
+        _, taped = _attack_like_step(net, arrays, create_graph=False)
+        assert len(replayed) == len(taped)
+        for got, want in zip(replayed, taped):
+            assert got.shape == want.shape and got.tobytes() == want.data.tobytes()
+
+
+def test_plan_refuses_inputs_of_another_shape_or_count():
+    rng = np.random.default_rng(6)
+    net = _plan_net([8, 4, 1], "tanh", None)
+    plan = ag.StepPlan(*_attack_like_step(net, _plan_arrays(rng, net, 6, None), True))
+    short = _plan_arrays(rng, net, 5, None)
+    with pytest.raises(AutogradError, match=r"plan input 4 has shape \(5, 1\), "
+                                            r"the plan was captured for \(6, 1\)"):
+        plan.run(short)
+    with pytest.raises(AutogradError, match="plan takes 7 inputs, got 6"):
+        plan.run(short[:-1])
+
+
+def test_plan_needs_every_leaf_it_reads_as_an_input():
+    rng = np.random.default_rng(7)
+    net = _plan_net([8, 1], "relu", None)
+    leaves, outputs = _attack_like_step(net, _plan_arrays(rng, net, 6, None), True)
+    with pytest.raises(AutogradError, match="not one of its inputs"):
+        ag.StepPlan(leaves[:-1], outputs)
+    with pytest.raises(AutogradError, match="not a leaf"):
+        ag.StepPlan([*leaves, outputs[1]], outputs)
+
+
+@pytest.mark.parametrize("where", ["recorded_overflow", "cut_nan"])
+def test_plan_names_the_op_and_lane_the_taped_step_names(where):
+    rng = np.random.default_rng(8)
+    net = _plan_net([8, 16, 1], "relu", LANES)
+    plan = ag.StepPlan(*_attack_like_step(net, _plan_arrays(rng, net, 6, LANES), True))
+    arrays = _plan_arrays(rng, net, 6, LANES)
+    if where == "recorded_overflow":
+        arrays[-1][1] *= 1e300     # the match term overflows in lane 1
+    else:
+        arrays[-2][2, 0, 0] = np.nan
+    errors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (plan.run, lambda a: _attack_like_step(net, a, create_graph=False)):
+            with pytest.raises(AutogradError) as info:
+                run(arrays)
+            errors.append((str(info.value), info.value.lane))
+    expected = {"recorded_overflow": ("non-finite values produced by 'mse' (lane 1)", 1),
+                "cut_nan": ("non-finite values produced by 'leaf' (lane 2)", 2)}[where]
+    assert errors == [expected, expected]

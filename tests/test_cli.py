@@ -213,3 +213,57 @@ def test_bad_defense_fails_before_training(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main(argv + ["--config", tiny_config_file(tmp_path)]) == 1
         assert "bad defense" in capsys.readouterr().err
+
+
+def one_line_error(capsys, argv) -> str:
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_config_errors_are_one_line_naming_the_file_key_or_flag(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    err = one_line_error(capsys, ["experiment", "--config", str(listed)])
+    assert str(listed) in err and "JSON object" in err
+
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"model": {cut_dim: 3}}')
+    err = one_line_error(capsys, ["experiment", "--config", str(broken)])
+    assert err.startswith(f"error: {broken}: not JSON: Expecting property name")
+
+    err = one_line_error(capsys, ["experiment", "--set", "model=3",
+                                  "--set", "model.cut_dim=8"])
+    assert err == "error: --set model.cut_dim=8: 'model' is 3, not a section\n"
+    err = one_line_error(capsys, ["experiment", "--set", "model.cut_dim=8",
+                                  "--set", "model=3"])
+    assert err == "error: bad configuration: 'model' must be an object, got 3\n"
+
+    err = one_line_error(capsys, ["sweep-dims", "--config", tiny_config_file(tmp_path),
+                                  "--dims", "2,x"])
+    assert "--dims" in err and "'2,x'" in err
+
+
+def test_fractional_count_fails_before_training(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("training started despite a bad config")
+
+    monkeypatch.setattr("splitlab.cli.train_split", never)
+    monkeypatch.setattr("splitlab.harness.train_lanes", never)
+    for command in (["experiment"], ["train", "--out", str(tmp_path / "run")]):
+        err = one_line_error(capsys, command + ["--config", tiny_config_file(tmp_path),
+                                                "--set", "attack.epochs=1.5"])
+        assert err == "error: bad configuration: attack.epochs must be a whole number, got 1.5\n"
+
+
+def test_attack_on_manifest_with_a_fractional_count_names_the_manifest(tmp_path, capsys):
+    run_dir = trained_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["attack"]["epochs"] = 1.5
+    manifest_path.write_text(json.dumps(manifest))
+    err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
+    assert err == (f"error: {manifest_path}: bad configuration: "
+                   "attack.epochs must be a whole number, got 1.5\n")

@@ -237,3 +237,44 @@ def test_runtime_is_shared_over_a_group():
     first, second = res.runs
     assert first.runtime_ms == second.runtime_ms > 0
     assert res.runtime_ms >= first.runtime_ms + second.runtime_ms
+
+
+@pytest.mark.parametrize("payload,key", [
+    ({"training": {"epochs": 1.5}}, "training.epochs"),
+    ({"training": {"batch_size": 32.5}}, "training.batch_size"),
+    ({"training": {"seed": 0.5}}, "training.seed"),
+    ({"attack": {"epochs": 1.5}}, "attack.epochs"),
+    ({"attack": {"window": 2.5}}, "attack.window"),
+    ({"dataset": {"n": 160.5}}, "dataset.n"),
+    ({"dataset": {"d": 4.25}}, "dataset.d"),
+    ({"model": {"cut_dim": 4.5}}, "model.cut_dim"),
+    ({"model": {"bottom_hidden": [16, 8.5]}}, "model.bottom_hidden"),
+    ({"model": {"top_hidden": [0.5]}}, "model.top_hidden"),
+    ({"repeats": 1.5}, "repeats"),
+    ({"training": {"epochs": True}}, "training.epochs"),
+    ({"attack": {"epochs": "two"}}, "attack.epochs"),
+])
+def test_config_rejects_a_fractional_count_naming_its_key(payload, key):
+    with pytest.raises(HarnessError, match=rf"^bad configuration: {key} must be a whole number"):
+        ExperimentConfig.from_dict(payload)
+
+
+def test_config_accepts_whole_numbers_written_as_floats_or_strings():
+    cfg = ExperimentConfig.from_dict({"training": {"epochs": 3.0, "seed": "2"},
+                                      "model": {"bottom_hidden": [16.0]}})
+    assert (cfg.epochs, cfg.seed, cfg.bottom_hidden) == (3, 2, (16,))
+    assert type(cfg.epochs) is int
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"model": 3}, "'model' must be an object, got 3"),
+    ({"defense": "none"}, "'defense' must be an object, got 'none'"),
+    ([1, 2], "expected an object, got [1, 2]"),
+    ({"model": {"bottom_hidden": 16}}, "model.bottom_hidden must be a list, got 16"),
+    ({"training": {"lr": "fast"}}, "training.lr must be a number, got 'fast'"),
+    ({"dataset": {"kind": "csv"}}, "a csv dataset needs dataset.path"),
+])
+def test_config_rejects_a_malformed_entry_naming_its_key(payload, message):
+    with pytest.raises(HarnessError) as info:
+        ExperimentConfig.from_dict(payload)
+    assert str(info.value) == f"bad configuration: {message}"
