@@ -173,7 +173,10 @@ def cmd_attack(args) -> int:
         cfg = ExperimentConfig.from_dict(config)
     except HarnessError as exc:
         raise HarnessError(f"{manifest_path}: {exc}") from None
-    defense = defense_from_dict(dict(defense_spec), cut_dim=cfg.cut_dim, seed=cfg.seed)
+    try:
+        defense = defense_from_dict(defense_spec, cut_dim=cfg.cut_dim, seed=cfg.seed)
+    except ValueError as exc:
+        raise HarnessError(f"{manifest_path}: bad defense {defense_spec!r}: {exc}") from None
 
     raw = load_dataset(cfg)
     train, test = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)

@@ -8,13 +8,25 @@ Two families:
     from the outputs of a snapshot of the top model made at the start of
     each epoch (adaptive extension).
 
+Each defense is a frozen dataclass of its parameters that owns its
+behaviour through the members of `Defense`: its `name` in configs and
+tables, the top model's `output_dim`, the `label_column` that predicts the
+label, `target_table(labels, seed)` drawn before training (or None), and
+two members defined only when their flag is set: `outgoing_gradient(grad,
+seed, epoch, batch_no)`, the gradient one lane sends (`changes_gradient`),
+and `snapshot_targets(...)`, one batch's targets from an epoch-start copy
+of the top model (`uses_snapshot`). The trainer, the harness and the CLI
+call nothing else. `defense_from_dict` and `defense_to_dict` convert a
+defense to and from its config entry.
+
 All functions are pure: inputs are never modified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import math
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,83 +51,146 @@ __all__ = [
     "sufficiency_check",
     "defense_from_dict",
     "defense_to_dict",
-    "target_dim",
-    "is_extension",
 ]
 
 NOISE_DISTRIBUTIONS = ("laplace", "gaussian")
 
 
-@dataclass(frozen=True)
-class NoDefense:
-    pass
+class Defense:
+    """The members every defense provides (see the module docstring); the
+    defaults train a one-column top model on the plain labels and send the
+    raw gradient."""
+
+    name: ClassVar[str]
+    output_dim = 1
+    label_column = 0
+    changes_gradient = False
+    uses_snapshot = False
+
+    def target_table(self, labels: np.ndarray, seed: int) -> np.ndarray | None:
+        return None
 
 
 @dataclass(frozen=True)
-class LabelNoise:
+class NoDefense(Defense):
+    name = "none"
+
+
+@dataclass(frozen=True)
+class _Noise(Defense):
     scale: float = 1.0
     distribution: str = "laplace"
 
     def __post_init__(self):
-        _check_noise(self.scale, self.distribution)
+        if not (math.isfinite(self.scale) and self.scale >= 0):
+            raise ValueError(f"noise scale must be finite and >= 0, got {self.scale}")
+        if self.distribution not in NOISE_DISTRIBUTIONS:
+            raise ValueError(f"distribution must be one of {NOISE_DISTRIBUTIONS}")
 
 
 @dataclass(frozen=True)
-class GradientNoise:
-    scale: float = 1.0
-    distribution: str = "laplace"
+class LabelNoise(_Noise):
+    name = "label_noise"
 
-    def __post_init__(self):
-        _check_noise(self.scale, self.distribution)
+    def target_table(self, labels, seed):
+        return noise_labels(labels, self.distribution, self.scale, _table_seed(seed, 0xA0))
 
 
 @dataclass(frozen=True)
-class GradientCompression:
+class GradientNoise(_Noise):
+    name = "gradient_noise"
+    changes_gradient = True
+
+    def outgoing_gradient(self, grad, seed, epoch, batch_no):
+        return noise_gradient(grad, self.distribution, self.scale,
+                              batch_noise_seed(seed, epoch, batch_no))
+
+
+@dataclass(frozen=True)
+class GradientCompression(Defense):
     keep_rate: float = 0.5
+    name = "gradient_compression"
+    changes_gradient = True
 
     def __post_init__(self):
-        if not 0 < self.keep_rate <= 1:
+        if not (math.isfinite(self.keep_rate) and 0 < self.keep_rate <= 1):
             raise ValueError(f"keep_rate must be in (0, 1], got {self.keep_rate}")
 
+    def outgoing_gradient(self, grad, seed, epoch, batch_no):
+        return compress_gradient(grad, self.keep_rate)
+
 
 @dataclass(frozen=True)
-class RandomLabelExtension:
+class _LabelExtension(Defense):
+    dims: int
+    label_index: int
+    noise_std: float = 1.0
+
+    def __post_init__(self):
+        _check_extension(self.dims, self.label_index, self.noise_std)
+
+    @property
+    def output_dim(self) -> int:
+        return self.dims
+
+    @property
+    def label_column(self) -> int:
+        return self.label_index
+
+
+@dataclass(frozen=True)
+class RandomLabelExtension(_LabelExtension):
     """Labels become dims-wide Gaussian vectors; column label_index holds the
     true label. Drawn once before training."""
 
-    dims: int
-    label_index: int
-    noise_std: float = 1.0
+    name = "random_extension"
 
-    def __post_init__(self):
-        _check_extension(self.dims, self.label_index, self.noise_std)
+    def target_table(self, labels, seed):
+        return extend_labels_random(labels, self.dims, self.label_index, self.noise_std,
+                                    _table_seed(seed, 0xE7)).matrix
 
 
 @dataclass(frozen=True)
-class AdaptiveLabelExtension:
+class AdaptiveLabelExtension(_LabelExtension):
     """Like the random extension, but the non-label columns are the outputs
     of a snapshot of the top model taken at the start of each epoch, so at
-    that moment only the label column produces training signal. noise_std
-    sets the pre-training draw that fixes the top model's initial output
-    width."""
+    that moment only the label column produces training signal. Within the
+    epoch they chase a reference the live model drifts away from, which
+    keeps the outgoing gradients from being a pure label-residual signal.
+    noise_std mirrors the random extension; nothing draws with it."""
 
-    dims: int
-    label_index: int
-    noise_std: float = 1.0
+    name = "adaptive_extension"
+    uses_snapshot = True
 
-    def __post_init__(self):
-        _check_extension(self.dims, self.label_index, self.noise_std)
+    @staticmethod
+    def snapshot_targets(top: FcNetwork, cut_values: np.ndarray, y_batch: np.ndarray,
+                         label_index) -> np.ndarray:
+        """Targets from `top`'s own outputs with the true labels written into
+        label_index. The trainer passes a snapshot of the top model taken at
+        the start of the epoch, so the targets stay fixed within the epoch
+        while the live model moves. Returned as plain values (a constant for
+        the subsequent loss), so every non-label column contributes zero loss
+        for the model they were formed from.
+
+        For a lane stack of top models, cut_values and y_batch carry the lane
+        axis and label_index holds one column per lane."""
+        index = np.asarray(label_index)
+        if not ((0 <= index) & (index < top.out_dim)).all():
+            raise ValueError(
+                f"label_index {label_index} out of range for output dim {top.out_dim}")
+        if y_batch.shape != (*cut_values.shape[:-1], 1):
+            raise ValueError(
+                f"labels {y_batch.shape} do not match batch of {cut_values.shape[-2]}")
+        targets = top.forward_values(cut_values)
+        if targets.ndim == 2:
+            targets[:, label_index] = y_batch[:, 0]
+        else:
+            targets[np.arange(len(targets)), :, index] = y_batch[..., 0]
+        return targets
 
 
-Defense = Union[NoDefense, LabelNoise, GradientNoise, GradientCompression,
-                RandomLabelExtension, AdaptiveLabelExtension]
-
-
-def _check_noise(scale, distribution):
-    if scale < 0:
-        raise ValueError(f"noise scale must be >= 0, got {scale}")
-    if distribution not in NOISE_DISTRIBUTIONS:
-        raise ValueError(f"distribution must be one of {NOISE_DISTRIBUTIONS}")
+def _table_seed(seed: int, tag: int) -> int:
+    return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
 
 
 def _check_extension(dims, label_index, noise_std):
@@ -123,17 +198,8 @@ def _check_extension(dims, label_index, noise_std):
         raise ValueError(f"extension dims must be >= 1, got {dims}")
     if not 0 <= label_index < dims:
         raise ValueError(f"label_index {label_index} out of range for dims {dims}")
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
-
-
-def is_extension(defense: Defense) -> bool:
-    return isinstance(defense, (RandomLabelExtension, AdaptiveLabelExtension))
-
-
-def target_dim(defense: Defense) -> int:
-    """Output width the top model must have under this defense."""
-    return defense.dims if is_extension(defense) else 1
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
 
 
 @dataclass(frozen=True)
@@ -148,33 +214,29 @@ class ExtendedLabels:
 
 # ------------------------------------------------------------- perturbations
 
-def _draw_noise(shape, distribution: str, scale: float, rng) -> np.ndarray:
-    if distribution == "laplace":
-        return rng.laplace(scale=scale, size=shape)
-    if distribution == "gaussian":
-        return rng.normal(scale=scale, size=shape)
-    raise ValueError(f"distribution must be one of {NOISE_DISTRIBUTIONS}")
-
-
 def noise_labels(y: np.ndarray, distribution: str, scale: float, seed: int) -> np.ndarray:
     """y plus i.i.d. noise; scale 0 returns the values unchanged."""
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
-    if scale == 0:
-        return y.copy()
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x40]))
-    return y + _draw_noise(y.shape, distribution, scale, rng)
+    return _add_noise(y, distribution, scale, seed, 0x40)
 
 
 def noise_gradient(g: np.ndarray, distribution: str, scale: float, seed: int) -> np.ndarray:
     """Same mechanism as noise_labels, applied to a per-batch gradient; the
     caller derives a distinct seed per (session, epoch, batch)."""
+    return _add_noise(g, distribution, scale, seed, 0x6D)
+
+
+def _add_noise(values: np.ndarray, distribution: str, scale: float, seed: int,
+               tag: int) -> np.ndarray:
     if scale < 0:
         raise ValueError("scale must be >= 0")
     if scale == 0:
-        return g.copy()
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6D]))
-    return g + _draw_noise(g.shape, distribution, scale, rng)
+        return values.copy()
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
+    if distribution == "laplace":
+        return values + rng.laplace(scale=scale, size=values.shape)
+    if distribution == "gaussian":
+        return values + rng.normal(scale=scale, size=values.shape)
+    raise ValueError(f"distribution must be one of {NOISE_DISTRIBUTIONS}")
 
 
 def batch_noise_seed(session_seed: int, epoch: int, batch_no: int) -> int:
@@ -214,28 +276,8 @@ def extend_labels_random(y: np.ndarray, dims: int, label_index: int,
     return ExtendedLabels(matrix, label_index)
 
 
-def adaptive_targets(top: FcNetwork, cut_values: np.ndarray, y_batch: np.ndarray,
-                     label_index) -> np.ndarray:
-    """Targets from `top`'s own outputs with the true labels written into
-    label_index. The trainer passes a snapshot of the top model taken at the
-    start of the epoch, so the targets stay fixed within the epoch while the
-    live model moves. Returned as plain values (a constant for the
-    subsequent loss), so every non-label column contributes zero loss for
-    the model they were formed from.
-
-    For a lane stack of top models, cut_values and y_batch carry the lane
-    axis and label_index holds one column per lane."""
-    index = np.asarray(label_index)
-    if not ((0 <= index) & (index < top.out_dim)).all():
-        raise ValueError(f"label_index {label_index} out of range for output dim {top.out_dim}")
-    if y_batch.shape != (*cut_values.shape[:-1], 1):
-        raise ValueError(f"labels {y_batch.shape} do not match batch of {cut_values.shape[-2]}")
-    targets = top.forward_values(cut_values)
-    if targets.ndim == 2:
-        targets[:, label_index] = y_batch[:, 0]
-    else:
-        targets[np.arange(len(targets)), :, index] = y_batch[..., 0]
-    return targets
+# the adaptive extension's target rule, also callable on its own
+adaptive_targets = AdaptiveLabelExtension.snapshot_targets
 
 
 # -------------------------------------------------- underdetermination check
@@ -264,56 +306,64 @@ def sufficiency_check(dims: int, cut_dim: int, n_samples: int) -> SufficiencyRep
 
 # -------------------------------------------------------------- config plumbing
 
-_NAMES = {
-    "none": NoDefense,
-    "label_noise": LabelNoise,
-    "gradient_noise": GradientNoise,
-    "gradient_compression": GradientCompression,
-    "random_extension": RandomLabelExtension,
-    "adaptive_extension": AdaptiveLabelExtension,
-}
-_CANONICAL = {cls: name for name, cls in _NAMES.items()}
+_NAMES = {cls.name: cls for cls in (NoDefense, LabelNoise, GradientNoise, GradientCompression,
+                                    RandomLabelExtension, AdaptiveLabelExtension)}
+
+
+def whole_number(value, what: str) -> int:
+    """value as an int. A whole number (3 or 3.0) or a numeral string is
+    accepted; a fraction, a boolean or anything else raises ValueError
+    naming `what`, instead of being truncated."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return number
+
+
+def _finite_real(value, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+# parameter parsers by field annotation (a string, as annotations are postponed)
+_PARSERS = {"int": whole_number, "float": _finite_real, "str": lambda value, what: str(value)}
 
 
 def defense_from_dict(spec: dict, cut_dim: int, seed: int = 0) -> Defense:
-    """Build a defense from `{"name": ..., <params>}`. Extension defenses
-    default to dims = cut_dim and a secret label_index drawn from the seed."""
-    spec = dict(spec)
-    raw = str(spec.pop("name", "none")).replace("-", "_").lower()
+    """Build a defense from `{"name": ..., <params>}`. Each parameter is
+    parsed by its field's type: an int takes a whole number, a float a
+    finite real, neither a boolean. Extension defenses default to
+    dims = cut_dim and a secret label_index drawn from the seed."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a defense is an object with a name, got {spec!r}")
+    params = dict(spec)
+    raw = str(params.pop("name", "none")).replace("-", "_").lower()
     if raw not in _NAMES:
         raise ValueError(f"unknown defense '{raw}' (expected one of {sorted(_NAMES)})")
     cls = _NAMES[raw]
-    if cls in (RandomLabelExtension, AdaptiveLabelExtension):
-        dims = int(spec.pop("dims", cut_dim))
-        if "label_index" in spec:
-            label_index = int(spec.pop("label_index"))
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x51]))
-            label_index = int(rng.integers(dims))
-        noise_std = float(spec.pop("noise_std", 1.0))
-        if spec:
-            raise ValueError(f"unexpected defense parameters {sorted(spec)}")
-        return cls(dims=dims, label_index=label_index, noise_std=noise_std)
     kwargs = {}
-    if cls in (LabelNoise, GradientNoise):
-        if "scale" in spec:
-            kwargs["scale"] = float(spec.pop("scale"))
-        if "distribution" in spec:
-            kwargs["distribution"] = str(spec.pop("distribution"))
-    elif cls is GradientCompression and "keep_rate" in spec:
-        kwargs["keep_rate"] = float(spec.pop("keep_rate"))
-    if spec:
-        raise ValueError(f"unexpected defense parameters {sorted(spec)}")
+    for f in fields(cls):
+        if f.name in params:
+            kwargs[f.name] = _PARSERS[f.type](params.pop(f.name), f.name)
+        elif f.name == "dims":
+            kwargs["dims"] = cut_dim
+        elif f.name == "label_index":
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x51]))
+            # a width below 1 is left for the class to reject by name
+            kwargs["label_index"] = int(rng.integers(max(kwargs["dims"], 1)))
+    if params:
+        raise ValueError(f"unexpected defense parameters {sorted(params)}")
     return cls(**kwargs)
 
 
 def defense_to_dict(defense: Defense) -> dict:
-    out = {"name": _CANONICAL[type(defense)]}
-    if isinstance(defense, (LabelNoise, GradientNoise)):
-        out.update(scale=defense.scale, distribution=defense.distribution)
-    elif isinstance(defense, GradientCompression):
-        out.update(keep_rate=defense.keep_rate)
-    elif is_extension(defense):
-        out.update(dims=defense.dims, label_index=defense.label_index,
-                   noise_std=defense.noise_std)
-    return out
+    """The config entry defense_from_dict reads back: name and parameters."""
+    return {"name": defense.name, **asdict(defense)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .data import (
     split_standardize,
     synth_regression,
 )
-from .defense import Defense, defense_from_dict, defense_to_dict, is_extension, target_dim
+from .defense import Defense, defense_from_dict, whole_number
 from .metrics import MetricPair, best_of_runs, mean_value_baseline, metric_pair
 from .nn import build_network
 from .protocol import SplitSession, predict, train_lanes, train_split  # noqa: F401
@@ -245,16 +245,12 @@ def _real(value, key: str) -> float:
 
 
 def _integer(value, key: str) -> int:
-    """value as an int. A whole number (3 or 3.0) or a numeral string is
-    accepted; a fraction, a boolean or anything else raises HarnessError
-    naming the key, instead of being truncated."""
+    """value as an int by defense.whole_number's rule; a value it refuses
+    raises HarnessError naming the key."""
     try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
-        raise HarnessError(f"bad configuration: {key} must be a whole number, got {value!r}")
-    return number
+        return whole_number(value, key)
+    except ValueError as exc:
+        raise HarnessError(f"bad configuration: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -316,7 +312,7 @@ def build_session(cfg: ExperimentConfig, defense: Defense, feature_dim: int,
     top_seed = int(np.random.SeedSequence([run_seed, 0x70]).generate_state(1)[0])
     bottom = build_network([feature_dim, *cfg.bottom_hidden, cfg.cut_dim],
                            activation=cfg.activation, seed=bottom_seed, role="bottom")
-    top = build_network([cfg.cut_dim, *cfg.top_hidden, target_dim(defense)],
+    top = build_network([cfg.cut_dim, *cfg.top_hidden, defense.output_dim],
                         activation=cfg.activation, seed=top_seed, role="top")
     return SplitSession(bottom, top, defense, lr=cfg.lr, batch_size=cfg.batch_size,
                         epochs=cfg.epochs, seed=run_seed)
@@ -340,7 +336,7 @@ def plan_attack(cfg: ExperimentConfig, defense: Defense, train: Dataset,
     top model's width when the attacker knows the extension, and the
     readout column follows cfg.attack_readout."""
     attack_seed = run_seed ^ ATTACK_SEED_XOR
-    width = target_dim(defense) if cfg.attacker_knows_extension else 1
+    width = defense.output_dim if cfg.attacker_knows_extension else 1
     config = AttackConfig(
         alpha=cfg.attack_alpha,
         lr=cfg.attack_lr,
@@ -351,9 +347,8 @@ def plan_attack(cfg: ExperimentConfig, defense: Defense, train: Dataset,
         transcript_window=cfg.attack_window,
     )
     evaluation_column = None
-    if (cfg.attack_readout == "secret_column" and is_extension(defense)
-            and cfg.attacker_knows_extension):
-        evaluation_column = defense.label_index
+    if cfg.attack_readout == "secret_column" and cfg.attacker_knows_extension:
+        evaluation_column = defense.label_column
     leaked = sample_leaked(train, cfg.leak_fraction, seed=attack_seed)
     return AttackPlan(leaked, config, evaluation_column)
 
@@ -402,7 +397,7 @@ def _run_points(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
                              plan_attack(c, defense, train, run_seed))
             except Exception as exc:
                 raise HarnessError(f"{label}: {exc}") from exc
-            groups.setdefault((type(defense), target_dim(defense)), []).append(lane)
+            groups.setdefault((defense.name, defense.output_dim), []).append(lane)
 
     runs: list[list[RunOutcome | None]] = [[None] * c.repeats for c in configs]
     for lanes in groups.values():
@@ -463,9 +458,8 @@ def _failed_lane(exc: BaseException | None) -> int | None:
 
 
 def _defense_label(defense: Defense) -> str:
-    name = defense_to_dict(defense)["name"]
     params = _param_string(defense)
-    return f"{name} ({params})" if params else name
+    return f"{defense.name} ({params})" if params else defense.name
 
 
 def sweep_defense(cfg: ExperimentConfig, variant: str, param: str,
@@ -484,9 +478,9 @@ def sweep_extension_dims(cfg: ExperimentConfig, dims_list: list[int],
                          ) -> list[ExperimentResult]:
     """Both extension defenses at every requested width. Every width is
     checked before any run starts."""
-    if not dims_list or any(d < 1 for d in dims_list):
-        raise HarnessError("dims must be a non-empty list of positive widths")
-    return _run_points([replace(cfg, defense={"name": variant, "dims": int(dims)})
+    if not dims_list:
+        raise HarnessError("empty dims grid")
+    return _run_points([replace(cfg, defense={"name": variant, "dims": dims})
                         for variant in variants for dims in dims_list])
 
 
@@ -497,15 +491,14 @@ _COLUMNS = ["dataset", "defense", "params", "split", "task", "mae", "mse",
 
 
 def _param_string(defense: Defense) -> str:
-    spec = defense_to_dict(defense)
-    spec.pop("name")
-    return ";".join(f"{k}={spec[k]}" for k in sorted(spec))
+    params = asdict(defense)
+    return ";".join(f"{k}={params[k]}" for k in sorted(params))
 
 
 def result_rows(result: ExperimentResult, include_timing: bool = False) -> list[dict]:
     """Flatten one experiment into Table-style rows: train/test x
     original/attack plus the constant-mean baseline."""
-    name = defense_to_dict(result.defense)["name"]
+    name = result.defense.name
     params = _param_string(result.defense)
     best_orig = result.best_original
     best_att = result.best_attack

@@ -2,11 +2,12 @@
 
 One session simulates both parties sequentially per mini-batch: the feature
 party computes cut-layer activations from its bottom model, the label party
-forms effective targets under the configured defense, trains its top model on
-the unperturbed loss, and sends back the cut-layer gradient after applying any
-gradient-side defense. The feature party updates its bottom model from the
-gradient it actually received, and records (activations, received gradient)
-for every batch; that record is the entire attack surface.
+forms its training targets as its defense prescribes, trains its top model on
+the unperturbed loss, and sends back the cut-layer gradient its defense makes
+of the raw one. The feature party updates its bottom model from the gradient
+it actually received, and records (activations, received gradient) for every
+batch; that record is the entire attack surface. Which defense runs is the
+session's concern only through the members of `defense.Defense`.
 """
 
 from __future__ import annotations
@@ -18,22 +19,11 @@ import numpy as np
 
 from .autograd import AutogradError, Tape, backward, constant, mse, mul, sum_all
 from .data import Dataset
-from .defense import (
-    AdaptiveLabelExtension,
-    Defense,
-    GradientCompression,
-    GradientNoise,
-    LabelNoise,
-    RandomLabelExtension,
-    adaptive_targets,
-    batch_noise_seed,
-    compress_gradient,
-    extend_labels_random,
-    is_extension,
-    noise_gradient,
-    noise_labels,
-    target_dim,
-)
+from .defense import Defense
+# Called by the defenses, not here; importable from here for code that wraps
+# them by attribute.
+from .defense import adaptive_targets, compress_gradient, extend_labels_random  # noqa: F401
+from .defense import noise_gradient, noise_labels  # noqa: F401
 from .nn import Adam, FcNetwork, gather_rows, split_lanes, stack_lanes, stack_networks
 
 __all__ = ["ProtocolError", "TranscriptRecord", "Transcript", "SplitSession",
@@ -148,7 +138,7 @@ class SplitSession:
         if top.in_dim != bottom.out_dim:
             raise ProtocolError(
                 f"top input dim {top.in_dim} != bottom output dim {bottom.out_dim}")
-        expected = target_dim(defense)
+        expected = defense.output_dim
         if top.out_dim != expected:
             raise ProtocolError(
                 f"top output dim {top.out_dim} incompatible with defense (needs {expected})")
@@ -169,40 +159,6 @@ class SplitSession:
         return self.bottom.out_dim
 
 
-def _derived_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
-
-
-def _target_table(sessions: list[SplitSession], train: Dataset) -> np.ndarray | None:
-    """Per-lane target tables fixed before training (label noise, random
-    extension), stacked; None when the targets are not drawn up front."""
-    d = sessions[0].defense
-    if isinstance(d, RandomLabelExtension):
-        tables = [extend_labels_random(train.labels, s.defense.dims, s.defense.label_index,
-                                       s.defense.noise_std, _derived_seed(s.seed, 0xE7)).matrix
-                  for s in sessions]
-    elif isinstance(d, LabelNoise):
-        tables = [noise_labels(train.labels, s.defense.distribution, s.defense.scale,
-                               _derived_seed(s.seed, 0xA0))
-                  for s in sessions]
-    else:
-        # the adaptive extension's pre-training draw only fixes the top
-        # model's output width; its targets come from a snapshot of the top
-        # model taken at the start of each epoch
-        return None
-    return stack_lanes(tables)
-
-
-def _outgoing_gradient(session: SplitSession, raw: np.ndarray, epoch: int,
-                       batch_no: int) -> np.ndarray:
-    """The gradient-side defense of one lane applied to its raw gradient."""
-    d = session.defense
-    if isinstance(d, GradientNoise):
-        seed = batch_noise_seed(session.seed, epoch, batch_no)
-        return noise_gradient(raw, d.distribution, d.scale, seed)
-    return compress_gradient(raw, d.keep_rate)
-
-
 def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
     first = sessions[0]
     for r, s in enumerate(sessions):
@@ -212,8 +168,8 @@ def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
                 f"{where}dataset has {train.d} features, bottom model expects {s.bottom.in_dim}")
         if s.batch_size > train.n:
             raise ProtocolError(f"{where}batch size exceeds training set size")
-        if (type(s.defense), s.top.out_dim, s.lr, s.batch_size, s.epochs) != \
-                (type(first.defense), first.top.out_dim, first.lr, first.batch_size, first.epochs):
+        if (s.defense.name, s.top.out_dim, s.lr, s.batch_size, s.epochs) != \
+                (first.defense.name, first.top.out_dim, first.lr, first.batch_size, first.epochs):
             raise ProtocolError(
                 f"{where}sessions trained in lock-step need the same defense kind, "
                 "top-model width, learning rate, batch size and epochs")
@@ -225,9 +181,10 @@ def train_split(session: SplitSession, train: Dataset,
     party's transcript (every batch of every epoch), and the per-epoch mean
     training loss. This is train_lanes with one lane.
 
-    With consistency_check=True (and no gradient-side defense) the received
-    gradient is re-derived from the stored activations and the label party's
-    pre-update top model each batch, and must match what was recorded.
+    With consistency_check=True (and a defense that sends the raw gradient)
+    the received gradient is re-derived from the stored activations and the
+    label party's pre-update top model each batch, and must match what was
+    recorded.
     """
     ((transcript, trace),) = train_lanes([session], train, consistency_check=consistency_check)
     return session, transcript, trace
@@ -266,13 +223,14 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
         except ValueError as exc:
             raise ProtocolError(f"sessions cannot train in lock-step: {exc}") from exc
 
+    # the group's defense kind, read once: every lane's defense is of it
     d = first.defense
-    table = _target_table(sessions, train)
-    adaptive = isinstance(d, AdaptiveLabelExtension)
-    if adaptive:
-        label_index = (d.label_index if lanes == 1
-                       else np.array([s.defense.label_index for s in sessions]))
-    gradient_side = isinstance(d, (GradientNoise, GradientCompression))
+    uses_snapshot, changes_gradient = d.uses_snapshot, d.changes_gradient
+    tables = [s.defense.target_table(train.labels, s.seed) for s in sessions]
+    table = None if tables[0] is None else stack_lanes(tables)
+    if uses_snapshot:
+        label_columns = (d.label_column if lanes == 1
+                         else np.array([s.defense.label_column for s in sessions]))
     first_kept = 0 if keep_epochs is None else first.epochs - keep_epochs
     transcripts = [Transcript() for _ in sessions]
     traces: list[list[float]] = [[] for _ in sessions]
@@ -284,12 +242,7 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
             order = stack_lanes([
                 np.random.default_rng(np.random.SeedSequence([s.seed, epoch, 0xB5]))
                 .permutation(train.n) for s in sessions])
-            # Algorithm step: the label party re-derives its extended targets
-            # from the model as it stands when the epoch begins. The non-label
-            # columns then chase a reference the live model drifts away from
-            # within the epoch; that drift is what keeps the outgoing
-            # gradients from being a pure label-residual signal.
-            target_model = top.copy() if adaptive else None
+            snapshot = top.copy() if uses_snapshot else None
             for batch_no, start in enumerate(range(0, train.n, first.batch_size)):
                 idx = order[..., start:start + first.batch_size]
                 x_batch = train.features[idx]
@@ -301,8 +254,8 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
                     # attached after the cut, so the label party's backward,
                     # whose oldest requested node is then the cut, stops there
                     top_handles = top.attach(tape)
-                    if adaptive:
-                        targets = adaptive_targets(target_model, cut.data, y_batch, label_index)
+                    if uses_snapshot:
+                        targets = d.snapshot_targets(snapshot, cut.data, y_batch, label_columns)
                     elif table is not None:
                         targets = gather_rows(table, idx)
                     else:
@@ -313,9 +266,9 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
                     # label party: gradients for its own update and for the wire
                     *top_grads, cut_grad = backward(loss, [*top_handles, cut])
                     sent = cut_grad.data
-                    if gradient_side:
+                    if changes_gradient:
                         sent = stack_lanes([
-                            _outgoing_gradient(s, g, epoch, batch_no)
+                            s.defense.outgoing_gradient(g, s.seed, epoch, batch_no)
                             for s, g in zip(sessions, split_lanes(sent, lanes))])
                     if epoch >= first_kept:
                         for transcript, i, a, g in zip(transcripts, split_lanes(idx, lanes),
@@ -324,7 +277,7 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
                             transcript.records.append(
                                 TranscriptRecord(epoch, i.copy(), a.copy(), g.copy()))
 
-                    if consistency_check and not gradient_side:
+                    if consistency_check and not changes_gradient:
                         _check_gradient_consistency(top, cut.data, targets, sent,
                                                     epoch, batch_no)
 
@@ -369,8 +322,7 @@ def _check_gradient_consistency(top, cut_values, targets, sent, epoch, batch_no)
 
 
 def predict(session: SplitSession, x: np.ndarray) -> np.ndarray:
-    """Composed bottom+top prediction as an n x 1 column; under a label
-    extension defense this is the secret label column of the wide output."""
+    """Composed bottom+top prediction as an n x 1 column: the defense's label
+    column of the top model's output."""
     out = session.top.forward_values(session.bottom.forward_values(x))
-    col = session.defense.label_index if is_extension(session.defense) else 0
-    return out[:, [col]]
+    return out[:, [session.defense.label_column]]

@@ -267,3 +267,27 @@ def test_attack_on_manifest_with_a_fractional_count_names_the_manifest(tmp_path,
     err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
     assert err == (f"error: {manifest_path}: bad configuration: "
                    "attack.epochs must be a whole number, got 1.5\n")
+
+
+@pytest.mark.parametrize("resolved,reason", [
+    ({"name": "random_extension", "dims": 4, "label_index": 9, "noise_std": 1.0},
+     "label_index 9 out of range for dims 4"),
+    ("none", "a defense is an object"),
+    ({"name": "random_extension", "dims": 2.5, "label_index": 0, "noise_std": 1.0},
+     "dims must be a whole number, got 2.5"),
+])
+def test_attack_on_manifest_with_a_bad_defense_names_the_manifest(tmp_path, monkeypatch,
+                                                                   capsys, resolved, reason):
+    run_dir = trained_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["defense_resolved"] = resolved
+    manifest_path.write_text(json.dumps(manifest))
+
+    def never(*args, **kwargs):
+        raise AssertionError("attack started despite a bad defense")
+
+    monkeypatch.setattr("splitlab.cli.run_attack", never)
+    err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
+    assert err.startswith(f"error: {manifest_path}: bad defense ")
+    assert reason in err

@@ -5,6 +5,7 @@ from splitlab.autograd import Tape, backward, constant, mse
 from splitlab.defense import (
     AdaptiveLabelExtension,
     GradientCompression,
+    GradientNoise,
     LabelNoise,
     NoDefense,
     RandomLabelExtension,
@@ -17,7 +18,6 @@ from splitlab.defense import (
     noise_gradient,
     noise_labels,
     sufficiency_check,
-    target_dim,
 )
 from splitlab.nn import build_network
 
@@ -227,6 +227,7 @@ def test_defense_roundtrip_through_dict():
     cases = [
         NoDefense(),
         LabelNoise(scale=0.7, distribution="gaussian"),
+        GradientNoise(scale=0.05),
         GradientCompression(keep_rate=0.25),
         RandomLabelExtension(dims=6, label_index=3, noise_std=2.0),
         AdaptiveLabelExtension(dims=4, label_index=0),
@@ -251,6 +252,67 @@ def test_defense_unknown_name_and_params():
 
 
 def test_target_dim():
-    assert target_dim(NoDefense()) == 1
-    assert target_dim(LabelNoise()) == 1
-    assert target_dim(RandomLabelExtension(dims=5, label_index=1)) == 5
+    assert NoDefense().output_dim == 1
+    assert LabelNoise().output_dim == 1
+    assert RandomLabelExtension(dims=5, label_index=1).output_dim == 5
+
+
+def test_label_column():
+    assert NoDefense().label_column == 0
+    assert LabelNoise().label_column == 0
+    assert GradientNoise().label_column == 0
+    assert GradientCompression().label_column == 0
+    assert RandomLabelExtension(dims=5, label_index=3).label_column == 3
+    assert AdaptiveLabelExtension(dims=4, label_index=2).label_column == 2
+
+
+def test_defense_to_dict_format():
+    # the `defense_resolved` entry of a run's manifest
+    assert defense_to_dict(NoDefense()) == {"name": "none"}
+    assert defense_to_dict(LabelNoise(0.7, "gaussian")) == {
+        "name": "label_noise", "scale": 0.7, "distribution": "gaussian"}
+    assert defense_to_dict(GradientNoise()) == {
+        "name": "gradient_noise", "scale": 1.0, "distribution": "laplace"}
+    assert defense_to_dict(GradientCompression(0.25)) == {
+        "name": "gradient_compression", "keep_rate": 0.25}
+    assert defense_to_dict(RandomLabelExtension(6, 3, 2.0)) == {
+        "name": "random_extension", "dims": 6, "label_index": 3, "noise_std": 2.0}
+    assert defense_to_dict(AdaptiveLabelExtension(4, 0)) == {
+        "name": "adaptive_extension", "dims": 4, "label_index": 0, "noise_std": 1.0}
+
+
+@pytest.mark.parametrize("spec,param", [
+    ({"name": "random_extension", "dims": 2.7}, "dims"),
+    ({"name": "adaptive_extension", "dims": True}, "dims"),
+    ({"name": "random_extension", "dims": 4, "label_index": 1.5}, "label_index"),
+    ({"name": "random_extension", "label_index": False}, "label_index"),
+    ({"name": "label_noise", "scale": float("nan")}, "scale"),
+    ({"name": "gradient_noise", "scale": float("inf")}, "scale"),
+    ({"name": "label_noise", "scale": True}, "scale"),
+    ({"name": "gradient_compression", "keep_rate": float("nan")}, "keep_rate"),
+    ({"name": "gradient_compression", "keep_rate": "x"}, "keep_rate"),
+    ({"name": "random_extension", "noise_std": float("nan")}, "noise_std"),
+    ({"name": "adaptive_extension", "noise_std": float("-inf")}, "noise_std"),
+    ({"name": "random_extension", "dims": 0}, "dims"),
+])
+def test_defense_parameters_are_checked_by_field_type(spec, param):
+    with pytest.raises(ValueError, match=param):
+        defense_from_dict(spec, cut_dim=4, seed=1)
+
+
+def test_defense_parameters_accept_whole_floats_and_numerals():
+    assert defense_from_dict({"name": "random_extension", "dims": 3.0, "label_index": "2"},
+                             cut_dim=8) == RandomLabelExtension(3, 2)
+    assert defense_from_dict({"name": "label_noise", "scale": 2}, cut_dim=8) == LabelNoise(2.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LabelNoise(scale=float("nan")),
+    lambda: GradientNoise(scale=float("inf")),
+    lambda: GradientCompression(keep_rate=float("nan")),
+    lambda: RandomLabelExtension(dims=2, label_index=0, noise_std=float("nan")),
+    lambda: AdaptiveLabelExtension(dims=2, label_index=0, noise_std=float("inf")),
+])
+def test_non_finite_parameters_are_rejected_at_construction(make):
+    with pytest.raises(ValueError):
+        make()

@@ -208,6 +208,27 @@ def test_sweeps_reject_a_bad_grid_value_before_any_run(monkeypatch):
         sweep_extension_dims(tiny_config(), [2, 3], ("random_extension", "bogus"))
 
 
+
+@pytest.mark.parametrize("spec,param", [
+    ({"name": "random_extension", "dims": 2.7}, "dims"),
+    ({"name": "adaptive_extension", "dims": True}, "dims"),
+    ({"name": "random_extension", "dims": 4, "label_index": 1.5}, "label_index"),
+    ({"name": "label_noise", "scale": float("nan")}, "scale"),
+    ({"name": "gradient_noise", "scale": float("inf")}, "scale"),
+    ({"name": "adaptive_extension", "noise_std": float("nan")}, "noise_std"),
+])
+def test_config_rejects_a_mistyped_defense_parameter_naming_it(monkeypatch, spec, param):
+    monkeypatch.setattr("splitlab.harness.train_lanes", no_training)
+    with pytest.raises(HarnessError, match=rf"^bad defense .*: {param} must be"):
+        tiny_config(defense=spec)
+
+
+def test_sweep_extension_dims_rejects_a_width_that_is_not_whole(monkeypatch):
+    monkeypatch.setattr("splitlab.harness.train_lanes", no_training)
+    for width in (2.7, True):
+        with pytest.raises(HarnessError, match=rf"dims must be a whole number, got {width}"):
+            sweep_extension_dims(tiny_config(), [2, width])
+
 @pytest.mark.parametrize("variant,param,values,overrides", [
     # one lane per point: the sweep stacks two runs that alone are plain 2-D
     ("gradient_noise", "scale", [0.01, 0.1], dict(repeats=1)),

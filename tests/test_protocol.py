@@ -24,9 +24,8 @@ from splitlab.protocol import (
 
 def make_session(train, cut_dim=4, defense=NoDefense(), lr=0.01, batch_size=32,
                  epochs=3, seed=0, bottom_hidden=(), top_hidden=()):
-    from splitlab.defense import target_dim
     bottom = build_network([train.d, *bottom_hidden, cut_dim], seed=seed, role="bottom")
-    top = build_network([cut_dim, *top_hidden, target_dim(defense)], seed=seed + 1, role="top")
+    top = build_network([cut_dim, *top_hidden, defense.output_dim], seed=seed + 1, role="top")
     return SplitSession(bottom, top, defense, lr=lr, batch_size=batch_size,
                         epochs=epochs, seed=seed)
 
