@@ -19,6 +19,7 @@ from .attack import AttackError, run_attack
 from .data import split_standardize
 from .defense import defense_from_dict, defense_to_dict
 from .harness import (
+    DATASET_KEYS,
     ExperimentConfig,
     HarnessError,
     build_session,
@@ -79,12 +80,12 @@ def _build_config(args) -> ExperimentConfig:
         node[parts[-1]] = _parse_value(raw)
     if getattr(args, "dataset", None):
         dataset = _subsection(payload, "dataset", "--dataset")
-        if args.dataset == "synth":
-            dataset["kind"] = "synth"
-        else:
-            payload["dataset"] = {"kind": "csv", "path": args.dataset,
-                                  **{k: v for k, v in dataset.items()
-                                     if k in ("label_column", "header", "name")}}
+        kind = "synth" if args.dataset == "synth" else "csv"
+        # the flag picks the kind; entries that only the other kind has are dropped
+        payload["dataset"] = {"kind": kind, **{k: v for k, v in dataset.items()
+                                              if k in DATASET_KEYS[kind]}}
+        if kind == "csv":
+            payload["dataset"]["path"] = args.dataset
     if getattr(args, "defense", None):
         spec = {"name": args.defense}
         for item in getattr(args, "param", None) or []:
@@ -235,7 +236,7 @@ def cmd_sweep_dims(args) -> int:
     except ValueError:
         raise HarnessError(f"--dims: expected comma-separated whole numbers, "
                            f"got '{args.dims}'") from None
-    variants = tuple(v.strip().replace("-", "_") for v in args.variants.split(","))
+    variants = tuple(v.strip() for v in args.variants.split(","))
     results = sweep_extension_dims(cfg, dims, variants)
     _emit(results, args)
     return 0

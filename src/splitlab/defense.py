@@ -17,7 +17,8 @@ seed, epoch, batch_no)`, the gradient one lane sends (`changes_gradient`),
 and `snapshot_targets(...)`, one batch's targets from an epoch-start copy
 of the top model (`uses_snapshot`). The trainer, the harness and the CLI
 call nothing else. `defense_from_dict` and `defense_to_dict` convert a
-defense to and from its config entry.
+defense to and from its config entry; `FIELD_PARSERS` holds the rules that
+read every config value, the harness's `ExperimentConfig` included.
 
 All functions are pure: inputs are never modified.
 """
@@ -333,15 +334,49 @@ def _finite_real(value, what: str) -> float:
     return number
 
 
-# parameter parsers by field annotation (a string, as annotations are postponed)
-_PARSERS = {"int": whole_number, "float": _finite_real, "str": lambda value, what: str(value)}
+def _exactly(kind: type, noun: str):
+    """A parser that takes only values of `kind` as they are."""
+    def parse(value, what: str):
+        if not isinstance(value, kind):
+            raise ValueError(f"{what} must be {noun}, got {value!r}")
+        return value
+    return parse
+
+
+def _whole_numbers(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(whole_number(v, what) for v in value)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"'{what}' must be an object, got {value!r}")
+    return dict(value)
+
+
+# The parser of a config value by its dataclass field's annotation (a
+# string, as annotations are postponed), called as parser(value, what): an
+# int is a whole number and a float a finite real (neither a boolean), a bool
+# a real boolean, a str a string, a `str | int` a name or a whole-number
+# index, a tuple of ints a list of whole numbers, a dict an object (copied).
+# A refused value raises ValueError naming `what`.
+FIELD_PARSERS = {
+    "int": whole_number,
+    "float": _finite_real,
+    "bool": _exactly(bool, "true or false"),
+    "str": _exactly(str, "a string"),
+    "str | None": _exactly(str, "a string"),
+    "str | int": lambda value, what: value if isinstance(value, str) else whole_number(value, what),
+    "tuple[int, ...]": _whole_numbers,
+    "dict": _object,
+}
 
 
 def defense_from_dict(spec: dict, cut_dim: int, seed: int = 0) -> Defense:
     """Build a defense from `{"name": ..., <params>}`. Each parameter is
-    parsed by its field's type: an int takes a whole number, a float a
-    finite real, neither a boolean. Extension defenses default to
-    dims = cut_dim and a secret label_index drawn from the seed."""
+    parsed by its field's type (see FIELD_PARSERS). Extension defenses default
+    to dims = cut_dim and a secret label_index drawn from the seed."""
     if not isinstance(spec, dict):
         raise ValueError(f"a defense is an object with a name, got {spec!r}")
     params = dict(spec)
@@ -352,7 +387,7 @@ def defense_from_dict(spec: dict, cut_dim: int, seed: int = 0) -> Defense:
     kwargs = {}
     for f in fields(cls):
         if f.name in params:
-            kwargs[f.name] = _PARSERS[f.type](params.pop(f.name), f.name)
+            kwargs[f.name] = FIELD_PARSERS[f.type](params.pop(f.name), f.name)
         elif f.name == "dims":
             kwargs["dims"] = cut_dim
         elif f.name == "label_index":

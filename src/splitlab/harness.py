@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .attack import AttackConfig, AttackLane, attack_lanes, run_attack  # noqa: F401
+from .autograd import ACTIVATIONS
 from .data import (
     Dataset,
     LeakedSet,
@@ -26,7 +27,7 @@ from .data import (
     split_standardize,
     synth_regression,
 )
-from .defense import Defense, defense_from_dict, whole_number
+from .defense import FIELD_PARSERS, Defense, defense_from_dict
 from .metrics import MetricPair, best_of_runs, mean_value_baseline, metric_pair
 from .nn import build_network
 from .protocol import SplitSession, predict, train_lanes, train_split  # noqa: F401
@@ -48,12 +49,37 @@ __all__ = [
     "sweep_extension_dims",
     "emit_results",
     "ATTACK_SEED_XOR",
+    "DATASET_KEYS",
 ]
 
 # derived attack seeds: run seed XOR this constant, for independent streams
 ATTACK_SEED_XOR = 0x9E3779B9
 
 ATTACK_READOUTS = ("secret_column", "leak_selected")
+
+# The config schema: each key of a config file or of `--set` (a dotted key
+# is an entry of a section) and the ExperimentConfig field it holds, in the
+# order to_dict writes them. The dataset keys depend on dataset.kind, which
+# to_dict derives from dataset_path; to_dict leaves out an empty name.
+DATASET_KEYS = {
+    "synth": {"n": "synth_n", "d": "synth_d", "noise_std": "synth_noise_std",
+              "name": "dataset_name"},
+    "csv": {"path": "dataset_path", "label_column": "label_column", "header": "csv_header",
+            "name": "dataset_name"},
+}
+_KEYS = {
+    "split_ratio": "split_ratio",
+    "model.bottom_hidden": "bottom_hidden", "model.top_hidden": "top_hidden",
+    "model.cut_dim": "cut_dim", "model.activation": "activation",
+    "training.lr": "lr", "training.epochs": "epochs", "training.batch_size": "batch_size",
+    "training.seed": "seed",
+    "defense": "defense",
+    "attack.alpha": "attack_alpha", "attack.lr": "attack_lr", "attack.epochs": "attack_epochs",
+    "attack.window": "attack_window", "attack.leak_fraction": "leak_fraction",
+    "attack.knows_extension": "attacker_knows_extension", "attack.readout": "attack_readout",
+    "repeats": "repeats",
+}
+_SECTIONS = {"dataset"} | {key.partition(".")[0] for key in _KEYS if "." in key}
 
 
 class HarnessError(RuntimeError):
@@ -107,6 +133,15 @@ class ExperimentConfig:
         if self.attack_readout not in ATTACK_READOUTS:
             raise HarnessError(
                 f"attack_readout must be one of {ATTACK_READOUTS}, got '{self.attack_readout}'")
+        if self.activation not in ACTIVATIONS:
+            raise HarnessError(f"bad configuration: model.activation must be one of "
+                               f"{ACTIVATIONS}, got {self.activation!r}")
+        if not 0 < self.split_ratio < 1:
+            raise HarnessError(f"bad configuration: split_ratio must lie in (0, 1), "
+                               f"got {self.split_ratio}")
+        if not 0 < self.leak_fraction <= 1:
+            raise HarnessError(f"bad configuration: attack.leak_fraction must lie in (0, 1], "
+                               f"got {self.leak_fraction}")
         try:
             defense_from_dict(self.defense, cut_dim=self.cut_dim, seed=self.seed)
         except (TypeError, ValueError) as exc:
@@ -116,141 +151,66 @@ class ExperimentConfig:
     def paper_profile(cls, dataset_path: str, batch_size: int = 128, **overrides) -> "ExperimentConfig":
         """Full-scale settings for a real CSV: 100 training epochs, 50 attack
         epochs, 1% leak, learning rate 0.01."""
-        base = dict(
-            dataset_path=dataset_path,
-            lr=0.01,
-            epochs=100,
-            batch_size=batch_size,
-            attack_alpha=0.05,
-            attack_lr=0.01,
-            attack_epochs=50,
-            attack_window=5,
-            leak_fraction=0.01,
-        )
+        base = dict(dataset_path=dataset_path, batch_size=batch_size, attack_epochs=50,
+                    attack_window=5)
         base.update(overrides)
         return cls(**base)
 
     def to_dict(self) -> dict:
-        if self.dataset_path is None:
-            dataset = {"kind": "synth", "n": self.synth_n, "d": self.synth_d,
-                       "noise_std": self.synth_noise_std}
-        else:
-            dataset = {"kind": "csv", "path": self.dataset_path,
-                       "label_column": self.label_column, "header": self.csv_header}
-        if self.dataset_name:
-            dataset["name"] = self.dataset_name
-        return {
-            "dataset": dataset,
-            "split_ratio": self.split_ratio,
-            "model": {
-                "bottom_hidden": list(self.bottom_hidden),
-                "top_hidden": list(self.top_hidden),
-                "cut_dim": self.cut_dim,
-                "activation": self.activation,
-            },
-            "training": {
-                "lr": self.lr,
-                "epochs": self.epochs,
-                "batch_size": self.batch_size,
-                "seed": self.seed,
-            },
-            "defense": dict(self.defense),
-            "attack": {
-                "alpha": self.attack_alpha,
-                "lr": self.attack_lr,
-                "epochs": self.attack_epochs,
-                "window": self.attack_window,
-                "leak_fraction": self.leak_fraction,
-                "knows_extension": self.attacker_knows_extension,
-                "readout": self.attack_readout,
-            },
-            "repeats": self.repeats,
-        }
+        kind = "synth" if self.dataset_path is None else "csv"
+        payload: dict = {"dataset": {"kind": kind}}
+        for key, name in _config_keys(kind).items():
+            value = getattr(self, name)
+            if name == "dataset_name" and not value:
+                continue
+            if isinstance(value, (tuple, dict)):
+                value = list(value) if isinstance(value, tuple) else dict(value)
+            section, _, leaf = key.rpartition(".")
+            (payload.setdefault(section, {}) if section else payload)[leaf] = value
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        """The config to_dict wrote. A malformed entry (a section that is
-        not an object, a missing CSV path, a number that does not parse, a
-        count that is not a whole number) raises HarnessError naming its
-        key."""
+        """The config to_dict wrote. Each key is looked up in the schema
+        for its dataset kind (synth when dataset.kind is absent) and its
+        value parsed by its field's annotation (see defense.FIELD_PARSERS);
+        absent keys keep their defaults. A malformed entry (a section that
+        is not an object, an unknown key, a key of the other dataset kind,
+        a csv dataset without a path, a value its rule refuses) raises
+        HarnessError naming its key."""
         if not isinstance(payload, dict):
             raise HarnessError(f"bad configuration: expected an object, got {payload!r}")
-        kw: dict = {}
-        ds = _section(payload, "dataset")
-        if ds.get("kind", "synth") == "csv":
-            if "path" not in ds:
-                raise HarnessError("bad configuration: a csv dataset needs dataset.path")
-            kw["dataset_path"] = ds["path"]
-            kw["label_column"] = ds.get("label_column", -1)
-            kw["csv_header"] = bool(ds.get("header", True))
-        else:
-            kw["synth_n"] = _integer(ds.get("n", 2000), "dataset.n")
-            kw["synth_d"] = _integer(ds.get("d", 8), "dataset.d")
-            kw["synth_noise_std"] = _real(ds.get("noise_std", 0.1), "dataset.noise_std")
-        if "name" in ds:
-            kw["dataset_name"] = ds["name"]
-        if "split_ratio" in payload:
-            kw["split_ratio"] = _real(payload["split_ratio"], "split_ratio")
-        model = _section(payload, "model")
-        for key in ("bottom_hidden", "top_hidden"):
-            if key in model:
-                widths = model[key]
-                if not isinstance(widths, list):
-                    raise HarnessError(f"bad configuration: model.{key} must be a list, "
-                                       f"got {widths!r}")
-                kw[key] = tuple(_integer(v, f"model.{key}") for v in widths)
-        if "cut_dim" in model:
-            kw["cut_dim"] = _integer(model["cut_dim"], "model.cut_dim")
-        if "activation" in model:
-            kw["activation"] = str(model["activation"])
-        training = _section(payload, "training")
-        if "lr" in training:
-            kw["lr"] = _real(training["lr"], "training.lr")
-        for key in ("epochs", "batch_size", "seed"):
-            if key in training:
-                kw[key] = _integer(training[key], f"training.{key}")
-        if "defense" in payload:
-            kw["defense"] = dict(_section(payload, "defense"))
-        attack = _section(payload, "attack")
-        for src, dst in (("alpha", "attack_alpha"), ("lr", "attack_lr"),
-                         ("leak_fraction", "leak_fraction")):
-            if src in attack:
-                kw[dst] = _real(attack[src], f"attack.{src}")
-        for src, dst in (("epochs", "attack_epochs"), ("window", "attack_window")):
-            if src in attack:
-                kw[dst] = _integer(attack[src], f"attack.{src}")
-        if "knows_extension" in attack:
-            kw["attacker_knows_extension"] = bool(attack["knows_extension"])
-        if "readout" in attack:
-            kw["attack_readout"] = str(attack["readout"])
-        if "repeats" in payload:
-            kw["repeats"] = _integer(payload["repeats"], "repeats")
+        types = {f.name: f.type for f in fields(cls)}
+        entries, kw = {}, {}
+        try:
+            for key, value in payload.items():
+                if key in _SECTIONS:
+                    section = FIELD_PARSERS["dict"](value, key)
+                    entries.update((f"{key}.{leaf}", entry) for leaf, entry in section.items())
+                elif "." in str(key):  # a section entry written at the top level
+                    raise ValueError(f"{key} is not a config key")
+                else:
+                    entries[key] = value
+            kind = entries.pop("dataset.kind", "synth")
+            if kind not in tuple(DATASET_KEYS):
+                raise ValueError(f"dataset.kind must be one of {tuple(DATASET_KEYS)}, "
+                                 f"got {kind!r}")
+            if kind == "csv" and "dataset.path" not in entries:
+                raise ValueError("a csv dataset needs dataset.path")
+            keys = _config_keys(kind)
+            for key, value in entries.items():
+                if key not in keys:
+                    raise ValueError(f"{key} is not a config key for a {kind} dataset")
+                kw[keys[key]] = FIELD_PARSERS[types[keys[key]]](value, key)
+        except ValueError as exc:
+            raise HarnessError(f"bad configuration: {exc}") from None
         return cls(**kw)
 
 
-def _section(payload: dict, key: str) -> dict:
-    """payload[key], or {} when absent; anything but an object is an error."""
-    value = payload.get(key, {})
-    if not isinstance(value, dict):
-        raise HarnessError(f"bad configuration: '{key}' must be an object, got {value!r}")
-    return value
-
-
-def _real(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise HarnessError(f"bad configuration: {key} must be a number, "
-                           f"got {value!r}") from None
-
-
-def _integer(value, key: str) -> int:
-    """value as an int by defense.whole_number's rule; a value it refuses
-    raises HarnessError naming the key."""
-    try:
-        return whole_number(value, key)
-    except ValueError as exc:
-        raise HarnessError(f"bad configuration: {exc}") from None
+def _config_keys(kind: str) -> dict[str, str]:
+    """Every key of a config whose dataset is `kind`, mapped to its field."""
+    return {**{f"dataset.{key}": name for key, name in DATASET_KEYS[kind].items()},
+            **_KEYS}
 
 
 @dataclass(frozen=True)

@@ -291,3 +291,53 @@ def test_attack_on_manifest_with_a_bad_defense_names_the_manifest(tmp_path, monk
     err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
     assert err.startswith(f"error: {manifest_path}: bad defense ")
     assert reason in err
+
+
+def test_unknown_set_key_is_a_one_line_error_naming_it(tmp_path, capsys):
+    err = one_line_error(capsys, ["experiment", "--config", tiny_config_file(tmp_path),
+                                  "--set", "training.lrr=5"])
+    assert err.startswith("error: bad configuration: training.lrr ")
+
+
+def test_dataset_synth_over_a_csv_config_drops_the_csv_keys(tmp_path):
+    config = tiny_config_file(tmp_path, dataset={"kind": "csv", "path": "nope.csv",
+                                                 "label_column": 0, "header": False,
+                                                 "name": "demo"})
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", config, "--dataset", "synth", "--set", "dataset.n=160",
+                 "--out", str(run_dir)]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["config"]["dataset"] == {"kind": "synth", "n": 160, "d": 8,
+                                             "noise_std": 0.1, "name": "demo"}
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("attack", "knows_extension", "false", "attack.knows_extension must be true or false"),
+    ("training", "lr", float("nan"), "training.lr must be a finite number, got nan"),
+    ("training", "lrr", 0.1, "training.lrr is not a config key"),
+])
+def test_attack_on_manifest_with_a_misread_entry_names_the_manifest(tmp_path, monkeypatch,
+                                                                    capsys, section, key,
+                                                                    value, message):
+    run_dir = trained_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"][section][key] = value
+    manifest_path.write_text(json.dumps(manifest))
+
+    def never(*args, **kwargs):
+        raise AssertionError("attack started despite a bad config")
+
+    monkeypatch.setattr("splitlab.cli.run_attack", never)
+    err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
+    assert err.startswith(f"error: {manifest_path}: bad configuration: {message}")
+
+
+def test_sweep_dims_variants_may_be_spelled_with_dashes(tmp_path):
+    config = tiny_config_file(tmp_path)
+    dashed, canonical = tmp_path / "dashed.csv", tmp_path / "canonical.csv"
+    for variants, out in (("random-extension,adaptive-extension", dashed),
+                          ("random_extension,adaptive_extension", canonical)):
+        assert main(["sweep-dims", "--config", config, "--dims", "1,2",
+                     "--variants", variants, "--out", str(out)]) == 0
+    assert dashed.read_bytes() == canonical.read_bytes()

@@ -316,3 +316,8 @@ def test_defense_parameters_accept_whole_floats_and_numerals():
 def test_non_finite_parameters_are_rejected_at_construction(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_defense_string_parameter_takes_only_a_string():
+    with pytest.raises(ValueError, match="distribution must be a string, got 5"):
+        defense_from_dict({"name": "label_noise", "distribution": 5}, cut_dim=4)

@@ -1,6 +1,7 @@
 import csv
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -292,10 +293,97 @@ def test_config_accepts_whole_numbers_written_as_floats_or_strings():
     ({"defense": "none"}, "'defense' must be an object, got 'none'"),
     ([1, 2], "expected an object, got [1, 2]"),
     ({"model": {"bottom_hidden": 16}}, "model.bottom_hidden must be a list, got 16"),
-    ({"training": {"lr": "fast"}}, "training.lr must be a number, got 'fast'"),
+    ({"training": {"lr": "fast"}}, "training.lr must be a finite number, got 'fast'"),
     ({"dataset": {"kind": "csv"}}, "a csv dataset needs dataset.path"),
 ])
 def test_config_rejects_a_malformed_entry_naming_its_key(payload, message):
     with pytest.raises(HarnessError) as info:
         ExperimentConfig.from_dict(payload)
     assert str(info.value) == f"bad configuration: {message}"
+
+
+def test_config_to_dict_format():
+    # the `config` entry of a run's manifest, key order included
+    synth = {
+        "dataset": {"kind": "synth", "n": 160, "d": 4, "noise_std": 0.1},
+        "split_ratio": 0.8,
+        "model": {"bottom_hidden": [], "top_hidden": [], "cut_dim": 4, "activation": "relu"},
+        "training": {"lr": 0.01, "epochs": 4, "batch_size": 32, "seed": 0},
+        "defense": {"name": "none"},
+        "attack": {"alpha": 0.05, "lr": 0.01, "epochs": 2, "window": 4, "leak_fraction": 0.05,
+                   "knows_extension": True, "readout": "secret_column"},
+        "repeats": 1,
+    }
+    assert json.dumps(tiny_config().to_dict()) == json.dumps(synth)
+    cfg = ExperimentConfig(dataset_path="houses.csv", label_column="price", csv_header=False,
+                           dataset_name="houses", defense={"name": "random_extension", "dims": 3})
+    csv_entry = {
+        "dataset": {"kind": "csv", "path": "houses.csv", "label_column": "price",
+                    "header": False, "name": "houses"},
+        "split_ratio": 0.8,
+        "model": {"bottom_hidden": [16], "top_hidden": [], "cut_dim": 8, "activation": "relu"},
+        "training": {"lr": 0.01, "epochs": 100, "batch_size": 64, "seed": 0},
+        "defense": {"name": "random_extension", "dims": 3},
+        "attack": {"alpha": 0.05, "lr": 0.01, "epochs": 25, "window": 100, "leak_fraction": 0.01,
+                   "knows_extension": True, "readout": "secret_column"},
+        "repeats": 1,
+    }
+    assert json.dumps(cfg.to_dict()) == json.dumps(csv_entry)
+
+
+_OTHER_KIND_FIELDS = {"synth": {"dataset_path", "label_column", "csv_header"},
+                      "csv": {"synth_n", "synth_d", "synth_noise_std"}}
+
+
+@pytest.mark.parametrize("kind,source", [
+    ("synth", dict(synth_n=300, synth_d=5, synth_noise_std=0.3)),
+    ("csv", dict(dataset_path="houses.csv", label_column="price", csv_header=False)),
+    ("csv", dict(dataset_path="houses.csv", label_column=3, csv_header=False)),
+])
+def test_config_roundtrip_over_every_field(kind, source):
+    cfg = ExperimentConfig(
+        **source, dataset_name="demo", split_ratio=0.7, bottom_hidden=(5, 3), top_hidden=(2,),
+        cut_dim=3, activation="tanh", lr=0.02, epochs=7, batch_size=16, seed=9,
+        defense={"name": "label_noise", "scale": 0.5}, attack_alpha=0.1, attack_lr=0.03,
+        attack_epochs=3, attack_window=2, leak_fraction=0.2, attacker_knows_extension=False,
+        attack_readout="leak_selected", repeats=2)
+    default = ExperimentConfig()
+    changed = {f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(default, f.name)}
+    assert changed == {f.name for f in fields(cfg)} - _OTHER_KIND_FIELDS[kind]
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize("payload,key", [
+    ({"attack": {"knows_extension": "false"}}, "attack.knows_extension"),
+    ({"dataset": {"kind": "csv", "path": "x.csv", "header": "false"}}, "dataset.header"),
+    ({"training": {"lr": float("nan")}}, "training.lr"),
+    ({"attack": {"alpha": float("inf")}}, "attack.alpha"),
+    ({"dataset": {"noise_std": float("nan")}}, "dataset.noise_std"),
+    ({"training": {"lrr": 0.1}}, "training.lrr"),
+    ({"trainng": {"lr": 0.1}}, "trainng"),
+    ({"training.lr": 0.1}, "training.lr"),
+    ({"dataset": {"kind": "cvs", "path": "x.csv"}}, "dataset.kind"),
+    ({"dataset": {"path": "x.csv"}}, "dataset.path"),
+    ({"dataset": {"kind": "csv", "path": "x.csv", "n": 100}}, "dataset.n"),
+    ({"dataset": {"kind": "csv", "path": 5}}, "dataset.path"),
+    ({"dataset": {"kind": "csv", "path": "x.csv", "label_column": 1.5}}, "dataset.label_column"),
+    ({"dataset": {"name": 7}}, "dataset.name"),
+    ({"model": {"activation": 3}}, "model.activation"),
+    ({"split_ratio": 1.5}, "split_ratio"),
+    ({"split_ratio": 0}, "split_ratio"),
+    ({"model": {"activation": "sigmoid"}}, "model.activation"),
+    ({"attack": {"leak_fraction": 0}}, "attack.leak_fraction"),
+    ({"attack": {"leak_fraction": 1.5}}, "attack.leak_fraction"),
+])
+def test_config_refuses_a_misread_entry_naming_its_key(monkeypatch, payload, key):
+    monkeypatch.setattr("splitlab.harness.train_lanes", no_training)
+    with pytest.raises(HarnessError, match=rf"^bad configuration: {re.escape(key)} ") as info:
+        run_experiment(ExperimentConfig.from_dict(payload))
+    assert "\n" not in str(info.value)
+
+
+def test_config_range_checks_hold_for_a_config_built_in_code():
+    with pytest.raises(HarnessError, match="^bad configuration: model.activation"):
+        tiny_config(activation="sigmoid")
+    with pytest.raises(HarnessError, match="^bad configuration: split_ratio"):
+        tiny_config(split_ratio=float("nan"))
