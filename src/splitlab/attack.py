@@ -37,6 +37,7 @@ from .metrics import MetricPair, metric_pair
 from .nn import (
     Adam,
     FcNetwork,
+    RowwiseAdam,
     build_network,
     gather_rows,
     split_lanes,
@@ -48,7 +49,6 @@ from .protocol import Transcript
 __all__ = [
     "AttackError",
     "AttackConfig",
-    "AttackState",
     "AttackResult",
     "AttackLane",
     "RowwiseAdam",
@@ -80,55 +80,6 @@ class AttackConfig:
             raise ValueError("alpha must be >= 0")
         if self.epochs < 1 or self.transcript_window < 1:
             raise ValueError("epochs and transcript_window must be >= 1")
-
-
-class RowwiseAdam:
-    """Adam over the rows of one big matrix, where each step touches only a
-    subset of rows. Rows keep individual step counts, so rows outside a batch
-    are left exactly as they were. With a lane axis (shape lanes x n x k)
-    each lane is its own matrix and a step takes one row subset per lane."""
-
-    def __init__(self, shape: tuple[int, ...], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.counts = np.zeros(shape[:-1], dtype=np.int64)
-
-    def step(self, values: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> None:
-        if grad.shape != (*rows.shape, values.shape[-1]):
-            raise ValueError(f"gradient shape {grad.shape} does not match rows")
-        if not np.isfinite(grad).all():
-            raise ValueError("non-finite gradient")
-        at = rows if rows.ndim == 1 else (np.arange(len(rows))[:, None], rows)
-        self.counts[at] += 1
-        t = self.counts[at][..., None].astype(np.float64)
-        self.m[at] = self.beta1 * self.m[at] + (1 - self.beta1) * grad
-        self.v[at] = self.beta2 * self.v[at] + (1 - self.beta2) * grad * grad
-        m_hat = self.m[at] / (1 - self.beta1 ** t)
-        v_hat = self.v[at] / (1 - self.beta2 ** t)
-        values[at] -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-
-@dataclass
-class AttackState:
-    """Mutable attacker state across epochs."""
-
-    surrogate: FcNetwork
-    dummy_labels: np.ndarray  # n_train x out_dim (per lane)
-    alpha: float
-    surrogate_opt: Adam
-    dummy_opt: RowwiseAdam
-    epochs: int
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.dummy_labels.shape[-1] != self.surrogate.out_dim:
-            raise ValueError("dummy label width must match the surrogate output")
 
 
 @dataclass(frozen=True)
@@ -307,7 +258,7 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     keeps its own transcript, bottom model, leaked labels, surrogate and
     dummy labels. Surrogates and dummy labels are stacked along a lane axis,
     so one tape walk per batch serves every lane, and each lane computes
-    exactly what it would alone. With one lane nothing is stacked.
+    exactly what it would alone.
     """
     if not lanes:
         raise AttackError("no attacks to run")
@@ -333,24 +284,14 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
                                         seed=init_seed, role="surrogate"))
         rng = np.random.default_rng(np.random.SeedSequence([lane.config.seed, 0xDB]))
         dummies.append(rng.standard_normal((train.n, dims[-1])))
-    if count == 1:
-        surrogate, bottom = surrogates[0], lanes[0].bottom
-    else:
-        surrogate = stack_networks(surrogates)
-        try:
-            bottom = stack_networks([lane.bottom for lane in lanes])
-        except ValueError as exc:
-            raise AttackError(f"attacks cannot run in lock-step: {exc}") from exc
+    surrogate = stack_networks(surrogates)
+    try:
+        bottom = stack_networks([lane.bottom for lane in lanes])
+    except ValueError as exc:
+        raise AttackError(f"attacks cannot run in lock-step: {exc}") from exc
     dummy = stack_lanes(dummies)
-
-    state = AttackState(
-        surrogate=surrogate,
-        dummy_labels=dummy,
-        alpha=config.alpha,
-        surrogate_opt=Adam.for_network(surrogate, lr=config.lr),
-        dummy_opt=RowwiseAdam(dummy.shape, lr=config.lr),
-        epochs=config.epochs,
-    )
+    surrogate_opt = Adam.for_network(surrogate, lr=config.lr)
+    dummy_opt = RowwiseAdam(dummy.shape, lr=config.lr)
 
     # The bottom model is frozen and the records and leaked pairs never
     # change, so each batch's indices, activations and recorded gradient, and
@@ -373,7 +314,7 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     for epoch in range(config.epochs):
         for batch_no, (idx, cut_values, recorded_grad) in enumerate(
                 zip(batch_idx, batch_cuts, batch_grads)):
-            dummy_values = gather_rows(state.dummy_labels, idx)
+            dummy_values = gather_rows(dummy, idx)
             try:
                 plan = plans.get(cut_values.shape)
                 if plan is None:
@@ -388,8 +329,8 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
                 raise AttackError(
                     f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc
             total, gi_loss, *w_grads, d_grad = outputs
-            surrogate.set_parameters(state.surrogate_opt.step(surrogate.parameters(), w_grads))
-            state.dummy_opt.step(state.dummy_labels, idx, d_grad)
+            surrogate.set_parameters(surrogate_opt.step(surrogate.parameters(), w_grads))
+            dummy_opt.step(dummy, idx, d_grad)
             totals[:, batch_no] = total.reshape(count)
             inversions[:, batch_no] = gi_loss.reshape(count)
         for traces, values in ((loss_traces, totals), (inversion_traces, inversions)):
@@ -398,8 +339,7 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
 
     results = []
     for r, (lane, sur, dummy_r, leaked_cut_r) in enumerate(zip(
-            lanes, surrogates if count == 1 else surrogate.split(),
-            split_lanes(state.dummy_labels, count), split_lanes(leaked_cut, count))):
+            lanes, surrogate.split(), split_lanes(dummy, count), split_lanes(leaked_cut, count))):
         leaked = lane.leaked
         if lane.evaluation_column is None:
             label_column = _best_column(dummy_r[leaked.indices], leaked.labels)

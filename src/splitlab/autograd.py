@@ -27,7 +27,7 @@ plan per batch shape.
 Two rules make this sound:
   - every array that changes from step to step enters the graph as a leaf.
     A value that entered as a constant (an untaped tensor, or one computed
-    while the tape was paused) is replayed as it was at capture,
+    while recording was suspended) is replayed as it was at capture,
   - VJPs take step data only through node inputs, never through an array
     derived from them and stored in a node's aux (the relu VJP therefore
     uses the ``relu_grad(g, x)`` primitive rather than ``mulc`` by a mask).
@@ -36,10 +36,11 @@ Conventions:
   - all arithmetic is float64; results must be finite (NaN/Inf raises,
     naming the first operation that produced such a value). Untaped
     operations, ``constant`` and ``Tape.leaf`` check their result at once.
-    Taped operations, recorded or computed while the tape is paused, are
-    checked together when ``backward`` runs on their tape: once on entry,
-    for everything computed since the last check, and once on exit, for
-    what the backward pass itself computed. A step plan checks its inputs
+    Taped operations, recorded or computed while recording is suspended
+    (a ``backward`` without ``create_graph``), are checked together when
+    ``backward`` runs on their tape: once on entry, for everything computed
+    since the last check, and once on exit, for what the backward pass
+    itself computed. A step plan checks its inputs
     and results in one scan per run; on a hit it rescans them, inputs first
     and then results in tape order, and raises the error the taped step
     raises for the same arrays (that step also forms adjoints for leaves
@@ -52,8 +53,7 @@ Conventions:
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -120,9 +120,10 @@ class Tensor:
     """A 2-D float64 matrix, or a (lanes, rows, cols) stack of them,
     optionally attached to a tape node.
 
-    A tensor computed while its tape was paused keeps a reference to the
-    tape (so its values are checked with the tape's) but has no node, and
-    enters later operations as a constant.
+    A tensor computed while its tape's recording was suspended (inside a
+    ``backward`` without ``create_graph``) keeps a reference to the tape (so
+    its values are checked with the tape's) but has no node, and enters later
+    operations as a constant.
     """
 
     __slots__ = ("data", "tape", "node")
@@ -191,6 +192,8 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
+        # False while a first-order backward runs: its operations are
+        # computed and checked like recorded ones but add no node
         self._recording = True
         # (op, output) of every taped operation not yet checked for
         # finiteness; backward checks and clears it
@@ -198,16 +201,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    @contextlib.contextmanager
-    def paused(self) -> Iterator[None]:
-        """Suspend recording; values are still computed identically."""
-        prev = self._recording
-        self._recording = False
-        try:
-            yield
-        finally:
-            self._recording = prev
 
     def leaf(self, data) -> Tensor:
         """Register an input variable; gradients can be requested for it."""

@@ -9,6 +9,7 @@ redistributes data.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,10 @@ class LeakedSet:
 def load_csv(path, label_column=-1, header: bool = True, name: str = "") -> Dataset:
     """Read a numeric CSV; every non-label column becomes a feature, in file
     order. `label_column` is a column name (requires a header) or an index
-    (negative indices count from the end)."""
+    (negative indices count from the end). A `path` that is not a str or
+    os.PathLike (an int would be read as a file descriptor) raises DataError."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise DataError(f"a CSV path is a string or path, got {path!r}")
     try:
         fh = open(path, newline="")
     except OSError as exc:

@@ -343,8 +343,13 @@ def _exactly(kind: type, noun: str):
     return parse
 
 
+def _optional(parse):
+    """A parser that also takes None, as it is."""
+    return lambda value, what: None if value is None else parse(value, what)
+
+
 def _whole_numbers(value, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
+    if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a list, got {value!r}")
     return tuple(whole_number(v, what) for v in value)
 
@@ -358,15 +363,16 @@ def _object(value, what: str) -> dict:
 # The parser of a config value by its dataclass field's annotation (a
 # string, as annotations are postponed), called as parser(value, what): an
 # int is a whole number and a float a finite real (neither a boolean), a bool
-# a real boolean, a str a string, a `str | int` a name or a whole-number
-# index, a tuple of ints a list of whole numbers, a dict an object (copied).
+# a real boolean, a str a string, a `str | None` a string or None, a
+# `str | int` a name or a whole-number index, a tuple of ints a list (or
+# tuple) of whole numbers, a dict an object (copied).
 # A refused value raises ValueError naming `what`.
 FIELD_PARSERS = {
     "int": whole_number,
     "float": _finite_real,
     "bool": _exactly(bool, "true or false"),
     "str": _exactly(str, "a string"),
-    "str | None": _exactly(str, "a string"),
+    "str | None": _optional(_exactly(str, "a string")),
     "str | int": lambda value, what: value if isinstance(value, str) else whole_number(value, what),
     "tuple[int, ...]": _whole_numbers,
     "dict": _object,

@@ -128,6 +128,17 @@ class ExperimentConfig:
     repeats: int = 1
 
     def __post_init__(self):
+        # parse each value by its field's annotation (defense.FIELD_PARSERS),
+        # whether it came from a file or from code; defense_from_dict below
+        # checks the defense whole
+        for f in fields(self):
+            if f.name == "defense":
+                continue
+            try:
+                value = FIELD_PARSERS[f.type](getattr(self, f.name), _FIELD_KEYS[f.name])
+            except ValueError as exc:
+                raise HarnessError(f"bad configuration: {exc}") from None
+            object.__setattr__(self, f.name, value)
         if self.repeats < 1:
             raise HarnessError("repeats must be >= 1")
         if self.attack_readout not in ATTACK_READOUTS:
@@ -173,14 +184,13 @@ class ExperimentConfig:
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         """The config to_dict wrote. Each key is looked up in the schema
         for its dataset kind (synth when dataset.kind is absent) and its
-        value parsed by its field's annotation (see defense.FIELD_PARSERS);
-        absent keys keep their defaults. A malformed entry (a section that
-        is not an object, an unknown key, a key of the other dataset kind,
-        a csv dataset without a path, a value its rule refuses) raises
-        HarnessError naming its key."""
+        value handed to its field, which __post_init__ parses; absent keys
+        keep their defaults. A malformed entry (a section that is not an
+        object, an unknown key, a key of the other dataset kind, a csv
+        dataset without a path, a value its rule refuses) raises HarnessError
+        naming its key."""
         if not isinstance(payload, dict):
             raise HarnessError(f"bad configuration: expected an object, got {payload!r}")
-        types = {f.name: f.type for f in fields(cls)}
         entries, kw = {}, {}
         try:
             for key, value in payload.items():
@@ -189,19 +199,21 @@ class ExperimentConfig:
                     entries.update((f"{key}.{leaf}", entry) for leaf, entry in section.items())
                 elif "." in str(key):  # a section entry written at the top level
                     raise ValueError(f"{key} is not a config key")
+                elif key == "defense":  # an object, whose entries the defense checks
+                    entries[key] = FIELD_PARSERS["dict"](value, key)
                 else:
                     entries[key] = value
             kind = entries.pop("dataset.kind", "synth")
             if kind not in tuple(DATASET_KEYS):
                 raise ValueError(f"dataset.kind must be one of {tuple(DATASET_KEYS)}, "
                                  f"got {kind!r}")
-            if kind == "csv" and "dataset.path" not in entries:
+            if kind == "csv" and entries.get("dataset.path") is None:
                 raise ValueError("a csv dataset needs dataset.path")
             keys = _config_keys(kind)
             for key, value in entries.items():
                 if key not in keys:
                     raise ValueError(f"{key} is not a config key for a {kind} dataset")
-                kw[keys[key]] = FIELD_PARSERS[types[keys[key]]](value, key)
+                kw[keys[key]] = value
         except ValueError as exc:
             raise HarnessError(f"bad configuration: {exc}") from None
         return cls(**kw)
@@ -211,6 +223,10 @@ def _config_keys(kind: str) -> dict[str, str]:
     """Every key of a config whose dataset is `kind`, mapped to its field."""
     return {**{f"dataset.{key}": name for key, name in DATASET_KEYS[kind].items()},
             **_KEYS}
+
+
+# each ExperimentConfig field's key, which its errors name
+_FIELD_KEYS = {name: key for kind in DATASET_KEYS for key, name in _config_keys(kind).items()}
 
 
 @dataclass(frozen=True)

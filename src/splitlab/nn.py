@@ -1,4 +1,6 @@
-"""Fully-connected networks and the Adam optimizer.
+"""Fully-connected networks and the two Adam optimizers, which share one
+update rule (Kingma & Ba, arXiv 1412.6980) and its constants ADAM_BETA1,
+ADAM_BETA2 and ADAM_EPSILON.
 
 Networks are stacks of (weight, bias, activation) layers used in three roles:
 the feature party's bottom model, the label party's top model, and the
@@ -9,10 +11,12 @@ registers leaf tensors for every parameter.
 
 Networks of the same architecture can be stacked along a leading lane axis
 (``stack_networks``): every parameter becomes a (lanes, rows, cols) array and
-one pass computes every lane's network on its own lane of the input. The
-helpers at the end of the module stack, split and index per-lane arrays the
-same way; with one lane they add no axis, so a single network computes
-exactly as it would alone.
+one pass computes every lane's network on its own lane of the input;
+``Adam.stack`` and the helpers at the end of the module do the same for
+optimizer state and per-lane arrays. Every lane helper keeps one rule for a
+single item: stacking one network, optimizer or array returns it as it is,
+and splitting one without a lane axis returns it alone in a list, so one lane
+computes on the very objects it would use alone.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from .autograd import (
     matmul,
 )
 
-__all__ = ["Layer", "FcNetwork", "build_network", "stack_networks", "Adam",
-           "save_checkpoint", "load_checkpoint", "stack_lanes", "split_lanes",
-           "gather_rows"]
+__all__ = ["Layer", "FcNetwork", "build_network", "stack_networks", "Adam", "RowwiseAdam",
+           "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPSILON", "save_checkpoint", "load_checkpoint",
+           "stack_lanes", "split_lanes", "gather_rows"]
 
 
 @dataclass
@@ -90,9 +94,10 @@ class FcNetwork:
         return w.shape[0] if w.ndim == 3 else None
 
     def split(self) -> list["FcNetwork"]:
-        """The plain networks of a lane stack, as copies, in lane order."""
+        """The plain networks of a lane stack, as copies, in lane order; a
+        plain network is returned alone."""
         if self.lanes is None:
-            raise ValueError("network has no lane axis")
+            return [self]
         return [FcNetwork([Layer(l.weight[r].copy(), l.bias[r].copy(), l.activation)
                            for l in self.layers], role=self.role)
                 for r in range(self.lanes)]
@@ -183,7 +188,10 @@ def build_network(dims: list[int], activation: str = "relu", seed: int = 0,
 
 def stack_networks(nets: list[FcNetwork]) -> FcNetwork:
     """One lane stack of plain networks of the same architecture, lane r
-    holding a copy of nets[r]'s parameters."""
+    holding a copy of nets[r]'s parameters; a single network is returned as
+    it is."""
+    if len(nets) == 1:
+        return nets[0]
     first = nets[0]
     for net in nets:
         if net.lanes is not None:
@@ -198,44 +206,57 @@ def stack_networks(nets: list[FcNetwork]) -> FcNetwork:
     return FcNetwork(layers, role=first.role)
 
 
-class Adam:
-    """Standard Adam with bias correction over a fixed list of parameters."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
-    def __init__(self, shapes: list[tuple[int, int]], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+
+def _adam_update(m: np.ndarray, v: np.ndarray, grad: np.ndarray, t, lr: float):
+    """The new moments and the move to subtract from the parameters, at
+    step count t (a number, or an array broadcast against grad)."""
+    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    return m, v, lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+
+
+class Adam:
+    """Adam over a fixed list of parameters, with one step count."""
+
+    def __init__(self, shapes: list[tuple[int, int]], lr: float = 0.01):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
         self.step_count = 0
 
     @classmethod
-    def for_network(cls, net: FcNetwork, lr: float = 0.01, **kw) -> "Adam":
-        return cls([p.shape for p in net.parameters()], lr=lr, **kw)
+    def for_network(cls, net: FcNetwork, lr: float = 0.01) -> "Adam":
+        return cls([p.shape for p in net.parameters()], lr=lr)
 
     @classmethod
     def stack(cls, opts: list["Adam"]) -> "Adam":
         """One optimizer over lane-stacked parameters whose lane r continues
-        opts[r]; every optimizer must share settings and step count."""
+        opts[r]; every optimizer must share lr and step count. A single
+        optimizer is returned as it is."""
+        if len(opts) == 1:
+            return opts[0]
         first = opts[0]
-        settings = (first.lr, first.beta1, first.beta2, first.epsilon, first.step_count)
         for opt in opts:
-            if (opt.lr, opt.beta1, opt.beta2, opt.epsilon, opt.step_count) != settings:
+            if (opt.lr, opt.step_count) != (first.lr, first.step_count):
                 raise ValueError("cannot stack optimizers with different settings or step counts")
-        out = cls([], lr=first.lr, beta1=first.beta1, beta2=first.beta2, epsilon=first.epsilon)
+        out = cls([], lr=first.lr)
         out.m = [np.stack(ms) for ms in zip(*(o.m for o in opts))]
         out.v = [np.stack(vs) for vs in zip(*(o.v for o in opts))]
         out.step_count = first.step_count
         return out
 
     def split(self) -> list["Adam"]:
-        """The per-lane optimizers of a stacked one, in lane order."""
-        lanes = len(self.m[0])
+        """The per-lane optimizers of a stacked one, in lane order; an
+        optimizer without a lane axis (2-D state) is returned alone."""
+        if not self.m or self.m[0].ndim == 2:
+            return [self]
         out = []
-        for r in range(lanes):
-            opt = Adam([], lr=self.lr, beta1=self.beta1, beta2=self.beta2, epsilon=self.epsilon)
+        for r in range(len(self.m[0])):
+            opt = Adam([], lr=self.lr)
             opt.m = [m[r].copy() for m in self.m]
             opt.v = [v[r].copy() for v in self.v]
             opt.step_count = self.step_count
@@ -255,12 +276,35 @@ class Adam:
                 raise ValueError(f"gradient shape {g.shape} vs parameter {p.shape}")
             if not np.isfinite(g).all():
                 raise ValueError("non-finite gradient")
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** t)
-            v_hat = self.v[i] / (1 - self.beta2 ** t)
-            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon))
+            self.m[i], self.v[i], move = _adam_update(self.m[i], self.v[i], g, t, self.lr)
+            out.append(p - move)
         return out
+
+
+class RowwiseAdam:
+    """Adam over the rows of one big matrix, where each step touches only a
+    subset of rows. Rows keep individual step counts, so rows outside a batch
+    are left exactly as they were. With a lane axis (shape lanes x n x k)
+    each lane is its own matrix and a step takes one row subset per lane."""
+
+    def __init__(self, shape: tuple[int, ...], lr: float = 0.01):
+        self.lr = float(lr)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.counts = np.zeros(shape[:-1], dtype=np.int64)
+
+    def step(self, values: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> None:
+        """Update values[rows] in place; the rows of one lane are distinct."""
+        if grad.shape != (*rows.shape, values.shape[-1]):
+            raise ValueError(f"gradient shape {grad.shape} does not match rows")
+        if not np.isfinite(grad).all():
+            raise ValueError("non-finite gradient")
+        at = rows if rows.ndim == 1 else (np.arange(len(rows))[:, None], rows)
+        counts = self.counts[at] + 1
+        m, v, move = _adam_update(self.m[at], self.v[at], grad,
+                                  counts[..., None].astype(np.float64), self.lr)
+        self.counts[at], self.m[at], self.v[at] = counts, m, v
+        values[at] -= move
 
 
 def save_checkpoint(net: FcNetwork, path) -> None:
@@ -322,9 +366,9 @@ def load_checkpoint(path) -> FcNetwork:
 
 # ------------------------------------------------------------------- lanes
 
-def stack_lanes(arrays: list[np.ndarray]) -> np.ndarray:
-    """Per-lane arrays as one array with a leading lane axis; a single lane
-    is returned as it is, with no axis added."""
+def stack_lanes(arrays: list) -> np.ndarray:
+    """Per-lane arrays (or numbers) as one array with a leading lane axis; a
+    single lane is returned as it is, with no axis added."""
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 

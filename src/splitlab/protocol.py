@@ -199,9 +199,9 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     rate, batch size and epochs; each keeps its own seed, networks,
     optimizer state and defense parameters. Their networks and optimizers
     are stacked along a lane axis, so one tape walk per batch serves every
-    lane, and each lane computes exactly what it would alone. With one
-    session nothing is stacked. The trained parameters and optimizer states
-    are written back to the sessions, also when training fails.
+    lane, and each lane computes exactly what it would alone. The trained
+    parameters and optimizer states are written back to the sessions, also
+    when training fails.
 
     keep_epochs=k keeps only the records of the final k epochs in the
     transcripts (all epochs when None).
@@ -211,26 +211,20 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     _check_lanes(sessions, train)
     lanes = len(sessions)
     first = sessions[0]
-    if lanes == 1:
-        bottom, top = first.bottom, first.top
-        bottom_opt, top_opt = first.bottom_opt, first.top_opt
-    else:
-        try:
-            bottom = stack_networks([s.bottom for s in sessions])
-            top = stack_networks([s.top for s in sessions])
-            bottom_opt = Adam.stack([s.bottom_opt for s in sessions])
-            top_opt = Adam.stack([s.top_opt for s in sessions])
-        except ValueError as exc:
-            raise ProtocolError(f"sessions cannot train in lock-step: {exc}") from exc
+    try:
+        bottom = stack_networks([s.bottom for s in sessions])
+        top = stack_networks([s.top for s in sessions])
+        bottom_opt = Adam.stack([s.bottom_opt for s in sessions])
+        top_opt = Adam.stack([s.top_opt for s in sessions])
+    except ValueError as exc:
+        raise ProtocolError(f"sessions cannot train in lock-step: {exc}") from exc
 
     # the group's defense kind, read once: every lane's defense is of it
     d = first.defense
     uses_snapshot, changes_gradient = d.uses_snapshot, d.changes_gradient
     tables = [s.defense.target_table(train.labels, s.seed) for s in sessions]
     table = None if tables[0] is None else stack_lanes(tables)
-    if uses_snapshot:
-        label_columns = (d.label_column if lanes == 1
-                         else np.array([s.defense.label_column for s in sessions]))
+    label_columns = stack_lanes([s.defense.label_column for s in sessions])
     first_kept = 0 if keep_epochs is None else first.epochs - keep_epochs
     transcripts = [Transcript() for _ in sessions]
     traces: list[list[float]] = [[] for _ in sessions]
@@ -299,12 +293,11 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
             for trace, losses in zip(traces, epoch_losses):
                 trace.append(float(np.mean(losses)))
     finally:
-        if lanes > 1:
-            for s, b, t, bo, to in zip(sessions, bottom.split(), top.split(),
-                                       bottom_opt.split(), top_opt.split()):
-                s.bottom.set_parameters(b.parameters())
-                s.top.set_parameters(t.parameters())
-                s.bottom_opt, s.top_opt = bo, to
+        for s, b, t, bo, to in zip(sessions, bottom.split(), top.split(),
+                                   bottom_opt.split(), top_opt.split()):
+            s.bottom.set_parameters(b.parameters())
+            s.top.set_parameters(t.parameters())
+            s.bottom_opt, s.top_opt = bo, to
     return list(zip(transcripts, traces))
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,18 @@ def test_load_csv_negative_label_index(tmp_path):
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot open"):
         load_csv(tmp_path / "nope.csv")
+
+
+def test_load_csv_refuses_a_file_descriptor(tmp_path):
+    # open() would read an int as a descriptor and close it afterwards
+    p = write(tmp_path, "a,y\n1,2\n3,4\n")
+    fd = os.open(p, os.O_RDONLY)
+    try:
+        with pytest.raises(DataError, match=rf"got {fd}$"):
+            load_csv(fd)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
 
 
 def test_load_csv_parse_error_reports_position(tmp_path):

@@ -281,6 +281,26 @@ def test_config_rejects_a_fractional_count_naming_its_key(payload, key):
         ExperimentConfig.from_dict(payload)
 
 
+@pytest.mark.parametrize("override,message", [
+    (dict(attacker_knows_extension="false"), "attack.knows_extension must be true or false"),
+    (dict(epochs=2.5), "training.epochs must be a whole number"),
+    (dict(bottom_hidden=(16.5,)), "model.bottom_hidden must be a whole number"),
+    (dict(dataset_path=5), "dataset.path must be a string"),
+    (dict(lr=float("nan")), "training.lr must be a finite number"),
+])
+def test_config_built_in_code_is_checked_like_a_file(override, message):
+    with pytest.raises(HarnessError, match=rf"^bad configuration: {re.escape(message)}"):
+        ExperimentConfig(**override)
+
+
+def test_config_built_in_code_stores_parsed_values():
+    cfg = ExperimentConfig(dataset_path=None, bottom_hidden=[16, 8.0], top_hidden=(4,),
+                           epochs=np.int64(3), lr=1)
+    assert (cfg.dataset_path, cfg.bottom_hidden, cfg.top_hidden) == (None, (16, 8), (4,))
+    assert (type(cfg.epochs), type(cfg.lr)) == (int, float)
+    assert replace(cfg, seed=2).bottom_hidden == (16, 8)
+
+
 def test_config_accepts_whole_numbers_written_as_floats_or_strings():
     cfg = ExperimentConfig.from_dict({"training": {"epochs": 3.0, "seed": "2"},
                                       "model": {"bottom_hidden": [16.0]}})

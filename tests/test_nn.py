@@ -5,6 +5,7 @@ import pytest
 
 from splitlab.autograd import Tape, backward, constant, mse
 from splitlab.nn import (
+    ADAM_EPSILON,
     Adam,
     FcNetwork,
     Layer,
@@ -116,7 +117,7 @@ def test_adam_first_step_formula():
     lr = 0.01
     opt = Adam([(1, 1)], lr=lr)
     (new,) = opt.step([np.array([[5.0]])], [np.array([[g]])])
-    expected = 5.0 - lr * g / (abs(g) + opt.epsilon)
+    expected = 5.0 - lr * g / (abs(g) + ADAM_EPSILON)
     assert new[0, 0] == pytest.approx(expected, abs=1e-15)
 
 
@@ -263,6 +264,15 @@ def test_lane_array_helpers():
     idx = np.array([[2, 0], [1, 1]])
     assert np.array_equal(gather_rows(both, idx), [one[[2, 0]], one[[1, 1]] + 10])
     assert np.array_equal(gather_rows(one, idx), one[idx])
+
+
+def test_lane_helpers_keep_a_single_network_or_optimizer_as_it_is():
+    net = build_network([3, 4, 2], seed=0)
+    opt = Adam.for_network(net, lr=0.05)
+    assert stack_networks([net]) is net
+    assert Adam.stack([opt]) is opt
+    assert net.split() == [net] and opt.split() == [opt]
+    assert len(Adam.stack([opt, Adam.for_network(net, lr=0.05)]).split()) == 2
 
 
 def test_checkpoint_rejects_a_lane_stack(tmp_path):

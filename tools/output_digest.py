@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Print the SHA-256 of a fixed set of splitlab outputs, one line each.
+
+A change that must leave every output byte-identical is checked by running
+this script in a checkout of the parent commit and in the changed tree and
+comparing the printed lines (`diff` of the two outputs is empty when the
+bytes agree). The set:
+
+  - the `emit_results` JSON of the acceptance label-noise sweep (main
+    profile, scales 0.1, 1 and 4) and of the `rle_small` run (small
+    profile, random extension, 2 repeats);
+  - the `emit_results` JSON of one round shaped like the benchmark's
+    `defense_sweep_small` workload (seed 0, n 500, three sweep families with
+    two values each, both extension variants at widths 2 and 8, 2 repeats);
+  - for each of the six defenses, a 160-sample synthetic `splitlab train`
+    (transcript, checkpoints, manifest) and its `splitlab attack --out`;
+  - one CSV `splitlab train` manifest (label column by name, dataset name
+    set), written from inside a temporary directory so the path it records
+    is the same in every checkout.
+
+Usage, from the root of a checkout (about 20 s on two cores):
+
+    python3 tools/output_digest.py > digests.txt
+
+The script imports `splitlab` from the `src/` directory next to it and runs
+numpy single-threaded, so digests depend only on the code and the numpy
+build.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from splitlab.cli import main as cli_main  # noqa: E402
+from splitlab.harness import (  # noqa: E402
+    ExperimentConfig,
+    emit_results,
+    run_experiment,
+    sweep_defense,
+    sweep_extension_dims,
+)
+
+DEFENSES = ("none", "label_noise", "gradient_noise", "gradient_compression",
+            "random_extension", "adaptive_extension")
+
+# the synthetic CLI runs: small enough that all six take a few seconds
+TINY_CONFIG = {
+    "dataset": {"kind": "synth", "n": 160, "d": 4},
+    "model": {"cut_dim": 4, "bottom_hidden": []},
+    "training": {"epochs": 4, "batch_size": 32, "seed": 0},
+    "attack": {"epochs": 2, "window": 4, "leak_fraction": 0.05},
+}
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _results_digest(results, work: Path) -> str:
+    path = work / "results.json"
+    emit_results(results, "json", path)
+    return _sha(path)
+
+
+def _cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"splitlab {' '.join(argv)} exited with {code}")
+
+
+def digests(work: Path):
+    """(name, sha256) of every output in the set, in a fixed order."""
+    main = ExperimentConfig(seed=0)
+    small = replace(main, synth_n=500, batch_size=16)
+    yield "acceptance noise sweep", _results_digest(
+        sweep_defense(main, "label_noise", "scale", [0.1, 1, 4]), work)
+    yield "acceptance rle_small", _results_digest(
+        [run_experiment(replace(small, repeats=2, defense={"name": "random_extension"}))], work)
+
+    sweep = ExperimentConfig(seed=0, synth_n=500, batch_size=16, epochs=20, attack_epochs=5,
+                             attack_window=1, attack_lr=0.1, repeats=2)
+    results = []
+    for variant, param, grid in (("label_noise", "scale", [0.1, 1.0]),
+                                 ("gradient_noise", "scale", [0.01, 0.1]),
+                                 ("gradient_compression", "keep_rate", [0.25, 0.75])):
+        results += sweep_defense(sweep, variant, param, grid)
+    results += sweep_extension_dims(sweep, [2, 8])
+    yield "defense_sweep_small round", _results_digest(results, work)
+
+    config = work / "tiny.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    for name in DEFENSES:
+        run = work / name
+        _cli(["train", "--config", str(config), "--defense", name, "--out", str(run)])
+        _cli(["attack", "--run", str(run), "--out", str(run / "attack.json")])
+        for file in ("transcript.bin", "bottom.json", "top.json", "manifest.json",
+                     "attack.json"):
+            yield f"train+attack {name} {file}", _sha(run / file)
+
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(200, 5))
+    np.savetxt(work / "data.csv", rows, delimiter=",", header="a,b,c,d,price", comments="")
+    previous = Path.cwd()
+    os.chdir(work)
+    try:
+        _cli(["train", "--dataset", "data.csv", "--set", "dataset.label_column=price",
+              "--set", "dataset.name=digest", "--set", "training.epochs=2",
+              "--set", "model.bottom_hidden=[]", "--set", "model.cut_dim=4",
+              "--out", "csv_run"])
+    finally:
+        os.chdir(previous)
+    yield "train csv manifest.json", _sha(work / "csv_run" / "manifest.json")
+
+
+def run() -> None:
+    with tempfile.TemporaryDirectory(prefix="splitlab-digest-") as tmp:
+        for name, digest in digests(Path(tmp)):
+            print(f"{digest}  {name}", flush=True)
+
+
+if __name__ == "__main__":
+    run()
