@@ -232,10 +232,20 @@ def run_attack(transcript: Transcript, bottom: FcNetwork, train: Dataset,
 
 
 def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
-    """The lane's replayed records, after checking it against the dataset."""
+    """The lane's replayed records, after checking it against the dataset:
+    every replayed index must name a training sample."""
     records = lane.transcript.last_epochs(lane.config.transcript_window)
     if not records:
         raise AttackError(f"{where}transcript has no records")
+    indices = np.concatenate([rec.indices for rec in records])
+    if not ((0 <= indices) & (indices < train.n)).all():
+        first = len(lane.transcript) - len(records)
+        for k, rec in enumerate(records):
+            bad = rec.indices[(rec.indices < 0) | (rec.indices >= train.n)]
+            if bad.size:
+                raise AttackError(
+                    f"{where}transcript record {first + k} (epoch {rec.epoch}) holds sample "
+                    f"index {bad[0]}, outside the {train.n} training samples")
     cut_dim = records[0].activations.shape[1]
     if lane.bottom.out_dim != cut_dim:
         raise AttackError(f"{where}bottom model output dim {lane.bottom.out_dim} "
@@ -311,6 +321,7 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     inversions = np.empty((count, len(batch_idx)))
     # one plan per batch shape: every batch but a short final one shares it
     plans: dict[tuple[int, ...], StepPlan] = {}
+    surrogate_params = surrogate.parameters()
     for epoch in range(config.epochs):
         for batch_no, (idx, cut_values, recorded_grad) in enumerate(
                 zip(batch_idx, batch_cuts, batch_grads)):
@@ -323,13 +334,13 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
                                                   config.alpha)
                     plans[cut_values.shape] = plan
                 else:
-                    outputs = plan.run([*surrogate.parameters(), dummy_values, cut_values,
+                    outputs = plan.run([*surrogate_params, dummy_values, cut_values,
                                         recorded_grad])
             except AutogradError as exc:
                 raise AttackError(
                     f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc
             total, gi_loss, *w_grads, d_grad = outputs
-            surrogate.set_parameters(surrogate_opt.step(surrogate.parameters(), w_grads))
+            surrogate_opt.step(surrogate.flat, w_grads)
             dummy_opt.step(dummy, idx, d_grad)
             totals[:, batch_no] = total.reshape(count)
             inversions[:, batch_no] = gi_loss.reshape(count)

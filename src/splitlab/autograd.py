@@ -13,16 +13,19 @@ a second backward yields second-order derivatives. This is what lets a loss
 contain "the gradient of another loss" as a differentiable sub-expression.
 
 Step plans. A loop that runs the same graph many times over new arrays (the
-attack's second-order step) pays for the tape's bookkeeping on every step:
-node records, tensor wrappers and the adjoint dictionary cost far more than
-the small-matrix arithmetic itself. A ``StepPlan`` is captured from one
-normal taped step whose final backward ran with ``create_graph=True``, so
-that every gradient is a node. The caller names the plan's inputs (leaves)
-and outputs; the plan keeps only the outputs' ancestors, and ``run(arrays)``
-recomputes each of them in tape order through the same per-op forward table
-the primitives use, so a replayed step is bit-identical to a taped one on
-the same arrays. Its inputs must have the captured shapes; a loop keeps one
-plan per batch shape.
+attack's second-order step, the split training step) pays for the tape's
+bookkeeping on every step: node records, tensor wrappers and the adjoint
+dictionary cost far more than the small-matrix arithmetic itself. A
+``StepPlan`` is captured from one normal taped step whose backward passes ran
+with ``create_graph=True``, so that every gradient is a node. The caller
+names the plan's inputs (leaves) and outputs; the plan keeps only the
+outputs' ancestors, and ``run(arrays)`` recomputes each of them in tape
+order through the same per-op forward table the primitives use, so a
+replayed step is bit-identical to a taped one on the same arrays. Its inputs
+must have the captured shapes; a loop keeps one plan per batch shape. One
+tape may yield several plans: the training step is three (the feature
+party's forward, the label party's part and the feature party's backward),
+with numpy work between them whose results enter the next plan as inputs.
 
 Two rules make this sound:
   - every array that changes from step to step enters the graph as a leaf.
@@ -35,18 +38,27 @@ Two rules make this sound:
 Conventions:
   - all arithmetic is float64; results must be finite (NaN/Inf raises,
     naming the first operation that produced such a value). Untaped
-    operations, ``constant`` and ``Tape.leaf`` check their result at once.
-    Taped operations, recorded or computed while recording is suspended
-    (a ``backward`` without ``create_graph``), are checked together when
-    ``backward`` runs on their tape: once on entry, for everything computed
-    since the last check, and once on exit, for what the backward pass
-    itself computed. A step plan checks its inputs
-    and results in one scan per run; on a hit it rescans them, inputs first
-    and then results in tape order, and raises the error the taped step
-    raises for the same arrays (that step also forms adjoints for leaves
-    nobody asked for, which the plan drops; only if one of those is the
-    first to overflow do the two name different operations). With a lane
-    axis the error also names the first lane holding such a value,
+    operations, ``constant`` and ``Tape.leaf`` check their result at once
+    (a leaf after the taped operations made before it, so that the first
+    value in tape order is the one named). Taped operations, recorded or
+    computed while recording is suspended (a ``backward`` without
+    ``create_graph``), are checked together when a leaf is made on their
+    tape and when ``backward`` runs on it: once on entry, for everything
+    computed since the last check, and once on exit, for what the backward
+    pass itself computed. A step plan checks its inputs and results in one
+    scan per run; on a hit it rescans them, inputs first and then results in
+    tape order, and raises the error the taped step raises for the same
+    arrays.
+    The taped step also forms adjoints for leaves nobody asked for, which
+    the plan drops; only if one of those is the first to overflow do the two
+    name different operations. In the attack's step that is a rare case; in
+    the training step the one such adjoint, the sent gradient's in the
+    feature party's backward, is the seed of ones times the cut, equal to
+    the already checked cut, so the two always agree there. A value the
+    taped step computes but no output depends on is checked by a replay
+    only if the caller names it as an output (the training step names its
+    relay ``sum(cut * sent)``). With a lane axis the error also names the
+    first lane holding such a value,
   - relu is given a zero second derivative everywhere (subgradient 0 at 0),
   - a tape and its tensors belong to one logical thread.
 """
@@ -203,8 +215,11 @@ class Tape:
         return len(self.nodes)
 
     def leaf(self, data) -> Tensor:
-        """Register an input variable; gradients can be requested for it."""
+        """Register an input variable; gradients can be requested for it.
+        Operations recorded before it are checked first, so the first
+        non-finite value in tape order is the one named."""
         arr = _as_matrix(data).copy()
+        self._check_pending()
         _require_finite(arr, "leaf")
         self.nodes.append(_Node("leaf", (), (), arr, None))
         return _wrap(arr, self, len(self.nodes) - 1)

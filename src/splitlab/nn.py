@@ -5,24 +5,37 @@ ADAM_BETA2 and ADAM_EPSILON.
 Networks are stacks of (weight, bias, activation) layers used in three roles:
 the feature party's bottom model, the label party's top model, and the
 attacker's surrogate. Hidden layers use the configured activation; the final
-layer is always linear (regression output). Parameters live in plain float64
-arrays; for a differentiation step the network is attached to a tape, which
-registers leaf tensors for every parameter.
+layer is always linear (regression output). For a differentiation step the
+network is attached to a tape, which registers leaf tensors for every
+parameter.
+
+Flat store. A network keeps all of its parameters in one contiguous float64
+buffer, ``FcNetwork.flat``, parameter by parameter in layer order (weight,
+bias, weight, bias, ...), each parameter's entries row-major. Every
+``layer.weight`` and ``layer.bias`` is a view into that buffer: an in-place
+write through a view is a write to the network, assigning to
+``layer.weight`` copies into the view, and ``set_parameters`` copies into
+the views too. The buffer is never rebound. ``Adam`` keeps its moments as
+flat buffers of the same layout and updates a network's buffer in place, one
+fused pass over all parameters per step, with preallocated work arrays.
 
 Networks of the same architecture can be stacked along a leading lane axis
-(``stack_networks``): every parameter becomes a (lanes, rows, cols) array and
-one pass computes every lane's network on its own lane of the input;
-``Adam.stack`` and the helpers at the end of the module do the same for
-optimizer state and per-lane arrays. Every lane helper keeps one rule for a
-single item: stacking one network, optimizer or array returns it as it is,
-and splitting one without a lane axis returns it alone in a list, so one lane
-computes on the very objects it would use alone.
+(``stack_networks``): every parameter becomes a (lanes, rows, cols) array
+(still one block of the flat buffer, so the buffer holds each parameter for
+all lanes before the next parameter) and one pass computes every lane's
+network on its own lane of the input; ``Adam.stack`` and the helpers at the
+end of the module do the same for optimizer state and per-lane arrays. Every
+lane helper keeps one rule for a single item: stacking one network,
+optimizer or array returns it as it is, and splitting one without a lane
+axis returns it alone in a list, so one lane computes on the very objects it
+would use alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -42,26 +55,73 @@ __all__ = ["Layer", "FcNetwork", "build_network", "stack_networks", "Adam", "Row
            "stack_lanes", "split_lanes", "gather_rows"]
 
 
-@dataclass
 class Layer:
-    weight: np.ndarray  # in_dim x out_dim, or lanes x in_dim x out_dim
-    bias: np.ndarray    # 1 x out_dim, or lanes x 1 x out_dim
-    activation: str
+    """One fully-connected layer: weight (in_dim x out_dim, or lanes x in_dim
+    x out_dim), bias (1 x out_dim, or lanes x 1 x out_dim) and activation.
 
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        w = self.weight.shape
-        if self.weight.ndim not in (2, 3) or self.bias.shape != (*w[:-2], 1, w[-1]):
-            raise ValueError(f"layer shapes {self.weight.shape} / {self.bias.shape} inconsistent")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation '{self.activation}'")
-        if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
+    A layer copies the arrays it is given; once a network adopts it, they
+    are views into the network's flat buffer. Assigning to ``weight`` or
+    ``bias`` copies the new values into the existing array, so the network
+    sees them."""
+
+    __slots__ = ("_weight", "_bias", "activation")
+
+    def __init__(self, weight, bias, activation: str):
+        self._weight = weight = np.array(weight, dtype=np.float64)
+        self._bias = bias = np.array(bias, dtype=np.float64)
+        self.activation = activation
+        w = weight.shape
+        if weight.ndim not in (2, 3) or bias.shape != (*w[:-2], 1, w[-1]):
+            raise ValueError(f"layer shapes {weight.shape} / {bias.shape} inconsistent")
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation '{activation}'")
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
             raise ValueError("layer parameters must be finite")
+
+    @property
+    def weight(self) -> np.ndarray:
+        return self._weight
+
+    @weight.setter
+    def weight(self, values) -> None:
+        _copy_into(self._weight, values, "weight")
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self._bias
+
+    @bias.setter
+    def bias(self, values) -> None:
+        _copy_into(self._bias, values, "bias")
+
+    def _adopt(self, weight: np.ndarray, bias: np.ndarray) -> None:
+        """Move the parameters into the given views of a network's buffer."""
+        weight[...] = self._weight
+        bias[...] = self._bias
+        self._weight, self._bias = weight, bias
+
+
+def _copy_into(target: np.ndarray, values, what: str) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != target.shape:
+        raise ValueError(f"{what} shape {values.shape} vs {target.shape}")
+    target[...] = values
+
+
+def _param_views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """The consecutive blocks of a flat buffer, reshaped to `shapes`."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
 
 
 class FcNetwork:
-    """A chain of fully-connected layers; consecutive dims must match."""
+    """A chain of fully-connected layers; consecutive dims must match. The
+    network adopts its layers: their parameters move into its flat buffer
+    (see the module docstring)."""
 
     def __init__(self, layers: list[Layer], role: str = ""):
         if not layers:
@@ -74,6 +134,11 @@ class FcNetwork:
         self.layers = layers
         self.role = role
         self._handles: list[Tensor] | None = None
+        shapes = [p.shape for layer in layers for p in (layer.weight, layer.bias)]
+        self.flat = np.empty(sum(math.prod(s) for s in shapes))
+        views = _param_views(self.flat, shapes)
+        for layer, weight, bias in zip(layers, views[::2], views[1::2]):
+            layer._adopt(weight, bias)
 
     @property
     def in_dim(self) -> int:
@@ -98,26 +163,29 @@ class FcNetwork:
         plain network is returned alone."""
         if self.lanes is None:
             return [self]
-        return [FcNetwork([Layer(l.weight[r].copy(), l.bias[r].copy(), l.activation)
-                           for l in self.layers], role=self.role)
+        return [FcNetwork([Layer(l.weight[r], l.bias[r], l.activation) for l in self.layers],
+                          role=self.role)
                 for r in range(self.lanes)]
 
     def parameters(self) -> list[np.ndarray]:
+        """The parameter views into the flat buffer: weight, bias, weight,
+        bias, ... in layer order."""
         out = []
         for layer in self.layers:
             out.append(layer.weight)
             out.append(layer.bias)
         return out
 
-    def set_parameters(self, arrays: list[np.ndarray]) -> None:
+    def set_parameters(self, arrays: Sequence[np.ndarray]) -> None:
+        """Copy new values into the parameters, in parameters() order."""
         if len(arrays) != 2 * len(self.layers):
             raise ValueError("parameter count mismatch")
         for i, layer in enumerate(self.layers):
             w, b = arrays[2 * i], arrays[2 * i + 1]
             if w.shape != layer.weight.shape or b.shape != layer.bias.shape:
                 raise ValueError("parameter shape mismatch")
-            layer.weight = np.asarray(w, dtype=np.float64)
-            layer.bias = np.asarray(b, dtype=np.float64)
+        for target, values in zip(self.parameters(), arrays):
+            target[...] = values
 
     def attach(self, tape: Tape) -> list[Tensor]:
         """Register every parameter as a leaf on the tape; returns the handles
@@ -164,7 +232,7 @@ class FcNetwork:
         return h
 
     def copy(self, role: str | None = None) -> "FcNetwork":
-        layers = [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
+        layers = [Layer(l.weight, l.bias, l.activation) for l in self.layers]
         return FcNetwork(layers, role=self.role if role is None else role)
 
 
@@ -209,24 +277,47 @@ def stack_networks(nets: list[FcNetwork]) -> FcNetwork:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
-def _adam_update(m: np.ndarray, v: np.ndarray, grad: np.ndarray, t, lr: float):
-    """The new moments and the move to subtract from the parameters, at
-    step count t (a number, or an array broadcast against grad)."""
-    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1 - ADAM_BETA1 ** t)
-    v_hat = v / (1 - ADAM_BETA2 ** t)
-    return m, v, lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+def _adam_update(m: np.ndarray, v: np.ndarray, grad: np.ndarray, t, lr: float,
+                 move: np.ndarray, scratch: np.ndarray) -> None:
+    """One Adam step at step count t (a number, or an array broadcast against
+    grad): advance the moments m and v in place and write the move to
+    subtract from the parameters into `move`. `scratch` is a work array of
+    grad's shape. The operations run in the order of
+
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad * grad
+        move = lr * (m / (1 - b1 ** t)) / (sqrt(v / (1 - b2 ** t)) + eps)
+
+    so the results are those bytes."""
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(grad, 1 - ADAM_BETA1, out=scratch)
+    np.add(m, scratch, out=m)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(grad, 1 - ADAM_BETA2, out=scratch)
+    np.multiply(scratch, grad, out=scratch)
+    np.add(v, scratch, out=v)
+    np.divide(m, 1 - ADAM_BETA1 ** t, out=move)
+    np.multiply(move, lr, out=move)
+    np.divide(v, 1 - ADAM_BETA2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    np.add(scratch, ADAM_EPSILON, out=scratch)
+    np.divide(move, scratch, out=move)
 
 
 class Adam:
-    """Adam over a fixed list of parameters, with one step count."""
+    """Adam over the flat parameter buffer of one network (see the module
+    docstring), with one step count. `m` and `v` are flat buffers of the
+    same layout; `shapes` lists the parameters' shapes in buffer order."""
 
-    def __init__(self, shapes: list[tuple[int, int]], lr: float = 0.01):
+    def __init__(self, shapes: Sequence[tuple[int, ...]], lr: float = 0.01):
         self.lr = float(lr)
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.shapes = [tuple(s) for s in shapes]
+        size = sum(math.prod(s) for s in self.shapes)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.step_count = 0
+        # work arrays of every step: the gathered gradient, the move, scratch
+        self._work = np.empty((3, size))
 
     @classmethod
     def for_network(cls, net: FcNetwork, lr: float = 0.01) -> "Adam":
@@ -235,50 +326,55 @@ class Adam:
     @classmethod
     def stack(cls, opts: list["Adam"]) -> "Adam":
         """One optimizer over lane-stacked parameters whose lane r continues
-        opts[r]; every optimizer must share lr and step count. A single
-        optimizer is returned as it is."""
+        opts[r]; every optimizer must share parameter shapes, lr and step
+        count. A single optimizer is returned as it is."""
         if len(opts) == 1:
             return opts[0]
         first = opts[0]
         for opt in opts:
-            if (opt.lr, opt.step_count) != (first.lr, first.step_count):
+            if (opt.shapes, opt.lr, opt.step_count) != (first.shapes, first.lr, first.step_count):
                 raise ValueError("cannot stack optimizers with different settings or step counts")
-        out = cls([], lr=first.lr)
-        out.m = [np.stack(ms) for ms in zip(*(o.m for o in opts))]
-        out.v = [np.stack(vs) for vs in zip(*(o.v for o in opts))]
+        out = cls([(len(opts), *s) for s in first.shapes], lr=first.lr)
+        for name in ("m", "v"):
+            per_param = zip(*(_param_views(getattr(o, name), o.shapes) for o in opts))
+            np.concatenate([np.stack(lanes) for lanes in per_param], axis=None,
+                           out=getattr(out, name))
         out.step_count = first.step_count
         return out
 
     def split(self) -> list["Adam"]:
         """The per-lane optimizers of a stacked one, in lane order; an
-        optimizer without a lane axis (2-D state) is returned alone."""
-        if not self.m or self.m[0].ndim == 2:
+        optimizer over parameters without a lane axis is returned alone."""
+        if not self.shapes or len(self.shapes[0]) == 2:
             return [self]
         out = []
-        for r in range(len(self.m[0])):
-            opt = Adam([], lr=self.lr)
-            opt.m = [m[r].copy() for m in self.m]
-            opt.v = [v[r].copy() for v in self.v]
+        for r in range(self.shapes[0][0]):
+            opt = Adam([s[1:] for s in self.shapes], lr=self.lr)
+            for name in ("m", "v"):
+                np.concatenate([p[r] for p in _param_views(getattr(self, name), self.shapes)],
+                               axis=None, out=getattr(opt, name))
             opt.step_count = self.step_count
             out.append(opt)
         return out
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-        """One update; returns the new parameter arrays (inputs untouched)."""
-        if len(params) != len(self.m):
-            raise ValueError("parameter count does not match optimizer state")
+    def step(self, params: np.ndarray, grads: Sequence[np.ndarray]) -> None:
+        """One update of a flat parameter buffer in place, from one gradient
+        per parameter in buffer order. The gradients are not scanned for
+        non-finite values: the backward pass or step plan that formed them
+        has scanned them already."""
+        if params.shape != self.m.shape:
+            raise ValueError(f"parameter buffer of shape {params.shape} does not match "
+                             f"optimizer state of {self.m.size} values")
+        if len(grads) != len(self.shapes):
+            raise ValueError("gradient count does not match optimizer state")
+        for g, shape in zip(grads, self.shapes):
+            if g.shape != shape:
+                raise ValueError(f"gradient shape {g.shape} vs parameter {shape}")
+        grad, move, scratch = self._work
+        np.concatenate(grads, axis=None, out=grad)
         self.step_count += 1
-        t = self.step_count
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} vs parameter {p.shape}")
-            if not np.isfinite(g).all():
-                raise ValueError("non-finite gradient")
-            self.m[i], self.v[i], move = _adam_update(self.m[i], self.v[i], g, t, self.lr)
-            out.append(p - move)
-        return out
+        _adam_update(self.m, self.v, grad, self.step_count, self.lr, move, scratch)
+        np.subtract(params, move, out=params)
 
 
 class RowwiseAdam:
@@ -301,8 +397,9 @@ class RowwiseAdam:
             raise ValueError("non-finite gradient")
         at = rows if rows.ndim == 1 else (np.arange(len(rows))[:, None], rows)
         counts = self.counts[at] + 1
-        m, v, move = _adam_update(self.m[at], self.v[at], grad,
-                                  counts[..., None].astype(np.float64), self.lr)
+        m, v = self.m[at], self.v[at]
+        move, scratch = np.empty_like(grad), np.empty_like(grad)
+        _adam_update(m, v, grad, counts[..., None].astype(np.float64), self.lr, move, scratch)
         self.counts[at], self.m[at], self.v[at] = counts, m, v
         values[at] -= move
 

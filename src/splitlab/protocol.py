@@ -8,6 +8,16 @@ of the raw one. The feature party updates its bottom model from the gradient
 it actually received, and records (activations, received gradient) for every
 batch; that record is the entire attack surface. Which defense runs is the
 session's concern only through the members of `defense.Defense`.
+
+A training step is three programs, whatever the defense: the feature
+party's forward (bottom parameters and features in, cut activations out),
+the label party's part (top parameters, cut and targets in; loss, top
+gradients and cut gradient out) and the feature party's backward (bottom
+parameters, features and the sent gradient in; bottom gradients out). The
+defense's numpy rules run between them: the targets after the forward, the
+sent gradient after the label party's part. The first batch of each batch
+shape is taped and captured as three `autograd.StepPlan`s; every later
+batch of that shape replays them (see the autograd module docstring).
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import AutogradError, Tape, backward, constant, mse, mul, sum_all
+from .autograd import AutogradError, StepPlan, Tape, backward, constant, mse, mul, sum_all
 from .data import Dataset
 from .defense import Defense
 # Called by the defenses, not here; importable from here for code that wraps
@@ -230,6 +240,10 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     traces: list[list[float]] = [[] for _ in sessions]
     # this epoch's per-batch losses, one row per lane
     epoch_losses = np.empty((lanes, -(-train.n // first.batch_size)))
+    # one set of plans per batch shape: every batch but a short final one
+    # shares it
+    plans: dict[tuple[int, ...], tuple[StepPlan, StepPlan, StepPlan]] = {}
+    bottom_params, top_params = bottom.parameters(), top.parameters()
 
     try:
         for epoch in range(first.epochs):
@@ -241,55 +255,43 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
                 idx = order[..., start:start + first.batch_size]
                 x_batch = train.features[idx]
                 y_batch = train.labels[idx]
-                try:
-                    tape = Tape()
-                    bottom_handles = bottom.attach(tape)
-                    cut = bottom.forward(constant(x_batch))
-                    # attached after the cut, so the label party's backward,
-                    # whose oldest requested node is then the cut, stops there
-                    top_handles = top.attach(tape)
+
+                def targets_of(cut):
                     if uses_snapshot:
-                        targets = d.snapshot_targets(snapshot, cut.data, y_batch, label_columns)
-                    elif table is not None:
-                        targets = gather_rows(table, idx)
+                        return d.snapshot_targets(snapshot, cut, y_batch, label_columns)
+                    return y_batch if table is None else gather_rows(table, idx)
+
+                def sent_of(cut_grad):
+                    if not changes_gradient:
+                        return cut_grad
+                    return stack_lanes([
+                        s.defense.outgoing_gradient(g, s.seed, epoch, batch_no)
+                        for s, g in zip(sessions, split_lanes(cut_grad, lanes))])
+
+                try:
+                    step = plans.get(x_batch.shape)
+                    if step is None:
+                        step, outputs = _capture_step(bottom, top, x_batch, targets_of, sent_of)
+                        plans[x_batch.shape] = step
                     else:
-                        targets = y_batch
-                    pred = top.forward(cut)
-                    loss = mse(pred, constant(targets))
-
-                    # label party: gradients for its own update and for the wire
-                    *top_grads, cut_grad = backward(loss, [*top_handles, cut])
-                    sent = cut_grad.data
-                    if changes_gradient:
-                        sent = stack_lanes([
-                            s.defense.outgoing_gradient(g, s.seed, epoch, batch_no)
-                            for s, g in zip(sessions, split_lanes(sent, lanes))])
-                    if epoch >= first_kept:
-                        for transcript, i, a, g in zip(transcripts, split_lanes(idx, lanes),
-                                                       split_lanes(cut.data, lanes),
-                                                       split_lanes(sent, lanes)):
-                            transcript.records.append(
-                                TranscriptRecord(epoch, i.copy(), a.copy(), g.copy()))
-
-                    if consistency_check and not changes_gradient:
-                        _check_gradient_consistency(top, cut.data, targets, sent,
-                                                    epoch, batch_no)
-
-                    # feature party: backprop resumes from the gradient
-                    # actually received, whatever the defense did to it
-                    relay = sum_all(mul(cut, constant(sent)))
-                    bottom_grads = backward(relay, bottom_handles)
-
-                    top.set_parameters(top_opt.step(top.parameters(),
-                                                    [g.data for g in top_grads]))
-                    bottom.set_parameters(bottom_opt.step(bottom.parameters(),
-                                                          [g.data for g in bottom_grads]))
+                        outputs = _replay_step(step, bottom_params, top_params, x_batch,
+                                               targets_of, sent_of)
                 except AutogradError as exc:
                     raise ProtocolError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
-                finally:
-                    bottom.detach()
-                    top.detach()
-                epoch_losses[:, batch_no] = loss.data.reshape(lanes)
+                cut, targets, loss, top_grads, sent, bottom_grads = outputs
+
+                if epoch >= first_kept:
+                    for transcript, i, a, g in zip(transcripts, split_lanes(idx, lanes),
+                                                   split_lanes(cut, lanes),
+                                                   split_lanes(sent, lanes)):
+                        transcript.records.append(
+                            TranscriptRecord(epoch, i.copy(), a.copy(), g.copy()))
+                if consistency_check and not changes_gradient:
+                    _check_gradient_consistency(top, cut, targets, sent, epoch, batch_no)
+
+                top_opt.step(top.flat, top_grads)
+                bottom_opt.step(bottom.flat, bottom_grads)
+                epoch_losses[:, batch_no] = loss.reshape(lanes)
             for trace, losses in zip(traces, epoch_losses):
                 trace.append(float(np.mean(losses)))
     finally:
@@ -299,6 +301,60 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
             s.top.set_parameters(t.parameters())
             s.bottom_opt, s.top_opt = bo, to
     return list(zip(transcripts, traces))
+
+
+def _capture_step(bottom: FcNetwork, top: FcNetwork, x_batch: np.ndarray, targets_of,
+                  sent_of) -> tuple[tuple[StepPlan, StepPlan, StepPlan], tuple]:
+    """One taped training step, and the three StepPlans that replay it on
+    later batches of the same shape (see the module docstring). Returns the
+    plans and the step's (cut, targets, loss, top gradients, sent gradient,
+    bottom gradients).
+
+    Leaves are made in an order that keeps every backward to what it is
+    asked for: the features before the bottom parameters, and the targets
+    before the cut and the top parameters, so no gradient is formed for
+    them."""
+    tape = Tape()
+    x = tape.leaf(x_batch)
+    bottom_handles = bottom.attach(tape)
+    try:
+        cut = bottom.forward(x)
+        targets = tape.leaf(targets_of(cut.data))
+        cut_in = tape.leaf(cut.data)
+        top_handles = top.attach(tape)
+        loss = mse(top.forward(cut_in), targets)
+        # label party: gradients for its own update and for the wire;
+        # create_graph keeps every gradient a node a plan can name
+        *top_grads, cut_grad = backward(loss, [*top_handles, cut_in], create_graph=True)
+        sent = tape.leaf(sent_of(cut_grad.data))
+        # feature party: backprop resumes from the gradient actually
+        # received, whatever the defense did to it
+        relay = sum_all(mul(cut, sent))
+        bottom_grads = backward(relay, bottom_handles, create_graph=True)
+    finally:
+        bottom.detach()
+        top.detach()
+    # the relay's value is a plan output only so that a replay checks it for
+    # finiteness, as the taped step does
+    plans = (StepPlan([*bottom_handles, x], [cut]),
+             StepPlan([*top_handles, cut_in, targets], [loss, *top_grads, cut_grad]),
+             StepPlan([*bottom_handles, x, sent], [*bottom_grads, relay]))
+    return plans, (cut.data, targets.data, loss.data, [g.data for g in top_grads], sent.data,
+                   [g.data for g in bottom_grads])
+
+
+def _replay_step(plans: tuple[StepPlan, StepPlan, StepPlan], bottom_params: list[np.ndarray],
+                 top_params: list[np.ndarray], x_batch: np.ndarray, targets_of,
+                 sent_of) -> tuple:
+    """The step _capture_step tapes, replayed from its plans on the current
+    parameters and a new batch; returns what _capture_step returns."""
+    forward, label, feature_backward = plans
+    (cut,) = forward.run([*bottom_params, x_batch])
+    targets = targets_of(cut)
+    loss, *top_grads, cut_grad = label.run([*top_params, cut, targets])
+    sent = sent_of(cut_grad)
+    *bottom_grads, _ = feature_backward.run([*bottom_params, x_batch, sent])
+    return cut, targets, loss, top_grads, sent, bottom_grads
 
 
 def _check_gradient_consistency(top, cut_values, targets, sent, epoch, batch_no):

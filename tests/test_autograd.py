@@ -189,6 +189,16 @@ def test_nonfinite_intermediate_names_its_op(create_graph):
         backward(loss, [x, w], create_graph=create_graph)
 
 
+def test_a_leaf_checks_the_operations_recorded_before_it():
+    # the first non-finite value in tape order is named, not the new leaf
+    tape = Tape()
+    x = tape.leaf([[1e308]])
+    with np.errstate(over="ignore"):
+        smul(x, 10.0)
+        with pytest.raises(AutogradError, match="non-finite values produced by 'smul'"):
+            tape.leaf([[np.inf]])
+
+
 def test_first_order_gradients_come_back_off_the_tape():
     tape = Tape()
     x = tape.leaf([[1.0, 2.0]])
@@ -639,3 +649,40 @@ def test_plan_names_the_op_and_lane_the_taped_step_names(where):
     expected = {"recorded_overflow": ("non-finite values produced by 'mse' (lane 1)", 1),
                 "cut_nan": ("non-finite values produced by 'leaf' (lane 2)", 2)}[where]
     assert errors == [expected, expected]
+
+
+# --- the training step: create_graph changes no first-order byte -------------
+
+def _training_step(bottom, top, x, targets, create_graph):
+    """The split training step on one tape: the label party's backward to
+    the top parameters and the cut, then the feature party's backward from
+    the cut gradient to the bottom parameters. Returns every gradient."""
+    tape = Tape()
+    bottom_handles = bottom.attach(tape)
+    try:
+        cut = bottom.forward(constant(x))
+        top_handles = top.attach(tape)
+        loss = mse(top.forward(cut), constant(targets))
+        *top_grads, cut_grad = backward(loss, [*top_handles, cut], create_graph=create_graph)
+        relay = sum_all(mul(cut, constant(cut_grad.data)))
+        bottom_grads = backward(relay, bottom_handles, create_graph=create_graph)
+    finally:
+        bottom.detach()
+        top.detach()
+    return [g.data for g in (*top_grads, cut_grad, *bottom_grads)]
+
+
+@pytest.mark.parametrize("lanes", [None, LANES], ids=["one_lane", "lane_stack"])
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+def test_create_graph_is_byte_neutral_on_the_training_step(act, lanes):
+    rng = np.random.default_rng(19)
+    lead = () if lanes is None else (lanes,)
+    bottom = _plan_net([4, 6, 3], act, lanes)
+    top = stack_networks([build_network([3, 5, 2], activation=act, seed=10 + s)
+                          for s in range(lanes or 1)])
+    x = rng.normal(size=(*lead, 7, 4))
+    targets = rng.normal(size=(*lead, 7, 2))
+    plain = _training_step(bottom, top, x, targets, create_graph=False)
+    graphed = _training_step(bottom, top, x, targets, create_graph=True)
+    assert len(plain) == len(graphed) == 4 + 1 + 4
+    assert [g.tobytes() for g in plain] == [g.tobytes() for g in graphed]

@@ -1,9 +1,13 @@
 import csv
 import json
+import re
+import struct
 
+import numpy as np
 import pytest
 
 from splitlab.cli import main
+from splitlab.protocol import Transcript
 
 
 def tiny_config_file(tmp_path, **extra):
@@ -341,3 +345,39 @@ def test_sweep_dims_variants_may_be_spelled_with_dashes(tmp_path):
         assert main(["sweep-dims", "--config", config, "--dims", "1,2",
                      "--variants", variants, "--out", str(out)]) == 0
     assert dashed.read_bytes() == canonical.read_bytes()
+
+
+@pytest.mark.parametrize("n", [100, 20])
+def test_attack_on_a_transcript_that_does_not_fit_the_dataset_is_a_one_line_error(
+        tmp_path, capsys, n):
+    # a smaller dataset than the one trained on leaves replayed indices
+    # past its end
+    run_dir = trained_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["dataset"]["n"] = n
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["attack", "--run", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: transcript record \d+ \(epoch \d\) holds sample index \d+, "
+                        rf"outside the {int(0.8 * n)} training samples\n", err)
+
+
+def test_attack_on_a_transcript_index_past_the_int64_range_is_a_one_line_error(
+        tmp_path, capsys):
+    # indices are stored as u64; one above the int64 range must not wrap
+    # to a negative index that silently reads another row
+    run_dir = trained_run(tmp_path)
+    path = run_dir / "transcript.bin"
+    transcript = Transcript.load(path)
+    last = transcript.records[-1]
+    blob = bytearray(path.read_bytes())
+    at = blob.rfind(np.ascontiguousarray(last.indices, dtype="<u8").tobytes())
+    blob[at:at + 8] = struct.pack("<Q", 2**64 - 3)
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["attack", "--run", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: transcript record {len(transcript) - 1} \(epoch 3\) holds "
+                        r"sample index -3, outside the 128 training samples\n", err)

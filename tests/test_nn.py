@@ -5,6 +5,8 @@ import pytest
 
 from splitlab.autograd import Tape, backward, constant, mse
 from splitlab.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPSILON,
     Adam,
     FcNetwork,
@@ -103,11 +105,11 @@ def test_dims_must_chain():
 
 def test_adam_zero_gradient_keeps_parameters():
     opt = Adam([(2, 2)], lr=0.01)
-    p = np.ones((2, 2))
-    (new,) = opt.step([p], [np.zeros((2, 2))])
-    assert np.array_equal(new, p)
+    p = np.ones(4)
+    opt.step(p, [np.zeros((2, 2))])
+    assert np.array_equal(p, np.ones(4))
     assert opt.step_count == 1
-    assert np.array_equal(opt.m[0], np.zeros((2, 2)))
+    assert np.array_equal(opt.m, np.zeros(4))
 
 
 def test_adam_first_step_formula():
@@ -116,16 +118,18 @@ def test_adam_first_step_formula():
     g = 0.37
     lr = 0.01
     opt = Adam([(1, 1)], lr=lr)
-    (new,) = opt.step([np.array([[5.0]])], [np.array([[g]])])
+    new = np.array([5.0])
+    opt.step(new, [np.array([[g]])])
     expected = 5.0 - lr * g / (abs(g) + ADAM_EPSILON)
-    assert new[0, 0] == pytest.approx(expected, abs=1e-15)
+    assert new[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_adam_lr_zero_is_identity():
     rng = np.random.default_rng(2)
     opt = Adam([(3, 2)], lr=0.0)
-    p = rng.normal(size=(3, 2))
-    (new,) = opt.step([p], [rng.normal(size=(3, 2))])
+    p = rng.normal(size=6)
+    new = p.copy()
+    opt.step(new, [rng.normal(size=(3, 2))])
     assert np.array_equal(new, p)
 
 
@@ -133,9 +137,9 @@ def test_adam_deterministic_over_100_steps():
     def run():
         rng = np.random.default_rng(55)
         opt = Adam([(2, 3)], lr=0.01)
-        p = rng.normal(size=(2, 3))
+        p = rng.normal(size=6)
         for _ in range(100):
-            (p,) = opt.step([p], [rng.normal(size=(2, 3))])
+            opt.step(p, [rng.normal(size=(2, 3))])
         return p
 
     assert np.array_equal(run(), run())
@@ -144,9 +148,10 @@ def test_adam_deterministic_over_100_steps():
 def test_adam_rejects_bad_gradients():
     opt = Adam([(2, 2)])
     with pytest.raises(ValueError):
-        opt.step([np.zeros((2, 2))], [np.zeros((2, 3))])
+        opt.step(np.zeros(4), [np.zeros((2, 3))])
     with pytest.raises(ValueError):
-        opt.step([np.zeros((2, 2))], [np.full((2, 2), np.nan)])
+        opt.step(np.zeros(6), [np.zeros((2, 2))])
+    assert opt.step_count == 0
 
 
 def test_linear_regression_converges():
@@ -165,7 +170,7 @@ def test_linear_regression_converges():
         handles = net.attach(tape)
         loss = mse(net.forward(constant(x)), constant(y))
         grads = backward(loss, handles)
-        net.set_parameters(opt.step(net.parameters(), [g.data for g in grads]))
+        opt.step(net.flat, [g.data for g in grads])
         net.detach()
         final = loss.item()
     assert final < 1e-3
@@ -239,17 +244,19 @@ def test_stacked_adam_steps_each_lane_as_alone():
     grads = [[[rng.normal(size=(2, 3)), rng.normal(size=(1, 3))] for _ in range(3)]
              for _ in range(4)]
     stacked = Adam.stack(opts)
-    p_stack = [np.stack(ps) for ps in zip(*params)]
+    p_stack = np.concatenate([np.stack(ps) for ps in zip(*params)], axis=None)
+    flats = [np.concatenate(p, axis=None) for p in params]
     for step in grads:
-        p_stack = stacked.step(p_stack, [np.stack(gs) for gs in zip(*step)])
-        params = [opt.step(p, g) for opt, p, g in zip(opts, params, step)]
+        stacked.step(p_stack, [np.stack(gs) for gs in zip(*step)])
+        for opt, p, g in zip(opts, flats, step):
+            opt.step(p, g)
+    p_lanes = [p_stack[:18].reshape(3, 6), p_stack[18:].reshape(3, 3)]
     for lane, (opt, back) in enumerate(zip(opts, stacked.split())):
         assert back.step_count == opt.step_count == 4
-        for a, b in zip(params[lane], p_stack):
-            assert np.array_equal(a, b[lane])
-        for a, b in zip(opt.m + opt.v, back.m + back.v):
+        assert np.array_equal(flats[lane], np.concatenate([p[lane] for p in p_lanes]))
+        for a, b in ((opt.m, back.m), (opt.v, back.v)):
             assert np.array_equal(a, b)
-    opts[0].step(params[0], grads[0][0])
+    opts[0].step(flats[0], grads[0][0])
     with pytest.raises(ValueError):
         Adam.stack(opts)
 
@@ -279,3 +286,106 @@ def test_checkpoint_rejects_a_lane_stack(tmp_path):
     stack = stack_networks([build_network([3, 2], seed=s) for s in (0, 1)])
     with pytest.raises(ValueError, match="lane stack"):
         save_checkpoint(stack, tmp_path / "stack.json")
+
+
+# --- flat store: every parameter is a view into one buffer per network -------
+
+def reference_adam(m, v, grad, t, lr):
+    """The Adam update as the textbook expression, out of place."""
+    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    return m, v, lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+
+
+def test_parameters_are_views_into_one_flat_buffer():
+    net = build_network([3, 4, 2], seed=1)
+    params = net.parameters()
+    assert net.flat.shape == (sum(p.size for p in params),)
+    assert np.array_equal(np.concatenate(params, axis=None), net.flat)
+    assert all(np.shares_memory(p, net.flat) for p in params)
+
+
+def test_an_in_place_write_through_a_layer_is_seen_by_the_next_step():
+    rng = np.random.default_rng(3)
+    net = build_network([3, 4, 2], seed=1)
+    opt = Adam.for_network(net, lr=0.05)
+    grads = [rng.normal(size=p.shape) for p in net.parameters()]
+    net.layers[1].weight[0, :] = 7.0
+    net.layers[0].bias = np.full((1, 4), -2.0)  # assignment copies into the view
+    written = [p.copy() for p in net.parameters()]
+    assert net.layers[1].weight[0, 0] == 7.0 and net.flat[12:16].tolist() == [-2.0] * 4
+    opt.step(net.flat, grads)
+    for p, w, g in zip(net.parameters(), written, grads):
+        _, _, move = reference_adam(np.zeros_like(g), np.zeros_like(g), g, 1, 0.05)
+        assert p.tobytes() == (w - move).tobytes()
+    x = rng.normal(size=(5, 3))
+    assert np.array_equal(net.forward_values(x), loop_forward(net, x))
+
+
+def test_set_parameters_copies_into_the_buffer_without_rebinding_it():
+    rng = np.random.default_rng(4)
+    net = build_network([3, 4, 2], seed=1)
+    flat, views = net.flat, net.parameters()
+    new = [rng.normal(size=p.shape) for p in views]
+    net.set_parameters(new)
+    assert net.flat is flat
+    assert all(a is b for a, b in zip(net.parameters(), views))
+    assert np.array_equal(flat, np.concatenate(new, axis=None))
+    flat[:] = 0.0
+    assert all(not np.array_equal(p, np.zeros_like(p)) for p in new)
+    with pytest.raises(ValueError):
+        net.layers[0].weight = np.zeros((4, 3))
+
+
+def test_stack_and_split_round_trip_networks_and_optimizers_bytes():
+    rng = np.random.default_rng(5)
+    nets = [build_network([3, 4, 2], activation="tanh", seed=s) for s in (1, 2, 3)]
+    opts = [Adam.for_network(net, lr=0.05) for net in nets]
+    for net, opt in zip(nets, opts):
+        for _ in range(3):
+            opt.step(net.flat, [rng.normal(size=p.shape) for p in net.parameters()])
+    stack, stacked_opt = stack_networks(nets), Adam.stack(opts)
+    # param-major: each parameter holds every lane before the next parameter
+    assert stack.flat.tobytes() == np.concatenate(
+        [np.stack(ps) for ps in zip(*(n.parameters() for n in nets))], axis=None).tobytes()
+    for net, back in zip(nets, stack.split()):
+        assert back.flat.tobytes() == net.flat.tobytes()
+    for opt, back in zip(opts, stacked_opt.split()):
+        assert (back.m.tobytes(), back.v.tobytes()) == (opt.m.tobytes(), opt.v.tobytes())
+        assert (back.shapes, back.step_count, back.lr) == (opt.shapes, opt.step_count, opt.lr)
+
+
+def test_checkpoint_files_are_byte_identical_through_stack_and_load(tmp_path):
+    nets = [build_network([5, 4, 2], activation="tanh", seed=s, role="top") for s in (6, 7)]
+    first, again, lane = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    save_checkpoint(nets[1], first)
+    save_checkpoint(load_checkpoint(first), again)
+    save_checkpoint(stack_networks(nets).split()[1], lane)
+    assert first.read_bytes() == again.read_bytes() == lane.read_bytes()
+    payload = json.loads(first.read_text())
+    for layer, spec in zip(nets[1].layers, payload["layers"]):
+        assert spec["weight"] == layer.weight.reshape(-1).tolist()
+        assert spec["bias"] == layer.bias.reshape(-1).tolist()
+
+
+@pytest.mark.parametrize("lanes", [None, 3], ids=["plain", "lane_stack"])
+def test_fused_adam_equals_the_textbook_update_bit_for_bit(lanes):
+    rng = np.random.default_rng(9)
+    lead = () if lanes is None else (lanes,)
+    shapes = [(*lead, 3, 4), (*lead, 1, 4), (*lead, 4, 2), (*lead, 1, 2)]
+    opt = Adam(shapes, lr=0.01)
+    params = [rng.normal(size=s) for s in shapes]
+    flat = np.concatenate(params, axis=None)
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    for t in range(1, 8):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        opt.step(flat, grads)
+        for i, g in enumerate(grads):
+            ms[i], vs[i], move = reference_adam(ms[i], vs[i], g, t, 0.01)
+            params[i] = params[i] - move
+        assert flat.tobytes() == np.concatenate(params, axis=None).tobytes()
+        assert opt.m.tobytes() == np.concatenate(ms, axis=None).tobytes()
+        assert opt.v.tobytes() == np.concatenate(vs, axis=None).tobytes()

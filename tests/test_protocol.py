@@ -1,9 +1,14 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from splitlab import protocol as protocol_module
+from splitlab.autograd import StepPlan, Tape, backward, mse, mul, sum_all
 from splitlab.data import split_standardize, synth_regression
 from splitlab.defense import (
     AdaptiveLabelExtension,
+    Defense,
     GradientCompression,
     GradientNoise,
     LabelNoise,
@@ -11,7 +16,7 @@ from splitlab.defense import (
     RandomLabelExtension,
 )
 from splitlab.metrics import mean_value_baseline, metric_pair
-from splitlab.nn import build_network
+from splitlab.nn import FcNetwork, Layer, build_network
 from splitlab.protocol import (
     ProtocolError,
     SplitSession,
@@ -279,7 +284,7 @@ def assert_same_state(a, b):
             assert p.tobytes() == q.tobytes()
     for opt_a, opt_b in ((a.bottom_opt, b.bottom_opt), (a.top_opt, b.top_opt)):
         assert opt_a.step_count == opt_b.step_count
-        for p, q in zip(opt_a.m + opt_a.v, opt_b.m + opt_b.v):
+        for p, q in ((opt_a.m, opt_b.m), (opt_a.v, opt_b.v)):
             assert p.tobytes() == q.tobytes()
 
 
@@ -333,3 +338,149 @@ def test_lock_step_divergence_names_the_lane(small_data):
         with pytest.raises(ProtocolError, match=r"epoch 0, batch 0: non-finite values "
                                                 r"produced by 'matmul' \(lane 2\)"):
             train_lanes(sessions, train)
+
+
+# --- step plans: one capture per batch shape, every other batch replayed -----
+
+def lane_group(train, kind, count):
+    """`count` lanes of LANE_DEFENSES[kind]. Batches of 48 over the 160-row
+    training split end in a short one of 16, so each epoch has two batch
+    shapes."""
+    assert train.n % 48 == 16
+    return lane_sessions(train, LANE_DEFENSES[kind])[:count]
+
+
+def taping_replay(sessions, log):
+    """A stand-in for protocol._replay_step that tapes the step afresh from
+    its arrays instead of replaying the plans, which makes train_lanes a
+    reference loop that tapes every step; it appends each step's outputs to
+    `log`."""
+    acts = [[l.activation for l in net.layers] for net in (sessions[0].bottom, sessions[0].top)]
+
+    def network(params, activations):
+        return FcNetwork([Layer(w, b, a) for w, b, a in zip(params[::2], params[1::2],
+                                                             activations)])
+
+    def step(plans, bottom_params, top_params, x_batch, targets_of, sent_of):
+        bottom, top = network(bottom_params, acts[0]), network(top_params, acts[1])
+        tape = Tape()
+        x = tape.leaf(x_batch)
+        bottom_handles = bottom.attach(tape)
+        cut = bottom.forward(x)
+        targets = tape.leaf(targets_of(cut.data))
+        cut_in = tape.leaf(cut.data)
+        top_handles = top.attach(tape)
+        loss = mse(top.forward(cut_in), targets)
+        *top_grads, cut_grad = backward(loss, [*top_handles, cut_in])
+        sent = tape.leaf(sent_of(cut_grad.data))
+        bottom_grads = backward(sum_all(mul(cut, sent)), bottom_handles)
+        outputs = (cut.data, targets.data, loss.data, [g.data for g in top_grads], sent.data,
+                   [g.data for g in bottom_grads])
+        log.append(outputs)
+        return outputs
+
+    return step
+
+
+def logging_replay(log):
+    """protocol._replay_step, appending each replayed step's outputs to `log`."""
+    replay = protocol_module._replay_step
+
+    def step(*args):
+        outputs = replay(*args)
+        log.append(outputs)
+        return outputs
+
+    return step
+
+
+def step_bytes(outputs):
+    cut, targets, loss, top_grads, sent, bottom_grads = outputs
+    return [a.tobytes() for a in (cut, targets, loss, *top_grads, sent, *bottom_grads)]
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["one_lane", "three_lanes"])
+@pytest.mark.parametrize("kind", sorted(LANE_DEFENSES))
+def test_replayed_batches_equal_a_loop_that_tapes_every_step(monkeypatch, small_data, kind,
+                                                             count):
+    train, _ = small_data
+    runs = []
+    for taped in (False, True):
+        sessions, log = lane_group(train, kind, count), []
+        step = taping_replay(sessions, log) if taped else logging_replay(log)
+        with monkeypatch.context() as m:
+            m.setattr(protocol_module, "_replay_step", step)
+            runs.append((sessions, train_lanes(sessions, train), log))
+    (replayed, replayed_out, replayed_log), (reference, reference_out, reference_log) = runs
+    # 3 epochs x 4 batches, of which the first of each shape is captured
+    assert len(replayed_log) == len(reference_log) == 10
+    for got, want in zip(replayed_log, reference_log):
+        assert step_bytes(got) == step_bytes(want)
+    for session, twin, (transcript, trace), (expected, expected_trace) in zip(
+            replayed, reference, replayed_out, reference_out):
+        assert trace == expected_trace
+        assert_same_records(transcript, expected)
+        assert_same_state(session, twin)
+
+
+def test_training_captures_one_set_of_plans_per_batch_shape_per_call(monkeypatch, small_data):
+    # full batches and a short final one: two captures of three programs per
+    # call, and every other step is a replay (a fallback to taping would
+    # capture more)
+    train, _ = small_data
+    captured = []
+
+    class Counting(StepPlan):
+        def __init__(self, inputs, outputs):
+            super().__init__(inputs, outputs)
+            captured.append(inputs[-1].shape)
+
+    monkeypatch.setattr(protocol_module, "StepPlan", Counting)
+    per_call = [(48, 3), (48, 1), (48, 4), (16, 3), (16, 1), (16, 4)]
+    for count in (1, 3):
+        captured.clear()
+        train_lanes(lane_group(train, "none", count), train)
+        lead = () if count == 1 else (count,)
+        assert captured == [(*lead, *shape) for shape in per_call]
+
+
+@dataclass(frozen=True)
+class SendAt(Defense):
+    """Sends the raw gradient, except at one (epoch, batch), where every
+    entry sent is `value`."""
+
+    name = "send_at"
+    changes_gradient = True
+    value: float = 0.0
+    at: tuple = (-1, -1)
+
+    def outgoing_gradient(self, grad, seed, epoch, batch_no):
+        return np.full_like(grad, self.value) if (epoch, batch_no) == self.at else grad.copy()
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["one_lane", "three_lanes"])
+@pytest.mark.parametrize("kind,value", [("overflow", 1e308), ("nan", np.nan)])
+def test_divergence_on_a_replayed_batch_is_named_like_the_taped_step(monkeypatch, small_data,
+                                                                     count, kind, value):
+    # an overflowing sent gradient overflows the feature party's relay
+    # sum(cut * sent): in its product where some cut entry exceeds 1.8
+    # (lane 0 here), else in its sum
+    op = {("overflow", 1): "mul", ("overflow", 3): "sum_all"}.get((kind, count), "leaf")
+    train, _ = small_data
+    bad = min(1, count - 1)
+    # batch 2 of epoch 0: a replay of batch 0's plans
+    defenses = [SendAt(value, (0, 2)) if r == bad else SendAt() for r in range(count)]
+    lane_tag = "" if count == 1 else f" (lane {bad})"
+    errors = []
+    for taped in (False, True):
+        sessions = lane_sessions(train, defenses)[:count]
+        step = taping_replay(sessions, []) if taped else logging_replay([])
+        with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
+            m.setattr(protocol_module, "_replay_step", step)
+            with pytest.raises(ProtocolError) as info:
+                train_lanes(sessions, train)
+        errors.append(str(info.value))
+        assert info.value.__cause__.lane == (None if count == 1 else bad)
+    assert errors[0] == (f"epoch 0, batch 2: non-finite values produced by '{op}'"
+                         f"{lane_tag}")
+    assert errors[1] == errors[0]
