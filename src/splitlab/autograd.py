@@ -19,9 +19,15 @@ dictionary cost far more than the small-matrix arithmetic itself. A
 ``StepPlan`` is captured from one normal taped step whose backward passes ran
 with ``create_graph=True``, so that every gradient is a node. The caller
 names the plan's inputs (leaves) and outputs; the plan keeps only the
-outputs' ancestors, and ``run(arrays)`` recomputes each of them in tape
-order through the same per-op forward table the primitives use, so a
-replayed step is bit-identical to a taped one on the same arrays. Its inputs
+outputs' ancestors. At capture it lays out one float64 buffer with a slot
+for each kept leaf and operation, and binds every operation to fixed views
+of its argument slots and its own slot (captured constants stay separate
+arrays). ``run(arrays)`` copies the inputs into their slots and recomputes
+each operation in tape order into its slot, through the same per-op kernel
+table the primitives use, so a replayed step is bit-identical to a taped one
+on the same arrays. It returns copies of the output slots: outputs are new
+arrays that later runs leave alone. Because every run writes the same
+buffer, a plan, like a tape, belongs to one logical thread. Its inputs
 must have the captured shapes; a loop keeps one plan per batch shape. One
 tape may yield several plans: the training step is three (the feature
 party's forward, the label party's part and the feature party's backward),
@@ -46,9 +52,9 @@ Conventions:
     tape and when ``backward`` runs on it: once on entry, for everything
     computed since the last check, and once on exit, for what the backward
     pass itself computed. A step plan checks its inputs and results in one
-    scan per run; on a hit it rescans them, inputs first and then results in
-    tape order, and raises the error the taped step raises for the same
-    arrays.
+    scan of its buffer per run; on a hit it rescans them slot by slot,
+    inputs first and then results in tape order, and raises the error the
+    taped step raises for the same arrays.
     The taped step also forms adjoints for leaves nobody asked for, which
     the plan drops; only if one of those is the first to overflow do the two
     name different operations. In the attack's step that is a rare case; in
@@ -60,7 +66,7 @@ Conventions:
     relay ``sum(cut * sent)``). With a lane axis the error also names the
     first lane holding such a value,
   - relu is given a zero second derivative everywhere (subgradient 0 at 0),
-  - a tape and its tensors belong to one logical thread.
+  - a tape and its tensors, and a step plan, belong to one logical thread.
 """
 
 from __future__ import annotations
@@ -237,47 +243,56 @@ class Tape:
             _require_finite(out, op)
 
 
-def _spread_forward(aux, s):
-    out = np.empty((*s.shape[:-2], *aux))
-    out[...] = s
+def _fill(out, x, shape):
+    """x broadcast to `shape`, copied into out (a new array when out is None)."""
+    if out is None:
+        out = np.empty(shape)
+    out[...] = x
     return out
 
 
-def _mse_forward(aux, pred, target):
+def _transpose_forward(aux, out, a, b):
+    t = a.swapaxes(-1, -2)
+    return _fill(out, t, t.shape)
+
+
+def _mse_forward(aux, out, pred, target):
+    # the difference and its square are temporaries outside `out`
     d = pred - target
-    return (d * d).sum(axis=(-2, -1), keepdims=True) * aux
+    return np.multiply(np.add.reduce(d * d, axis=(-2, -1), keepdims=True), aux, out=out)
 
 
-# The arithmetic of every primitive, fn(aux, *input_arrays) -> output. The
-# primitives and StepPlan.run both compute through this table, so a replayed
-# step repeats the taped one bit for bit.
+# The arithmetic of every primitive, fn(aux, out, a, b) -> output: a and b are
+# the input arrays (b is None for a one-input op), and the result is written
+# into `out`, or into a new array when out is None (numpy's own convention).
+# The primitives compute through this table with out=None and StepPlan.run
+# with out bound to a slot of its buffer, so a replayed step repeats the taped
+# one bit for bit. `out=` goes by keyword: numpy deprecates a positional
+# third argument to np.maximum.
 _FORWARD = {
-    "matmul": lambda aux, a, b: a @ b,
-    "transpose": lambda aux, a: a.swapaxes(-1, -2).copy(),
-    "add": lambda aux, a, b: a + b,
-    "sub": lambda aux, a, b: a - b,
-    "mul": lambda aux, a, b: a * b,
-    "smul": lambda aux, a: a * aux,
-    "mulc": lambda aux, a: a * aux,
-    "tile_rows": lambda aux, b: np.repeat(b, aux, axis=-2),
-    "sum_rows": lambda aux, x: x.sum(axis=-2, keepdims=True),
-    "sum_all": lambda aux, x: x.sum(axis=(-2, -1), keepdims=True),
-    "spread": _spread_forward,
-    "relu": lambda aux, x: np.maximum(x, 0.0),
-    "relu_grad": lambda aux, g, x: g * (x > 0.0).astype(np.float64),
-    "tanh": lambda aux, x: np.tanh(x),
-    "add_bias": lambda aux, x, b: x + b,
+    "matmul": lambda aux, out, a, b: np.matmul(a, b, out=out),
+    "transpose": _transpose_forward,
+    "add": lambda aux, out, a, b: np.add(a, b, out=out),
+    "sub": lambda aux, out, a, b: np.subtract(a, b, out=out),
+    "mul": lambda aux, out, a, b: np.multiply(a, b, out=out),
+    "smul": lambda aux, out, a, b: np.multiply(a, aux, out=out),
+    "mulc": lambda aux, out, a, b: np.multiply(a, aux, out=out),
+    "tile_rows": lambda aux, out, a, b: _fill(out, a, (*a.shape[:-2], aux, a.shape[-1])),
+    "sum_rows": lambda aux, out, a, b: np.add.reduce(a, axis=-2, keepdims=True, out=out),
+    "sum_all": lambda aux, out, a, b: np.add.reduce(a, axis=(-2, -1), keepdims=True, out=out),
+    "spread": lambda aux, out, a, b: _fill(out, a, (*a.shape[:-2], *aux)),
+    "relu": lambda aux, out, a, b: np.maximum(a, 0.0, out=out),
+    "relu_grad": lambda aux, out, a, b: np.multiply(a, (b > 0.0).astype(np.float64), out=out),
+    "tanh": lambda aux, out, a, b: np.tanh(a, out=out),
+    "add_bias": lambda aux, out, a, b: np.add(a, b, out=out),
     "mse": _mse_forward,
 }
 
 
 def _emit(op: str, inputs: tuple[Tensor, ...], aux=None) -> Tensor:
     """Compute op on the inputs' values and record it on their tape, if any."""
-    forward = _FORWARD[op]
-    if len(inputs) == 1:
-        out = forward(aux, inputs[0].data)
-    else:
-        out = forward(aux, inputs[0].data, inputs[1].data)
+    out = _FORWARD[op](aux, None, inputs[0].data,
+                       inputs[1].data if len(inputs) > 1 else None)
     tape = None
     for t in inputs:
         if t.tape is not None:
@@ -574,8 +589,8 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
 # ---------------------------------------------------------------- step plans
 
 class StepPlan:
-    """A taped step captured as a flat numpy program (see the module
-    docstring).
+    """A taped step captured as a flat numpy program over one preallocated
+    buffer (see the module docstring).
 
     `inputs` are leaves of one tape and `outputs` are nodes of the same tape,
     typically a loss and the gradients a ``backward(..., create_graph=True)``
@@ -583,6 +598,13 @@ class StepPlan:
     them must be one of the inputs, and every value that entered them as a
     constant is kept as it was at capture. ``run`` recomputes the outputs for
     new input arrays of the captured shapes.
+
+    The plan owns one float64 buffer with a slot for each leaf and each kept
+    operation, leaves first and then operations, each in tape order. Every
+    operation is bound once to fixed views of its argument slots (or its
+    captured constants) and of its own slot, and every run writes into them,
+    so a plan, like a tape, belongs to one logical thread. ``run`` returns new
+    arrays, which a later run does not touch.
     """
 
     def __init__(self, inputs: Sequence[Tensor], outputs: Sequence[Tensor]):
@@ -613,55 +635,50 @@ class StepPlan:
                 raise AutogradError(f"leaf node {nid} feeds the plan's outputs but is "
                                     "not one of its inputs")
 
-        # slots: the captured constants, then the inputs, then the results,
-        # each in tape order. run() scans every slot after the constants for
-        # finiteness, in the order the taped step checks them: leaves when
-        # they are made, operations afterwards.
-        leaves = [nid for nid in order if nodes[nid].op == "leaf"]
+        # slots in the order the taped step checks their values for
+        # finiteness: leaves when they are made, operations afterwards
         ops = [nid for nid in order if nodes[nid].op != "leaf"]
-        constants: list[np.ndarray] = []
-        constant_slot: dict[int, int] = {}
-        for nid in ops:
-            for i, arr in zip(nodes[nid].inputs, nodes[nid].values):
-                if i is None and id(arr) not in constant_slot:
-                    constant_slot[id(arr)] = len(constants)
-                    constants.append(arr)
-        slot = {nid: len(constants) + k for k, nid in enumerate(leaves + ops)}
-        self._constants = constants
-        self._inputs = [input_ids.index(nid) for nid in leaves]
+        kept = [nid for nid in order if nodes[nid].op == "leaf"] + ops
+        self._buffer = np.empty(sum(nodes[nid].out.size for nid in kept))
+        slot: dict[int, np.ndarray] = {}
+        offset = 0
+        for nid in kept:
+            out = nodes[nid].out
+            slot[nid] = self._buffer[offset:offset + out.size].reshape(out.shape)
+            offset += out.size
+        self._checked = [(slot[nid], nodes[nid].op) for nid in kept]
         self._shapes = [t.shape for t in inputs]
-        self._ops = ["leaf"] * len(leaves) + [nodes[nid].op for nid in ops]
+        self._input_slots = [slot[nid] for nid in input_ids]
         self._program = []
         for nid in ops:
             node = nodes[nid]
-            args = [constant_slot[id(arr)] if i is None else slot[i]
-                    for i, arr in zip(node.inputs, node.values)]
-            self._program.append((_FORWARD[node.op], args[0],
-                                  args[1] if len(args) > 1 else None, node.aux))
-        self._outputs = [slot[t.node] for t in outputs]
+            args = [arr if i is None else slot[i] for i, arr in zip(node.inputs, node.values)]
+            self._program.append((_FORWARD[node.op], node.aux, slot[nid], args[0],
+                                  args[1] if len(args) > 1 else None))
+        self._output_slots = [slot[t.node] for t in outputs]
 
     def __len__(self) -> int:
         """Number of operations the plan computes per run."""
         return len(self._program)
 
     def run(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """The outputs for new input arrays, given in the order of the
-        plan's inputs. Inputs and results are checked for finiteness in one
-        scan; a non-finite value raises the AutogradError the taped step
-        would raise, naming the first operation (or 'leaf', for an input) in
-        tape order that produced one, and its lane."""
+        """The outputs, as new arrays, for new input arrays given in the
+        order of the plan's inputs. Inputs and results are checked for
+        finiteness in one scan of the buffer; a non-finite value raises the
+        AutogradError the taped step would raise, naming the first operation
+        (or 'leaf', for an input) in tape order that produced one, and its
+        lane."""
         if len(arrays) != len(self._shapes):
             raise AutogradError(f"plan takes {len(self._shapes)} inputs, got {len(arrays)}")
-        given = [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
-        for k, (arr, shape) in enumerate(zip(given, self._shapes)):
-            if arr.shape != shape:
-                raise AutogradError(f"plan input {k} has shape {arr.shape}, "
+        for k, (arr, shape) in enumerate(zip(arrays, self._shapes)):
+            if np.shape(arr) != shape:
+                raise AutogradError(f"plan input {k} has shape {np.shape(arr)}, "
                                     f"the plan was captured for {shape}")
-        vals = self._constants + [given[k] for k in self._inputs]
-        for forward, a, b, aux in self._program:
-            vals.append(forward(aux, vals[a]) if b is None else forward(aux, vals[a], vals[b]))
-        checked = vals[len(self._constants):]
-        if not np.isfinite(np.concatenate(checked, axis=None)).all():
-            for arr, op in zip(checked, self._ops):
+        for dest, arr in zip(self._input_slots, arrays):
+            dest[...] = arr
+        for forward, aux, out, a, b in self._program:
+            forward(aux, out, a, b)
+        if not np.isfinite(self._buffer).all():
+            for arr, op in self._checked:
                 _require_finite(arr, op)
-        return [vals[s] for s in self._outputs]
+        return [out.copy() for out in self._output_slots]

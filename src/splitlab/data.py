@@ -102,8 +102,9 @@ class LeakedSet:
 def load_csv(path, label_column=-1, header: bool = True, name: str = "") -> Dataset:
     """Read a numeric CSV; every non-label column becomes a feature, in file
     order. `label_column` is a column name (requires a header) or an index
-    (negative indices count from the end). A `path` that is not a str or
-    os.PathLike (an int would be read as a file descriptor) raises DataError."""
+    (negative indices count from the end). A cell that is not a finite number
+    (NaN and infinities included) and a `path` that is not a str or
+    os.PathLike (an int would be read as a file descriptor) raise DataError."""
     if not isinstance(path, (str, os.PathLike)):
         raise DataError(f"a CSV path is a string or path, got {path!r}")
     try:
@@ -148,6 +149,12 @@ def load_csv(path, label_column=-1, header: bool = True, name: str = "") -> Data
             except ValueError:
                 raise DataError(f"{path}: row {i + 1}, column {j + 1}: "
                                 f"cannot parse {cell!r} as a number") from None
+    # float() also reads 'nan' and 'inf'; refuse them before any compute
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DataError(f"{path}: row {i + 1}, column {j + 1}: "
+                        f"{rows[i][j]!r} is not a finite number")
 
     labels = data[:, label_idx:label_idx + 1]
     features = np.delete(data, label_idx, axis=1)

@@ -651,6 +651,116 @@ def test_plan_names_the_op_and_lane_the_taped_step_names(where):
     assert errors == [expected, expected]
 
 
+# --- every kernel through a plan, and the plan's buffer -----------------------
+
+# op -> (input shapes, build): build(m, *leaves) applies the op to taped
+# leaves; m is a fixed array of the first input's shape (mulc's constant)
+KERNEL_CASES = {
+    "matmul": ([(3, 4), (4, 2)], lambda m, a, b: matmul(a, b)),
+    "transpose": ([(3, 4)], lambda m, a: transpose(a)),
+    "add": ([(3, 4), (3, 4)], lambda m, a, b: add(a, b)),
+    "sub": ([(3, 4), (3, 4)], lambda m, a, b: sub(a, b)),
+    "mul": ([(3, 4), (3, 4)], lambda m, a, b: mul(a, b)),
+    "smul": ([(3, 4)], lambda m, a: smul(a, -1.7)),
+    "mulc": ([(3, 4)], lambda m, a: mulc(a, m)),
+    "tile_rows": ([(1, 4)], lambda m, a: tile_rows(a, 3)),
+    "sum_rows": ([(3, 4)], lambda m, a: sum_rows(a)),
+    "sum_all": ([(3, 4)], lambda m, a: sum_all(a)),
+    "spread": ([(1, 1)], lambda m, a: spread(a, 3, 4)),
+    "relu": ([(3, 4)], lambda m, a: relu(a)),
+    "relu_grad": ([(3, 4), (3, 4)], lambda m, g, x: relu_grad(g, x)),
+    "tanh": ([(3, 4)], lambda m, a: tanh(a)),
+    "add_bias": ([(3, 4), (1, 4)], lambda m, x, b: add_bias(x, b)),
+    "mse": ([(3, 4), (3, 4)], lambda m, p, t: mse(p, t)),
+}
+
+
+def test_the_kernel_table_and_the_vjp_table_name_the_same_ops():
+    assert set(ag._FORWARD) == set(ag._VJP) == set(KERNEL_CASES)
+
+
+def _kernel_step(op, arrays, m):
+    """The op on leaves, then a backward with create_graph from a loss
+    quadratic in its result (so every gradient is a node). Returns the
+    leaves and the outputs: the op's result, the loss and the gradients."""
+    _, build = KERNEL_CASES[op]
+    tape = Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    y = build(m, *leaves)
+    loss = sum_all(mul(y, y))
+    # relu_grad has no gradient in x
+    wrt = leaves[:1] if op == "relu_grad" else leaves
+    return leaves, [y, loss, *backward(loss, wrt, create_graph=True)]
+
+
+@pytest.mark.parametrize("lanes", [None, LANES], ids=["one_lane", "lane_stack"])
+@pytest.mark.parametrize("op", sorted(KERNEL_CASES))
+def test_every_kernel_replays_the_taped_bytes(op, lanes):
+    rng = np.random.default_rng(23)
+    lead = () if lanes is None else (lanes,)
+    shapes, _ = KERNEL_CASES[op]
+
+    def draw():
+        return [rng.normal(size=(*lead, *shape)) for shape in shapes]
+
+    m = rng.normal(size=(*lead, *shapes[0]))
+    plan = ag.StepPlan(*_kernel_step(op, draw(), m))
+    for _ in range(2):
+        arrays = draw()
+        replayed = plan.run(arrays)
+        _, taped = _kernel_step(op, arrays, m)
+        assert len(replayed) == len(taped) == 2 + len(shapes) - (op == "relu_grad")
+        for got, want in zip(replayed, taped):
+            assert got.shape == want.shape and got.tobytes() == want.data.tobytes()
+
+
+def _buffer_plan(seed):
+    rng = np.random.default_rng(seed)
+    net = _plan_net([8, 4, 1], "tanh", LANES)
+    plan = ag.StepPlan(*_attack_like_step(net, _plan_arrays(rng, net, 6, LANES), True))
+    return rng, net, plan
+
+
+def test_plan_outputs_are_new_arrays_a_later_run_leaves_alone():
+    rng, net, plan = _buffer_plan(9)
+    arrays = _plan_arrays(rng, net, 6, LANES)
+    first = plan.run(arrays)
+    before = [out.tobytes() for out in first]
+    plan.run(_plan_arrays(rng, net, 6, LANES))
+    assert [out.tobytes() for out in first] == before
+    _, taped = _attack_like_step(net, arrays, create_graph=False)
+    assert before == [t.data.tobytes() for t in taped]
+
+
+def test_a_run_after_a_refused_run_returns_the_taped_bytes():
+    rng, net, plan = _buffer_plan(10)
+    bad = _plan_arrays(rng, net, 6, LANES)
+    bad[-2][1, 0, 0] = np.nan
+    with pytest.raises(AutogradError, match=r"'leaf' \(lane 1\)"):
+        plan.run(bad)
+    arrays = _plan_arrays(rng, net, 6, LANES)
+    replayed = plan.run(arrays)
+    _, taped = _attack_like_step(net, arrays, create_graph=False)
+    assert [out.tobytes() for out in replayed] == [t.data.tobytes() for t in taped]
+
+
+@pytest.mark.parametrize("layout", ["strided_view", "fortran", "int"])
+def test_plan_inputs_of_any_layout_replay_as_contiguous_float64_copies(layout):
+    rng, net, plan = _buffer_plan(11)
+    arrays = _plan_arrays(rng, net, 6, LANES)
+    if layout == "strided_view":
+        given = [np.repeat(a, 2, axis=-1)[..., ::2] for a in arrays]
+        assert not all(g.flags.c_contiguous for g in given)
+    elif layout == "fortran":
+        given = [np.asfortranarray(a) for a in arrays]
+        assert not all(g.flags.c_contiguous for g in given)
+    else:
+        given = [np.rint(a * 4).astype(np.int64) for a in arrays]
+    copies = [np.ascontiguousarray(g, dtype=np.float64) for g in given]
+    want = [out.tobytes() for out in plan.run(copies)]
+    assert [out.tobytes() for out in plan.run(given)] == want
+
+
 # --- the training step: create_graph changes no first-order byte -------------
 
 def _training_step(bottom, top, x, targets, create_graph):

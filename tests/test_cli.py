@@ -142,6 +142,20 @@ def test_missing_csv_reports_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_nan_cell_in_the_dataset_is_a_one_line_error_before_training(tmp_path, monkeypatch,
+                                                                       capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("training started on a dataset with a NaN cell")
+
+    monkeypatch.setattr("splitlab.harness.train_lanes", never)
+    rows = np.random.default_rng(3).normal(size=(10, 3)).round(3).astype(str)
+    rows[4, 1] = "nan"
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,y\n" + "".join(",".join(row) + "\n" for row in rows))
+    err = one_line_error(capsys, ["experiment", "--dataset", str(data)])
+    assert err == f"error: {data}: row 5, column 2: 'nan' is not a finite number\n"
+
+
 def trained_run(tmp_path):
     run_dir = tmp_path / "run"
     assert main(["train", "--config", tiny_config_file(tmp_path), "--out", str(run_dir)]) == 0

@@ -64,6 +64,19 @@ def test_load_csv_parse_error_reports_position(tmp_path):
         load_csv(p, label_column="y")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [1, 3], ids=["feature", "label"])
+def test_load_csv_refuses_a_cell_that_is_not_finite(tmp_path, cell, column):
+    lines = ["a,b,y", "1,2,3", "4,5,6", "7,8,9"]
+    row = lines[2].split(",")
+    row[column - 1] = cell
+    lines[2] = ",".join(row)
+    p = write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(DataError) as info:
+        load_csv(p, label_column="y")
+    assert str(info.value) == f"{p}: row 2, column {column}: '{cell}' is not a finite number"
+
+
 def test_load_csv_ragged_row(tmp_path):
     p = write(tmp_path, "1,2,3\n4,5\n", name="r.csv")
     with pytest.raises(DataError, match="row 2"):

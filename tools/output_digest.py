@@ -14,6 +14,8 @@ bytes agree). The set:
     two values each, both extension variants at widths 2 and 8, 2 repeats);
   - for each of the six defenses, a 160-sample synthetic `splitlab train`
     (transcript, checkpoints, manifest) and its `splitlab attack --out`;
+  - the same train and attack, without a defense, on tanh networks with a
+    hidden layer on both sides (so the attack's surrogate has two layers);
   - one CSV `splitlab train` manifest (label column by name, dataset name
     set), written from inside a temporary directory so the path it records
     is the same in every checkout.
@@ -66,6 +68,7 @@ TINY_CONFIG = {
     "training": {"epochs": 4, "batch_size": 32, "seed": 0},
     "attack": {"epochs": 2, "window": 4, "leak_fraction": 0.05},
 }
+RUN_FILES = ("transcript.bin", "bottom.json", "top.json", "manifest.json", "attack.json")
 
 
 def _sha(path: Path) -> str:
@@ -110,9 +113,16 @@ def digests(work: Path):
         run = work / name
         _cli(["train", "--config", str(config), "--defense", name, "--out", str(run)])
         _cli(["attack", "--run", str(run), "--out", str(run / "attack.json")])
-        for file in ("transcript.bin", "bottom.json", "top.json", "manifest.json",
-                     "attack.json"):
+        for file in RUN_FILES:
             yield f"train+attack {name} {file}", _sha(run / file)
+
+    run = work / "tanh_hidden"
+    _cli(["train", "--config", str(config), "--set", "model.activation=tanh",
+          "--set", "model.top_hidden=[8]", "--set", "model.bottom_hidden=[8]",
+          "--out", str(run)])
+    _cli(["attack", "--run", str(run), "--out", str(run / "attack.json")])
+    for file in RUN_FILES:
+        yield f"train+attack tanh hidden {file}", _sha(run / file)
 
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(200, 5))
