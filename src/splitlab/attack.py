@@ -239,7 +239,7 @@ def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
         raise AttackError(f"{where}transcript has no records")
     indices = np.concatenate([rec.indices for rec in records])
     if not ((0 <= indices) & (indices < train.n)).all():
-        first = len(lane.transcript) - len(records)
+        first = lane.transcript.first_record + len(lane.transcript) - len(records)
         for k, rec in enumerate(records):
             bad = rec.indices[(rec.indices < 0) | (rec.indices >= train.n)]
             if bad.size:

@@ -33,7 +33,7 @@ from .harness import (
 )
 from .metrics import mean_value_baseline
 from .nn import load_checkpoint, save_checkpoint
-from .protocol import ProtocolError, Transcript, train_split
+from .protocol import ProtocolError, Transcript, TranscriptWriter, train_split
 
 
 def _parse_value(text: str):
@@ -128,9 +128,11 @@ def cmd_train(args) -> int:
     train, _ = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
     defense = defense_from_dict(cfg.defense, cut_dim=cfg.cut_dim, seed=cfg.seed)
     session = build_session(cfg, defense, raw.d, cfg.seed)
-    _, transcript, trace = train_split(session, train)
+    # records stream to disk as they are made; a run that fails leaves no file
+    count = session.epochs * session.batches_per_epoch(train.n)
+    with TranscriptWriter(out / "transcript.bin", count) as transcript:
+        _, _, trace = train_split(session, train, sink=transcript.append)
 
-    transcript.save(out / "transcript.bin")
     save_checkpoint(session.bottom, out / "bottom.json")
     save_checkpoint(session.top, out / "top.json")
     manifest = {
@@ -182,7 +184,8 @@ def cmd_attack(args) -> int:
     raw = load_dataset(cfg)
     train, test = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
     bottom = load_checkpoint(run_dir / bottom_file)
-    transcript = Transcript.load(run_dir / transcript_file)
+    # every header is checked, but only the replayed epochs are read
+    transcript = Transcript.load(run_dir / transcript_file, last_epochs=cfg.attack_window)
 
     plan = plan_attack(cfg, defense, train, cfg.seed)
     result = run_attack(transcript, bottom, train, plan.leaked, plan.config,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,16 +105,62 @@ def load_csv(path, label_column=-1, header: bool = True, name: str = "") -> Data
     order. `label_column` is a column name (requires a header) or an index
     (negative indices count from the end). A cell that is not a finite number
     (NaN and infinities included) and a `path` that is not a str or
-    os.PathLike (an int would be read as a file descriptor) raise DataError."""
+    os.PathLike (an int would be read as a file descriptor) raise DataError.
+
+    The table is parsed by one numpy call. Only a table that call refuses,
+    or that holds a value that is not finite, is read again cell by cell
+    with `float`: that pass names the row and column at fault, or returns
+    what `float` reads where it accepts a spelling numpy does not (`1_000`,
+    non-ASCII digits), so the files accepted and the values read are those
+    of `float` on every cell."""
     if not isinstance(path, (str, os.PathLike)):
         raise DataError(f"a CSV path is a string or path, got {path!r}")
+    parsed = _parse_table(path, header)
+    if parsed is None:
+        parsed = _parse_cells(path, header, label_column)
+    columns, data = parsed
+    label_idx = _label_index(label_column, columns, data.shape[1])
+    labels = data[:, label_idx:label_idx + 1]
+    features = np.delete(data, label_idx, axis=1)
+    return Dataset(features, labels, name=name or str(path))
+
+
+def _open(path):
     try:
-        fh = open(path, newline="")
+        return open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+
+
+def _parse_table(path, header: bool) -> tuple[list[str] | None, np.ndarray] | None:
+    """(header cells, float64 table), parsed by one numpy call after the csv
+    module has read the header; None when numpy refuses the table, finds no
+    data rows or reads a value that is not finite."""
+    with _open(path) as fh:
+        columns = None
+        if header:
+            row = next((row for row in csv.reader(fh) if row), None)
+            if row is None:
+                return None
+            columns = [c.strip() for c in row]
+        try:
+            with warnings.catch_warnings():
+                # numpy warns about a table with no rows; _parse_cells names it
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if not data.size or not np.isfinite(data).all():
+        return None
+    return columns, data
+
+
+def _parse_cells(path, header: bool, label_column) -> tuple[list[str] | None, np.ndarray]:
+    """The table read cell by cell with `float`, checked in file order: the
+    first empty, ragged, unreadable or non-finite part raises DataError
+    naming it, after the header and the label column are checked."""
+    with _open(path) as fh:
+        rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise DataError(f"{path}: empty file")
 
@@ -123,20 +170,7 @@ def load_csv(path, label_column=-1, header: bool = True, name: str = "") -> Data
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: header but no data rows")
-
-    if isinstance(label_column, str):
-        if columns is None:
-            raise DataError("label column given by name but header=False")
-        try:
-            label_idx = columns.index(label_column)
-        except ValueError:
-            raise DataError(f"label column '{label_column}' not in header {columns}") from None
-    else:
-        label_idx = int(label_column)
-        if label_idx < 0:
-            label_idx += len(rows[0])
-        if not 0 <= label_idx < len(rows[0]):
-            raise DataError(f"label column index {label_column} out of range")
+    _label_index(label_column, columns, len(rows[0]))
 
     width = len(rows[0])
     data = np.empty((len(rows), width))
@@ -155,10 +189,24 @@ def load_csv(path, label_column=-1, header: bool = True, name: str = "") -> Data
         i, j = np.argwhere(~finite)[0]
         raise DataError(f"{path}: row {i + 1}, column {j + 1}: "
                         f"{rows[i][j]!r} is not a finite number")
+    return columns, data
 
-    labels = data[:, label_idx:label_idx + 1]
-    features = np.delete(data, label_idx, axis=1)
-    return Dataset(features, labels, name=name or str(path))
+
+def _label_index(label_column, columns: list[str] | None, width: int) -> int:
+    """The position of the label column among `width` data columns."""
+    if isinstance(label_column, str):
+        if columns is None:
+            raise DataError("label column given by name but header=False")
+        try:
+            return columns.index(label_column)
+        except ValueError:
+            raise DataError(f"label column '{label_column}' not in header {columns}") from None
+    label_idx = int(label_column)
+    if label_idx < 0:
+        label_idx += width
+    if not 0 <= label_idx < width:
+        raise DataError(f"label column index {label_column} out of range")
+    return label_idx
 
 
 def split_standardize(ds: Dataset, ratio: float = 0.8, seed: int = 0) -> tuple[Dataset, Dataset]:

@@ -22,8 +22,10 @@ batch of that shape replays them (see the autograd module docstring).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -36,8 +38,8 @@ from .defense import adaptive_targets, compress_gradient, extend_labels_random  
 from .defense import noise_gradient, noise_labels  # noqa: F401
 from .nn import Adam, FcNetwork, gather_rows, split_lanes, stack_lanes, stack_networks
 
-__all__ = ["ProtocolError", "TranscriptRecord", "Transcript", "SplitSession",
-           "train_split", "train_lanes", "predict"]
+__all__ = ["ProtocolError", "TranscriptRecord", "Transcript", "TranscriptWriter",
+           "SplitSession", "train_split", "train_lanes", "predict"]
 
 _MAGIC = b"SLTRAN01"
 
@@ -54,15 +56,23 @@ class TranscriptRecord:
     gradient: np.ndarray     # batch x cut_dim, as received back
 
     def __post_init__(self):
-        if self.activations.shape != self.gradient.shape:
-            raise ProtocolError("activation / gradient shapes differ")
-        if self.indices.shape[0] != self.activations.shape[0]:
-            raise ProtocolError("index count does not match batch size")
+        _check_shapes(self.indices.shape[0], self.activations.shape, self.gradient.shape)
+
+
+def _check_shapes(index_count: int, activations: tuple, gradient: tuple) -> None:
+    if activations != gradient:
+        raise ProtocolError("activation / gradient shapes differ")
+    if index_count != activations[0]:
+        raise ProtocolError("index count does not match batch size")
 
 
 @dataclass
 class Transcript:
     records: list[TranscriptRecord] = field(default_factory=list)
+    # the place of records[0] among all the run's records: nonzero when older
+    # records were not kept (train_lanes' keep_epochs) or not read (load's
+    # last_epochs)
+    first_record: int = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -79,64 +89,145 @@ class Transcript:
         return [r for r in self.records if r.epoch >= cutoff]
 
     def save(self, path) -> None:
-        """Binary framing: epoch, index count + indices, then both matrices
-        with their dims, row-major float64."""
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<Q", len(self.records)))
-            for r in self.records:
-                fh.write(struct.pack("<II", r.epoch, len(r.indices)))
-                fh.write(np.ascontiguousarray(r.indices, dtype="<u8").tobytes())
-                for arr in (r.activations, r.gradient):
-                    fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-                    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        """Write the records to `path` through a TranscriptWriter, the only
+        writer of the framing. Binary framing, little-endian: the magic
+        b"SLTRAN01" and the u64 record count, then per record the u32 epoch,
+        the u32 index count and the u64 indices, then the activations and
+        the gradient, each as u32 rows, u32 cols and row-major f64 values."""
+        with TranscriptWriter(path, len(self.records)) as writer:
+            for record in self.records:
+                writer.append(record)
 
     @classmethod
-    def load(cls, path) -> "Transcript":
-        """Read a file written by save(). Every header and payload must fit
-        in the file and nothing may follow the last record; a malformed file
-        raises ProtocolError naming the path and the record."""
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:8] != _MAGIC:
-            raise ProtocolError(f"{path}: not a transcript file")
-        off = 8
+    def load(cls, path, last_epochs: int | None = None) -> "Transcript":
+        """Read a file in the framing save() documents. Every record header
+        is read and checked, whatever the window: each header and payload
+        must fit in the file, a record's two matrices must share one shape
+        with as many rows as it has indices, and nothing may follow the last
+        record. A malformed file raises ProtocolError naming the path and
+        the record.
 
-        def need(size: int, what: str) -> None:
-            left = len(blob) - off
-            if size > left:
+        With last_epochs=k, only the records that `last_epochs(k)` keeps
+        (epoch >= the last record's epoch + 1 - k) have their payloads read;
+        the others are skipped on disk, never held, and `first_record` is
+        the file index of the first record kept. None reads every record."""
+        with open(path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if fh.read(8) != _MAGIC:
+                raise ProtocolError(f"{path}: not a transcript file")
+            off = 8
+
+            def take(nbytes: int, what: str) -> int:
+                # the offset of `what`, which must fit in the file
+                nonlocal off
+                left = size - off
+                if nbytes > left:
+                    raise ProtocolError(f"{path}: {what} truncated: needs {nbytes} bytes "
+                                        f"at offset {off}, {left} left")
+                off += nbytes
+                return off - nbytes
+
+            def read_into(at: int, buf) -> None:
+                fh.seek(at)
+                if fh.readinto(buf) != memoryview(buf).nbytes:
+                    raise ProtocolError(f"{path}: file shrank while being read")
+
+            def unpack(fmt: str, what: str) -> tuple[int, ...]:
+                # an 8-byte header field
+                buf = bytearray(8)
+                read_into(take(8, what), buf)
+                return struct.unpack(fmt, buf)
+
+            (count,) = unpack("<Q", "record count")
+            # per record: epoch, index count and offset, matrix shape and offsets
+            layout = []
+            for i in range(count):
+                epoch, n_idx = unpack("<II", f"record {i} header")
+                at_indices = take(8 * n_idx, f"record {i} indices")
+                shapes, at_matrices = [], []
+                for name in ("activations", "gradient"):
+                    rows, cols = unpack("<II", f"record {i} {name} header")
+                    at_matrices.append(take(8 * rows * cols, f"record {i} {name}"))
+                    shapes.append((rows, cols))
+                try:
+                    _check_shapes(n_idx, *shapes)
+                except ProtocolError as exc:
+                    raise ProtocolError(f"{path}: record {i}: {exc}") from exc
+                layout.append((epoch, n_idx, at_indices, shapes[0], at_matrices))
+            if off != size:
                 raise ProtocolError(
-                    f"{path}: {what} truncated: needs {size} bytes at offset {off}, "
-                    f"{left} left")
+                    f"{path}: {size - off} trailing bytes after the last of {count} records")
 
-        need(8, "record count")
-        (count,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        records = []
-        for i in range(count):
-            need(8, f"record {i} header")
-            epoch, n_idx = struct.unpack_from("<II", blob, off)
-            off += 8
-            need(8 * n_idx, f"record {i} indices")
-            idx = np.frombuffer(blob, dtype="<u8", count=n_idx, offset=off).astype(np.int64)
-            off += 8 * n_idx
-            mats = []
-            for name in ("activations", "gradient"):
-                need(8, f"record {i} {name} header")
-                rows, cols = struct.unpack_from("<II", blob, off)
-                off += 8
-                need(8 * rows * cols, f"record {i} {name}")
-                m = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=off)
-                mats.append(m.reshape(rows, cols).copy())
-                off += 8 * rows * cols
-            try:
-                records.append(TranscriptRecord(epoch, idx, mats[0], mats[1]))
-            except ProtocolError as exc:
-                raise ProtocolError(f"{path}: record {i}: {exc}") from exc
-        if off != len(blob):
-            raise ProtocolError(
-                f"{path}: {len(blob) - off} trailing bytes after the last of {count} records")
-        return cls(records)
+            cutoff = 0 if last_epochs is None or not layout else layout[-1][0] + 1 - last_epochs
+            kept = [i for i, entry in enumerate(layout) if entry[0] >= cutoff]
+            records = []
+            for epoch, n_idx, at_indices, shape, at_matrices in (layout[i] for i in kept):
+                indices = np.empty(n_idx, dtype="<u8")
+                read_into(at_indices, indices)
+                matrices = [np.empty(shape, dtype="<f8") for _ in at_matrices]
+                for at, matrix in zip(at_matrices, matrices):
+                    read_into(at, matrix)
+                records.append(TranscriptRecord(epoch, indices.astype(np.int64), *matrices))
+        return cls(records, first_record=kept[0] if kept else 0)
+
+
+class TranscriptWriter:
+    """Writes a transcript file record by record, in the framing
+    `Transcript.save` documents, so a run's records need not be held
+    together. The record count goes first, so it is fixed up front.
+
+    The file is written as `<name>.part` next to `path`. close() renames it
+    to `path`, and refuses with ProtocolError, deleting it, unless exactly
+    `count` records were appended; abort() deletes it. As a context manager
+    the writer closes on a normal exit and aborts on an exception, so a
+    failed run leaves no file behind."""
+
+    def __init__(self, path, count: int):
+        self.path = Path(path)
+        self.count = int(count)
+        self.written = 0
+        self._part = self.path.with_name(self.path.name + ".part")
+        self._fh = open(self._part, "wb")
+        try:
+            self._fh.write(_MAGIC + struct.pack("<Q", self.count))
+        except BaseException:
+            self.abort()
+            raise
+
+    def append(self, record: TranscriptRecord) -> None:
+        fh = self._fh
+        fh.write(struct.pack("<II", record.epoch, len(record.indices)))
+        fh.write(np.ascontiguousarray(record.indices, dtype="<u8"))
+        for arr in (record.activations, record.gradient):
+            fh.write(struct.pack("<II", *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+        self.written += 1
+
+    def close(self) -> None:
+        try:
+            if self.written != self.count:
+                raise ProtocolError(f"{self.path}: {self.written} records written, "
+                                    f"but the file header announces {self.count}")
+            self._fh.close()
+            os.replace(self._part, self.path)
+        except BaseException:
+            self.abort()
+            raise
+
+    def abort(self) -> None:
+        try:
+            self._fh.close()
+        finally:
+            self._part.unlink(missing_ok=True)
+
+    def __enter__(self) -> "TranscriptWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
 
 
 class SplitSession:
@@ -168,6 +259,11 @@ class SplitSession:
     def cut_dim(self) -> int:
         return self.bottom.out_dim
 
+    def batches_per_epoch(self, n: int) -> int:
+        """Mini-batches in one epoch over n samples, the last possibly short;
+        a run records epochs times as many transcript records."""
+        return -(-n // self.batch_size)
+
 
 def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
     first = sessions[0]
@@ -185,23 +281,26 @@ def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
                 "top-model width, learning rate, batch size and epochs")
 
 
-def train_split(session: SplitSession, train: Dataset,
-                consistency_check: bool = False) -> tuple[SplitSession, Transcript, list[float]]:
+def train_split(session: SplitSession, train: Dataset, consistency_check: bool = False,
+                sink=None) -> tuple[SplitSession, Transcript, list[float]]:
     """Run the full protocol; returns the trained session, the feature
     party's transcript (every batch of every epoch), and the per-epoch mean
-    training loss. This is train_lanes with one lane.
+    training loss. This is train_lanes with one lane; a `sink` receives the
+    records instead of the transcript (see train_lanes).
 
     With consistency_check=True (and a defense that sends the raw gradient)
     the received gradient is re-derived from the stored activations and the
     label party's pre-update top model each batch, and must match what was
     recorded.
     """
-    ((transcript, trace),) = train_lanes([session], train, consistency_check=consistency_check)
+    ((transcript, trace),) = train_lanes([session], train, consistency_check=consistency_check,
+                                         sinks=None if sink is None else [sink])
     return session, transcript, trace
 
 
 def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int | None = None,
-                consistency_check: bool = False) -> list[tuple[Transcript, list[float]]]:
+                consistency_check: bool = False,
+                sinks: list | None = None) -> list[tuple[Transcript, list[float]]]:
     """Train several sessions on one dataset in lock-step; returns each
     session's (transcript, per-epoch mean loss), in session order.
 
@@ -213,12 +312,19 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     parameters and optimizer states are written back to the sessions, also
     when training fails.
 
-    keep_epochs=k keeps only the records of the final k epochs in the
-    transcripts (all epochs when None).
+    Each lane hands every record, as it is made, to its sink: a callable
+    taking a TranscriptRecord, such as `TranscriptWriter.append`, which
+    streams it to disk. By default (sinks=None) the sink appends to the
+    lane's returned transcript; with sinks given, the returned transcripts
+    stay empty. keep_epochs=k hands on only the records of the final k
+    epochs (all epochs when None); the returned transcripts then note the
+    index of their first record among all of the run's.
     """
     if not sessions:
         raise ProtocolError("no sessions to train")
     _check_lanes(sessions, train)
+    if sinks is not None and len(sinks) != len(sessions):
+        raise ProtocolError(f"{len(sinks)} record sinks for {len(sessions)} sessions")
     lanes = len(sessions)
     first = sessions[0]
     try:
@@ -235,11 +341,14 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     tables = [s.defense.target_table(train.labels, s.seed) for s in sessions]
     table = None if tables[0] is None else stack_lanes(tables)
     label_columns = stack_lanes([s.defense.label_column for s in sessions])
-    first_kept = 0 if keep_epochs is None else first.epochs - keep_epochs
-    transcripts = [Transcript() for _ in sessions]
+    batches = first.batches_per_epoch(train.n)
+    first_kept = 0 if keep_epochs is None else max(0, first.epochs - keep_epochs)
+    transcripts = [Transcript(first_record=first_kept * batches) for _ in sessions]
+    if sinks is None:
+        sinks = [transcript.records.append for transcript in transcripts]
     traces: list[list[float]] = [[] for _ in sessions]
     # this epoch's per-batch losses, one row per lane
-    epoch_losses = np.empty((lanes, -(-train.n // first.batch_size)))
+    epoch_losses = np.empty((lanes, batches))
     # one set of plans per batch shape: every batch but a short final one
     # shares it
     plans: dict[tuple[int, ...], tuple[StepPlan, StepPlan, StepPlan]] = {}
@@ -281,11 +390,9 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
                 cut, targets, loss, top_grads, sent, bottom_grads = outputs
 
                 if epoch >= first_kept:
-                    for transcript, i, a, g in zip(transcripts, split_lanes(idx, lanes),
-                                                   split_lanes(cut, lanes),
-                                                   split_lanes(sent, lanes)):
-                        transcript.records.append(
-                            TranscriptRecord(epoch, i.copy(), a.copy(), g.copy()))
+                    for sink, i, a, g in zip(sinks, split_lanes(idx, lanes),
+                                             split_lanes(cut, lanes), split_lanes(sent, lanes)):
+                        sink(TranscriptRecord(epoch, i.copy(), a.copy(), g.copy()))
                 if consistency_check and not changes_gradient:
                     _check_gradient_consistency(top, cut, targets, sent, epoch, batch_no)
 

@@ -395,3 +395,31 @@ def test_attack_on_a_transcript_index_past_the_int64_range_is_a_one_line_error(
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: transcript record {len(transcript) - 1} \(epoch 3\) holds "
                         r"sample index -3, outside the 128 training samples\n", err)
+
+
+def test_attack_on_a_window_names_a_bad_record_by_its_place_in_the_file(tmp_path, capsys):
+    # the attack reads only the last 2 of 4 epochs, yet the record is named
+    # by its index among all 16 in the file
+    run_dir = tmp_path / "run"
+    config = tiny_config_file(tmp_path, attack={"epochs": 2, "window": 2, "leak_fraction": 0.05})
+    assert main(["train", "--config", config, "--out", str(run_dir)]) == 0
+    path = run_dir / "transcript.bin"
+    transcript = Transcript.load(path)
+    assert len(transcript) == 16
+    blob = bytearray(path.read_bytes())
+    at = blob.rfind(np.ascontiguousarray(transcript.records[-1].indices, dtype="<u8").tobytes())
+    blob[at:at + 8] = struct.pack("<Q", 500)
+    path.write_bytes(bytes(blob))
+    err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
+    assert err == ("error: transcript record 15 (epoch 3) holds sample index 500, "
+                   "outside the 128 training samples\n")
+
+
+def test_a_diverging_train_leaves_no_transcript_and_no_partial_file(tmp_path, capsys):
+    # one Adam step at this rate makes the weights about 1e300
+    run_dir = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = one_line_error(capsys, ["train", "--config", tiny_config_file(tmp_path),
+                                      "--set", "training.lr=1e300", "--out", str(run_dir)])
+    assert err == "error: epoch 0, batch 1: non-finite values produced by 'matmul'\n"
+    assert list(run_dir.iterdir()) == []

@@ -1,8 +1,10 @@
+import csv
 import os
 
 import numpy as np
 import pytest
 
+from splitlab import data
 from splitlab.data import (
     DataError,
     Dataset,
@@ -87,6 +89,114 @@ def test_load_csv_unknown_label(tmp_path):
     p = write(tmp_path, "a,b\n1,2\n3,4\n")
     with pytest.raises(DataError, match="label column"):
         load_csv(p, label_column="z")
+
+
+def reference_load_csv(path, label_column=-1, header=True):
+    """load_csv as a plain loop: the csv module and float() on every cell."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    columns = None
+    if header:
+        columns = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+        if not rows:
+            raise DataError(f"{path}: header but no data rows")
+    if isinstance(label_column, str):
+        if columns is None:
+            raise DataError("label column given by name but header=False")
+        if label_column not in columns:
+            raise DataError(f"label column '{label_column}' not in header {columns}")
+        label_idx = columns.index(label_column)
+    else:
+        label_idx = label_column + len(rows[0]) if label_column < 0 else label_column
+        if not 0 <= label_idx < len(rows[0]):
+            raise DataError(f"label column index {label_column} out of range")
+    width = len(rows[0])
+    data = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: row {i + 1}, column {j + 1}: "
+                                f"cannot parse {cell!r} as a number") from None
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if not np.isfinite(data[i, j]):
+                raise DataError(f"{path}: row {i + 1}, column {j + 1}: "
+                                f"{cell!r} is not a finite number")
+    return Dataset(np.delete(data, label_idx, axis=1), data[:, label_idx:label_idx + 1],
+                   name=str(path))
+
+
+CSV_CASES = {
+    "label by name": ("a,b,y\n1,2,3\n4.5,-5e-3,6\n", "y", True),
+    "no header": ("1,2,3\n4,5,6\n", 0, False),
+    "crlf": ("a,y\r\n1,2\r\n3,4\r\n", -1, True),
+    "bare cr": ("a,y\r1,2\r3,4\r", -1, True),
+    "blank lines": ("\na,y\n\n1,2\n\r\n\n3,4\n\n", -1, True),
+    "no final newline": ("a,y\n1,2\n3,4", -1, True),
+    "spaces around cells": ("a , y \n 1 , 2\t\n3,\xa04\n", "y", True),
+    "hash cell": ("a,y\n1,2\n#3,4\n", -1, True),
+    "whitespace-only line": ("a,y\n1,2\n \n3,4\n", -1, True),
+    "whitespace-only line, one column": ("y\n1\n \n3\n", -1, True),
+    "quoted numbers": ('a,y\n"1.5",2\n3,"-4e2"\n', -1, True),
+    "text after a closing quote": ('a,y\n"5"x,6\n', -1, True),
+    "quoted comma": ('a,y\n"1,5",2\n', -1, True),
+    "underscores": ("a,y\n1_000,2\n3,4_5.0_1\n", -1, True),
+    "misplaced underscore": ("a,y\n1__000,2\n", -1, True),
+    "non-ASCII digits": ("a,y\n\u0661\u0662,2\n3,4\n", -1, True),
+    "ragged short row": ("a,y\n1,2\n3\n", -1, True),
+    "ragged long row": ("1,2\n3,4,5\n", -1, False),
+    "empty cell": ("a,y\n1,\n3,4\n", -1, True),
+    "nan": ("a,y\n1,2\n3,nan\n", -1, True),
+    "inf": ("a,y\n1,2\n inf ,4\n", -1, True),
+    "-inf": ("a,y\n-inf,2\n3,4\n", -1, True),
+    "overflow": ("a,y\n1e400,2\n", -1, True),
+    "empty file": ("", -1, True),
+    "blank lines only": ("\n\r\n\n", -1, False),
+    "header only": ("a,y\n\n", -1, True),
+    "unknown label before a bad cell": ("a,y\nx,2\n", "z", True),
+    "index out of range before a nan": ("1,nan\n", 2, False),
+    "header wider than the rows": ("a,b,c\n1,2\n3,4\n", -1, True),
+    "one column": ("y\n1\n2\n", 0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_load_csv_accepts_and_refuses_as_a_float_loop_does(tmp_path, case):
+    text, label_column, header = CSV_CASES[case]
+    p = tmp_path / "data.csv"
+    p.write_bytes(text.encode())
+    try:
+        expected = reference_load_csv(p, label_column, header)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            load_csv(p, label_column=label_column, header=header)
+        assert str(info.value) == str(exc)
+        return
+    ds = load_csv(p, label_column=label_column, header=header)
+    for got, want in ((ds.features, expected.features), (ds.labels, expected.labels)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert ds.name == expected.name
+
+
+def test_load_csv_reads_a_clean_table_without_the_cell_loop(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("the cell-by-cell pass ran on a table numpy reads")
+
+    monkeypatch.setattr(data, "_parse_cells", never)
+    rows = np.random.default_rng(5).normal(size=(50, 4))
+    p = tmp_path / "data.csv"
+    np.savetxt(p, rows, fmt="%.17g", delimiter=",", header="a,b,c,y", comments="")
+    ds = load_csv(p, label_column="y")
+    assert ds.labels.tobytes() == np.ascontiguousarray(rows[:, 3:]).tobytes()
+    assert ds.features.tobytes() == np.ascontiguousarray(rows[:, :3]).tobytes()
 
 
 def test_split_sizes():

@@ -1,3 +1,5 @@
+import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,8 @@ from splitlab.protocol import (
     ProtocolError,
     SplitSession,
     Transcript,
+    TranscriptRecord,
+    TranscriptWriter,
     predict,
     train_lanes,
     train_split,
@@ -209,7 +213,7 @@ def test_transcript_rejects_garbage(tmp_path):
 @pytest.fixture
 def saved_transcript(tmp_path, small_data):
     train, _ = small_data
-    session = make_session(train, epochs=2, batch_size=64)
+    session = make_session(train, epochs=3, batch_size=64)
     _, transcript, _ = train_split(session, train)
     path = tmp_path / "run.transcript"
     transcript.save(path)
@@ -233,6 +237,94 @@ def test_transcript_rejects_trailing_bytes(saved_transcript):
     path.write_bytes(path.read_bytes() + b"\0" * 5)
     with pytest.raises(ProtocolError, match=rf"{path.name}: 5 trailing bytes after the last of {count} records"):
         Transcript.load(path)
+
+
+# --- windowed reads and streamed writes ---------------------------------------
+
+def test_a_windowed_load_equals_last_epochs_of_the_full_load(saved_transcript):
+    path, count = saved_transcript
+    full = Transcript.load(path)
+    for k in (1, 2, 3, None):
+        window = Transcript.load(path, last_epochs=k)
+        expected = full.records if k is None else full.last_epochs(k)
+        assert_same_records(window, Transcript(expected))
+        assert window.first_record == count - len(expected)
+        assert window.epochs == full.epochs
+
+
+def test_a_windowed_load_keeps_records_by_epoch_not_by_position(tmp_path):
+    # epochs out of file order: the window is the rule of last_epochs, so the
+    # record of epoch 1 between the two of epoch 2 is skipped
+    rng = np.random.default_rng(0)
+    records = [TranscriptRecord(epoch, np.arange(2), rng.normal(size=(2, 3)),
+                                rng.normal(size=(2, 3))) for epoch in (0, 2, 1, 2)]
+    path = tmp_path / "shuffled.transcript"
+    Transcript(records).save(path)
+    window = Transcript.load(path, last_epochs=1)
+    assert_same_records(window, Transcript([records[1], records[3]]))
+    assert window.first_record == 1
+
+
+def test_a_streamed_transcript_file_equals_the_saved_one(tmp_path, small_data):
+    train, _ = small_data
+    held, streamed = (make_session(train, epochs=2, batch_size=48) for _ in range(2))
+    _, transcript, _ = train_split(held, train)
+    transcript.save(tmp_path / "saved")
+    count = streamed.epochs * streamed.batches_per_epoch(train.n)
+    assert count == len(transcript)
+    with TranscriptWriter(tmp_path / "streamed", count) as writer:
+        _, unfilled, _ = train_split(streamed, train, sink=writer.append)
+    assert len(unfilled) == 0
+    assert (tmp_path / "streamed").read_bytes() == (tmp_path / "saved").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["saved", "streamed"]
+
+
+@pytest.mark.parametrize("appended", [2, 4])
+def test_the_writer_refuses_to_close_on_another_record_count(tmp_path, appended):
+    record = TranscriptRecord(0, np.arange(2), np.zeros((2, 3)), np.zeros((2, 3)))
+    path = tmp_path / "run.transcript"
+    writer = TranscriptWriter(path, 3)
+    for _ in range(appended):
+        writer.append(record)
+    with pytest.raises(ProtocolError, match=rf"{appended} records written, but the file "
+                                            r"header announces 3"):
+        writer.close()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_writer_leaves_no_file_when_its_block_raises(tmp_path):
+    with pytest.raises(ValueError):
+        with TranscriptWriter(tmp_path / "run.transcript", 1):
+            raise ValueError("training failed")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("window", [None, 1, 2])
+def test_every_header_is_checked_whatever_the_window(saved_transcript, window):
+    path, count = saved_transcript
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-100])
+    with pytest.raises(ProtocolError, match=rf"{path.name}: record {count - 1} gradient truncated"):
+        Transcript.load(path, last_epochs=window)
+    path.write_bytes(blob + b"\0" * 5)
+    with pytest.raises(ProtocolError, match=rf"{path.name}: 5 trailing bytes after the last of {count} records"):
+        Transcript.load(path, last_epochs=window)
+
+    # record 0 (epoch 0, outside windows 1 and 2) with matrix headers
+    # rewritten to keep every size: 64 x 4 becomes 4 x 64 for the gradient
+    # only, then 32 x 8 for both
+    (n_idx,) = struct.unpack_from("<I", blob, 20)
+    at_activations = 16 + 8 + 8 * n_idx
+    rows, cols = struct.unpack_from("<II", blob, at_activations)
+    at_gradient = at_activations + 8 + 8 * rows * cols
+    for shapes, message in ((((rows, cols), (cols, rows)), "activation / gradient shapes differ"),
+                            (((rows // 2, cols * 2),) * 2, "index count does not match batch size")):
+        bad = bytearray(blob)
+        for at, shape in zip((at_activations, at_gradient), shapes):
+            struct.pack_into("<II", bad, at, *shape)
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ProtocolError, match=re.escape(f"{path.name}: record 0: {message}")):
+            Transcript.load(path, last_epochs=window)
 
 
 def test_divergence_raises_with_context_before_any_update(small_data):
@@ -310,6 +402,7 @@ def test_lock_step_keep_epochs_trims_only_old_records(small_data):
     for (transcript, trace), (trimmed, trimmed_trace) in zip(full, kept):
         assert trimmed_trace == trace
         assert_same_records(trimmed, Transcript(transcript.last_epochs(1)))
+        assert trimmed.first_record == len(transcript) - len(trimmed)
 
 
 def test_lock_step_consistency_check_holds_per_lane(small_data):

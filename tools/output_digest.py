@@ -16,9 +16,12 @@ bytes agree). The set:
     (transcript, checkpoints, manifest) and its `splitlab attack --out`;
   - the same train and attack, without a defense, on tanh networks with a
     hidden layer on both sides (so the attack's surrogate has two layers);
-  - one CSV `splitlab train` manifest (label column by name, dataset name
-    set), written from inside a temporary directory so the path it records
-    is the same in every checkout.
+  - the same train and attack, without a defense, replaying only the last
+    2 of the 4 training epochs (`attack.window=2`), so the attack reads a
+    window of the transcript file;
+  - one CSV `splitlab train` (label column by name, dataset name set) and
+    its `splitlab attack --out`, run from inside a temporary directory so
+    the path the manifest records is the same in every checkout.
 
 Usage, from the root of a checkout (about 20 s on two cores):
 
@@ -124,6 +127,12 @@ def digests(work: Path):
     for file in RUN_FILES:
         yield f"train+attack tanh hidden {file}", _sha(run / file)
 
+    run = work / "window_2"
+    _cli(["train", "--config", str(config), "--set", "attack.window=2", "--out", str(run)])
+    _cli(["attack", "--run", str(run), "--out", str(run / "attack.json")])
+    for file in RUN_FILES:
+        yield f"train+attack window 2 {file}", _sha(run / file)
+
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(200, 5))
     np.savetxt(work / "data.csv", rows, delimiter=",", header="a,b,c,d,price", comments="")
@@ -134,9 +143,11 @@ def digests(work: Path):
               "--set", "dataset.name=digest", "--set", "training.epochs=2",
               "--set", "model.bottom_hidden=[]", "--set", "model.cut_dim=4",
               "--out", "csv_run"])
+        _cli(["attack", "--run", "csv_run", "--out", "csv_run/attack.json"])
     finally:
         os.chdir(previous)
-    yield "train csv manifest.json", _sha(work / "csv_run" / "manifest.json")
+    for file in RUN_FILES:
+        yield f"train+attack csv {file}", _sha(work / "csv_run" / file)
 
 
 def run() -> None:
