@@ -7,7 +7,9 @@ own training loss w.r.t. the activations (a second-order quantity, obtained by
 differentiating through a taped backward pass) must reproduce the recorded
 gradient, and an anchor term tying the dummy labels to the surrogate's
 predictions so the joint problem has isolated optima. A small amount of
-leaked labels adds a fine-tuning term, weighted by alpha.
+leaked labels adds a fine-tuning term, weighted by alpha. Every step runs as
+an `autograd.StepPlan`, captured once per batch shape from a tape over zeros
+(see the autograd module docstring).
 
 Threat model: the bottom model is the attacker's own and stays frozen. Under
 a label-extension defense the attacker is assumed to know the extension width
@@ -160,31 +162,29 @@ def _const(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _capture_step(surrogate: FcNetwork, dummy_values: np.ndarray, cut_values: np.ndarray,
-                  recorded_grad: np.ndarray, leaked_cut: Tensor, leaked_target: Tensor,
-                  alpha: float) -> tuple[StepPlan, list[np.ndarray]]:
-    """One taped attack step, and the StepPlan that replays it on later
-    batches of the same shape. Its outputs, in plan order: the total loss,
-    the inversion loss, the surrogate's parameter gradients and the
-    dummy-label gradient. The plan's inputs are the surrogate's parameters,
-    the dummy-label batch, the activations and the recorded gradient; the
-    leaked pairs stay fixed for the whole attack and enter as constants."""
+def _capture_step(surrogate: FcNetwork, cut_shape: tuple[int, ...], leaked_cut: Tensor,
+                  leaked_target: Tensor, alpha: float) -> StepPlan:
+    """The StepPlan of an attack step on batches of activations of
+    cut_shape, captured from a tape over zeros: a zeroed copy of the
+    surrogate, zero dummy labels, activations and recorded gradient. Its
+    outputs, in order: the total loss, the inversion loss, the surrogate's
+    parameter gradients and the dummy-label gradient. Its inputs are the
+    surrogate's parameters, the dummy-label batch, the activations and the
+    recorded gradient; the leaked pairs stay fixed for the whole attack and
+    enter as constants."""
+    surrogate = surrogate.copy()
+    surrogate.flat[...] = 0.0
     tape = Tape()
     handles = surrogate.attach(tape)
-    try:
-        dummy_batch = tape.leaf(dummy_values)
-        cut = tape.leaf(cut_values)
-        recorded = tape.leaf(recorded_grad)
-        gi_loss, _ = gradient_inversion_loss(tape, surrogate, cut, dummy_batch, recorded)
-        mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_target)
-        total = add(gi_loss, smul(mc_loss, alpha))
-        # create_graph keeps every gradient a node the plan can name
-        grads = backward(total, [*handles, dummy_batch], create_graph=True)
-    finally:
-        surrogate.detach()
-    outputs = [total, gi_loss, *grads]
-    plan = StepPlan([*handles, dummy_batch, cut, recorded], outputs)
-    return plan, [t.data for t in outputs]
+    dummy_batch = tape.leaf(np.zeros((*cut_shape[:-1], surrogate.out_dim)))
+    cut = tape.leaf(np.zeros(cut_shape))
+    recorded = tape.leaf(np.zeros(cut_shape))
+    gi_loss, _ = gradient_inversion_loss(tape, surrogate, cut, dummy_batch, recorded)
+    mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_target)
+    total = add(gi_loss, smul(mc_loss, alpha))
+    # create_graph keeps every gradient a node the plan can name
+    grads = backward(total, [*handles, dummy_batch], create_graph=True)
+    return StepPlan([*handles, dummy_batch, cut, recorded], [total, gi_loss, *grads])
 
 
 def _best_column(candidates: np.ndarray, reference: np.ndarray) -> int:
@@ -267,7 +267,7 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     transcript windows have the same batch sizes in the same order; each
     keeps its own transcript, bottom model, leaked labels, surrogate and
     dummy labels. Surrogates and dummy labels are stacked along a lane axis,
-    so one tape walk per batch serves every lane, and each lane computes
+    so one plan run per batch serves every lane, and each lane computes
     exactly what it would alone.
     """
     if not lanes:
@@ -319,23 +319,19 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     # this epoch's per-batch losses, one row per lane
     totals = np.empty((count, len(batch_idx)))
     inversions = np.empty((count, len(batch_idx)))
-    # one plan per batch shape: every batch but a short final one shares it
+    # one plan per batch shape: every batch but a short final one runs it
     plans: dict[tuple[int, ...], StepPlan] = {}
     surrogate_params = surrogate.parameters()
     for epoch in range(config.epochs):
         for batch_no, (idx, cut_values, recorded_grad) in enumerate(
                 zip(batch_idx, batch_cuts, batch_grads)):
-            dummy_values = gather_rows(dummy, idx)
+            plan = plans.get(cut_values.shape)
+            if plan is None:
+                plan = plans[cut_values.shape] = _capture_step(
+                    surrogate, cut_values.shape, leaked_cut_t, leaked_target, config.alpha)
             try:
-                plan = plans.get(cut_values.shape)
-                if plan is None:
-                    plan, outputs = _capture_step(surrogate, dummy_values, cut_values,
-                                                  recorded_grad, leaked_cut_t, leaked_target,
-                                                  config.alpha)
-                    plans[cut_values.shape] = plan
-                else:
-                    outputs = plan.run([*surrogate_params, dummy_values, cut_values,
-                                        recorded_grad])
+                outputs = plan.run([*surrogate_params, gather_rows(dummy, idx), cut_values,
+                                    recorded_grad])
             except AutogradError as exc:
                 raise AttackError(
                     f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc

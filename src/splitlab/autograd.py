@@ -7,25 +7,25 @@ columns and reduce or broadcast within each lane, a loss is one 1x1 value
 per lane, and the gradient of the summed lane losses with respect to one
 lane's inputs is that lane's own gradient. Operations record nodes on a
 ``Tape`` whenever at least one input is attached to it. A backward pass walks
-the tape in reverse; with ``create_graph=True`` the backward computations are
-themselves recorded, so the returned gradients are ordinary taped tensors and
-a second backward yields second-order derivatives. This is what lets a loss
+the tape in reverse and records its own computations on the same tape; with
+``create_graph=True`` it returns the gradients as those taped tensors, so a
+second backward yields second-order derivatives. This is what lets a loss
 contain "the gradient of another loss" as a differentiable sub-expression.
 
 Step plans. A loop that runs the same graph many times over new arrays (the
 attack's second-order step, the split training step) pays for the tape's
 bookkeeping on every step: node records, tensor wrappers and the adjoint
 dictionary cost far more than the small-matrix arithmetic itself. A
-``StepPlan`` is captured from one normal taped step whose backward passes ran
-with ``create_graph=True``, so that every gradient is a node. The caller
-names the plan's inputs (leaves) and outputs; the plan keeps only the
-outputs' ancestors. At capture it lays out one float64 buffer with a slot
-for each kept leaf and operation, and binds every operation to fixed views
-of its argument slots and its own slot (captured constants stay separate
-arrays). ``run(arrays)`` copies the inputs into their slots and recomputes
-each operation in tape order into its slot, through the same per-op kernel
-table the primitives use, so a replayed step is bit-identical to a taped one
-on the same arrays. It returns copies of the output slots: outputs are new
+``StepPlan`` is captured from one taped step whose backward passes ran with
+``create_graph=True``, so that every gradient is a node. The caller names the
+plan's inputs (leaves) and outputs; the plan keeps only the outputs'
+ancestors. At capture it lays out one float64 buffer with a slot for each
+kept leaf and operation, and binds every operation to fixed views of its
+argument slots and its own slot (captured constants stay separate arrays).
+``run(arrays)`` copies the inputs into their slots and recomputes each
+operation in tape order into its slot, through the same per-op kernel table
+the primitives use, so a replayed step is bit-identical to a taped one on
+the same arrays. It returns copies of the output slots: outputs are new
 arrays that later runs leave alone. Because every run writes the same
 buffer, a plan, like a tape, belongs to one logical thread. Its inputs
 must have the captured shapes; a loop keeps one plan per batch shape. One
@@ -35,26 +35,31 @@ with numpy work between them whose results enter the next plan as inputs.
 
 Two rules make this sound:
   - every array that changes from step to step enters the graph as a leaf.
-    A value that entered as a constant (an untaped tensor, or one computed
-    while recording was suspended) is replayed as it was at capture,
+    A value that entered as a constant (an untaped tensor) is replayed as it
+    was at capture,
   - VJPs take step data only through node inputs, never through an array
     derived from them and stored in a node's aux (the relu VJP therefore
     uses the ``relu_grad(g, x)`` primitive rather than ``mulc`` by a mask).
+
+Under these rules a plan depends on its inputs' shapes alone: whatever else
+it holds (an mse's 1/n, a column picker, a scale by the row count) is
+derived from shapes or fixed for the whole loop. So a loop captures its
+plans from a tape over zeros of the step's shapes, where no kernel can
+produce a non-finite value, and runs every step, the first included,
+through them.
 
 Conventions:
   - all arithmetic is float64; results must be finite (NaN/Inf raises,
     naming the first operation that produced such a value). Untaped
     operations, ``constant`` and ``Tape.leaf`` check their result at once
     (a leaf after the taped operations made before it, so that the first
-    value in tape order is the one named). Taped operations, recorded or
-    computed while recording is suspended (a ``backward`` without
-    ``create_graph``), are checked together when a leaf is made on their
-    tape and when ``backward`` runs on it: once on entry, for everything
-    computed since the last check, and once on exit, for what the backward
-    pass itself computed. A step plan checks its inputs and results in one
-    scan of its buffer per run; on a hit it rescans them slot by slot,
-    inputs first and then results in tape order, and raises the error the
-    taped step raises for the same arrays.
+    value in tape order is the one named). Taped operations are checked
+    together when a leaf is made on their tape and when ``backward`` runs on
+    it: once on entry, for everything computed since the last check, and
+    once on exit, for what the backward pass itself computed. A step plan
+    checks its inputs and results in one scan of its buffer per run; on a
+    hit it rescans them slot by slot, inputs first and then results in tape
+    order, and raises the error the taped step raises for the same arrays.
     The taped step also forms adjoints for leaves nobody asked for, which
     the plan drops; only if one of those is the first to overflow do the two
     name different operations. In the attack's step that is a rare case; in
@@ -136,13 +141,8 @@ def _require_finite(arr: np.ndarray, op: str) -> None:
 
 class Tensor:
     """A 2-D float64 matrix, or a (lanes, rows, cols) stack of them,
-    optionally attached to a tape node.
-
-    A tensor computed while its tape's recording was suspended (inside a
-    ``backward`` without ``create_graph``) keeps a reference to the tape (so
-    its values are checked with the tape's) but has no node, and enters later
-    operations as a constant.
-    """
+    optionally attached to a tape node: a tensor has a tape exactly when it
+    has a node on it."""
 
     __slots__ = ("data", "tape", "node")
 
@@ -210,9 +210,6 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
-        # False while a first-order backward runs: its operations are
-        # computed and checked like recorded ones but add no node
-        self._recording = True
         # (op, output) of every taped operation not yet checked for
         # finiteness; backward checks and clears it
         self._pending: list[tuple[str, np.ndarray]] = []
@@ -304,8 +301,6 @@ def _emit(op: str, inputs: tuple[Tensor, ...], aux=None) -> Tensor:
         _require_finite(out, op)
         return _wrap(out)
     tape._pending.append((op, out))
-    if not tape._recording:
-        return _wrap(out, tape)
     nodes = tape.nodes
     nodes.append(_Node(op, tuple(t.node for t in inputs), tuple(t.data for t in inputs), out, aux))
     return _wrap(out, tape, len(nodes) - 1)
@@ -454,8 +449,8 @@ def select_column(x, j: int) -> Tensor:
 # can reach a requested tensor; a rule may return None for an input it is not
 # asked for, and backward ignores whatever it returns there. None for an input
 # that is asked for means a contribution that is zero everywhere (relu_grad's
-# in x). Contributions are built from the public primitives so that, while
-# the tape is recording, they are differentiable in their own right. A rule
+# in x). Contributions are built from the public primitives, so they are
+# recorded on the tape and differentiable in their own right. A rule
 # takes step data only through the node's inputs (_input_handle) or its own
 # output, never by baking an array derived from them into an aux: a StepPlan
 # replays aux values as they were at capture.
@@ -528,24 +523,24 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     shape, so with lanes it differentiates the sum of the lane losses, and
     each lane's inputs receive that lane's own gradient.
 
-    With ``create_graph=True`` the returned gradients stay on the tape, so a
-    further ``backward`` over an expression of them yields second-order
-    derivatives. With ``create_graph=False`` the same arithmetic runs with
-    recording suspended and the gradients come back off the tape;
-    first-order values are bit-identical either way.
+    The pass records its computations on the loss's tape either way. With
+    ``create_graph=True`` the returned gradients are those taped tensors, so
+    a further ``backward`` over an expression of them yields second-order
+    derivatives; with ``create_graph=False`` they come back as untaped
+    copies of the same values.
 
     Only adjoints that can reach a requested tensor are formed: a node older
     than the oldest requested one cannot depend on any of them, so the walk
     stops there and no contribution to such a node (or to a constant) is
     computed.
     """
-    if loss.tape is None or loss.node is None:
+    if loss.tape is None:
         raise AutogradError("loss is not attached to a tape")
     if loss.shape[-2:] != (1, 1):
         raise AutogradError(f"loss must be scalar (1x1 per lane), got {loss.shape}")
     tape = loss.tape
     for w in wrt:
-        if w.tape is not tape or w.node is None:
+        if w.tape is not tape:
             raise AutogradError("a requested tensor does not live on the loss tape")
     tape._check_pending()
 
@@ -554,26 +549,21 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     adjoint: dict[int, Tensor] = {loss.node: constant(np.ones(loss.shape))}
     nodes = tape.nodes
 
-    recording = tape._recording
-    tape._recording = recording and create_graph
-    try:
-        for nid in range(loss.node, lowest - 1, -1):
-            g = adjoint.pop(nid, None)
-            if g is None:
-                continue
-            if nid in want:
-                want[nid] = g
-            node = nodes[nid]
-            need = [i is not None and i >= lowest for i in node.inputs]
-            if not any(need):
-                continue
-            contribs = _VJP[node.op](node, nid, g, tape, need)
-            for input_id, wanted, contrib in zip(node.inputs, need, contribs):
-                if wanted and contrib is not None:
-                    seen = adjoint.get(input_id)
-                    adjoint[input_id] = contrib if seen is None else add(seen, contrib)
-    finally:
-        tape._recording = recording
+    for nid in range(loss.node, lowest - 1, -1):
+        g = adjoint.pop(nid, None)
+        if g is None:
+            continue
+        if nid in want:
+            want[nid] = g
+        node = nodes[nid]
+        need = [i is not None and i >= lowest for i in node.inputs]
+        if not any(need):
+            continue
+        contribs = _VJP[node.op](node, nid, g, tape, need)
+        for input_id, wanted, contrib in zip(node.inputs, need, contribs):
+            if wanted and contrib is not None:
+                seen = adjoint.get(input_id)
+                adjoint[input_id] = contrib if seen is None else add(seen, contrib)
     tape._check_pending()
 
     out = []
@@ -582,7 +572,7 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
         if g is None:
             out.append(_wrap(np.zeros(w.shape)))
         else:
-            out.append(g if g.node is not None else _wrap(g.data))
+            out.append(g if create_graph else _wrap(g.data.copy()))
     return out
 
 
@@ -615,7 +605,7 @@ class StepPlan:
             raise AutogradError("plan inputs must be leaves of a tape")
         nodes = tape.nodes
         for t in (*inputs, *outputs):
-            if t.tape is not tape or t.node is None:
+            if t.tape is not tape:
                 raise AutogradError("plan inputs and outputs must be nodes of one tape")
         for t in inputs:
             if nodes[t.node].op != "leaf":

@@ -104,8 +104,10 @@ def load_csv(path, label_column=-1, header: bool = True, name: str = "") -> Data
     """Read a numeric CSV; every non-label column becomes a feature, in file
     order. `label_column` is a column name (requires a header) or an index
     (negative indices count from the end). A cell that is not a finite number
-    (NaN and infinities included) and a `path` that is not a str or
-    os.PathLike (an int would be read as a file descriptor) raise DataError.
+    (NaN and infinities included), a row whose cell count differs from the
+    header's (or, without a header, from the first row's) and a `path` that
+    is not a str or os.PathLike (an int would be read as a file descriptor)
+    raise DataError.
 
     The table is parsed by one numpy call. Only a table that call refuses,
     or that holds a value that is not finite, is read again cell by cell
@@ -135,7 +137,8 @@ def _open(path):
 def _parse_table(path, header: bool) -> tuple[list[str] | None, np.ndarray] | None:
     """(header cells, float64 table), parsed by one numpy call after the csv
     module has read the header; None when numpy refuses the table, finds no
-    data rows or reads a value that is not finite."""
+    data rows, reads a value that is not finite or reads rows of another
+    width than the header's."""
     with _open(path) as fh:
         columns = None
         if header:
@@ -150,7 +153,8 @@ def _parse_table(path, header: bool) -> tuple[list[str] | None, np.ndarray] | No
                 data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
         except ValueError:
             return None
-    if not data.size or not np.isfinite(data).all():
+    if not data.size or not np.isfinite(data).all() or \
+            (columns is not None and data.shape[1] != len(columns)):
         return None
     return columns, data
 
@@ -158,7 +162,9 @@ def _parse_table(path, header: bool) -> tuple[list[str] | None, np.ndarray] | No
 def _parse_cells(path, header: bool, label_column) -> tuple[list[str] | None, np.ndarray]:
     """The table read cell by cell with `float`, checked in file order: the
     first empty, ragged, unreadable or non-finite part raises DataError
-    naming it, after the header and the label column are checked."""
+    naming it, after the header and the label column are checked. A row is
+    ragged when its width differs from the header's, or without a header
+    from the first row's."""
     with _open(path) as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -170,13 +176,14 @@ def _parse_cells(path, header: bool, label_column) -> tuple[list[str] | None, np
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: header but no data rows")
-    _label_index(label_column, columns, len(rows[0]))
+    width = len(rows[0]) if columns is None else len(columns)
+    _label_index(label_column, columns, width)
 
-    width = len(rows[0])
+    expected = f"expected {width}" if columns is None else f"the header has {width}"
     data = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, {expected}")
         for j, cell in enumerate(row):
             try:
                 data[i, j] = float(cell)

@@ -155,10 +155,18 @@ class RandomLabelExtension(_LabelExtension):
 class AdaptiveLabelExtension(_LabelExtension):
     """Like the random extension, but the non-label columns are the outputs
     of a snapshot of the top model taken at the start of each epoch, so at
-    that moment only the label column produces training signal. Within the
-    epoch they chase a reference the live model drifts away from, which
-    keeps the outgoing gradients from being a pure label-residual signal.
-    noise_std mirrors the random extension; nothing draws with it."""
+    that moment only the label column produces training signal.
+
+    At a linear top (no hidden top layer, the lab's profiles) each output
+    column has its own weights and bias, so the non-label columns never
+    move: their targets equal their outputs at every step, their gradient
+    is exactly zero, and every outgoing gradient is the label column's
+    residual times that column's weights, exactly rank one. Only a hidden
+    top layer, which the columns share, lets the live model drift from its
+    snapshot. `PAPER.md` gives the paper's setup but not the rule of its
+    adaptive extension, so this rule is the lab's own and is not checked
+    against the paper. noise_std mirrors the random extension; nothing
+    draws with it."""
 
     name = "adaptive_extension"
     uses_snapshot = True

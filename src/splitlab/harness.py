@@ -5,7 +5,7 @@ the transcript through the attack, and score the original task, the attack,
 and the constant-mean baseline on both splits. Repeats run with derived seeds
 and best-of selection; sweeps map a defense parameter or the extension width
 over a grid of values. The runs of an experiment or sweep that can share
-one tape walk per batch are trained and attacked in lock-step.
+one step per batch are trained and attacked in lock-step.
 """
 
 from __future__ import annotations

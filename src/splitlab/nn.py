@@ -390,11 +390,11 @@ class RowwiseAdam:
         self.counts = np.zeros(shape[:-1], dtype=np.int64)
 
     def step(self, values: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> None:
-        """Update values[rows] in place; the rows of one lane are distinct."""
+        """Update values[rows] in place; the rows of one lane are distinct.
+        The gradient is not scanned for non-finite values: the backward pass
+        or step plan that formed it has scanned it already."""
         if grad.shape != (*rows.shape, values.shape[-1]):
             raise ValueError(f"gradient shape {grad.shape} does not match rows")
-        if not np.isfinite(grad).all():
-            raise ValueError("non-finite gradient")
         at = rows if rows.ndim == 1 else (np.arange(len(rows))[:, None], rows)
         counts = self.counts[at] + 1
         m, v = self.m[at], self.v[at]

@@ -15,9 +15,10 @@ the label party's part (top parameters, cut and targets in; loss, top
 gradients and cut gradient out) and the feature party's backward (bottom
 parameters, features and the sent gradient in; bottom gradients out). The
 defense's numpy rules run between them: the targets after the forward, the
-sent gradient after the label party's part. The first batch of each batch
-shape is taped and captured as three `autograd.StepPlan`s; every later
-batch of that shape replays them (see the autograd module docstring).
+sent gradient after the label party's part. The three are captured as
+`autograd.StepPlan`s from a tape over zeros of the step's shapes, once per
+batch shape, and every batch of that shape, the first included, runs them
+(see the autograd module docstring).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import AutogradError, StepPlan, Tape, backward, constant, mse, mul, sum_all
+from .autograd import AutogradError, StepPlan, Tape, backward, mse, mul, sum_all
 from .data import Dataset
 from .defense import Defense
 # Called by the defenses, not here; importable from here for code that wraps
@@ -281,25 +282,17 @@ def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
                 "top-model width, learning rate, batch size and epochs")
 
 
-def train_split(session: SplitSession, train: Dataset, consistency_check: bool = False,
+def train_split(session: SplitSession, train: Dataset,
                 sink=None) -> tuple[SplitSession, Transcript, list[float]]:
     """Run the full protocol; returns the trained session, the feature
     party's transcript (every batch of every epoch), and the per-epoch mean
     training loss. This is train_lanes with one lane; a `sink` receives the
-    records instead of the transcript (see train_lanes).
-
-    With consistency_check=True (and a defense that sends the raw gradient)
-    the received gradient is re-derived from the stored activations and the
-    label party's pre-update top model each batch, and must match what was
-    recorded.
-    """
-    ((transcript, trace),) = train_lanes([session], train, consistency_check=consistency_check,
-                                         sinks=None if sink is None else [sink])
+    records instead of the transcript (see train_lanes)."""
+    ((transcript, trace),) = train_lanes([session], train, sinks=None if sink is None else [sink])
     return session, transcript, trace
 
 
 def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int | None = None,
-                consistency_check: bool = False,
                 sinks: list | None = None) -> list[tuple[Transcript, list[float]]]:
     """Train several sessions on one dataset in lock-step; returns each
     session's (transcript, per-epoch mean loss), in session order.
@@ -307,10 +300,10 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     The sessions ("lanes") share the defense kind, top-model width, learning
     rate, batch size and epochs; each keeps its own seed, networks,
     optimizer state and defense parameters. Their networks and optimizers
-    are stacked along a lane axis, so one tape walk per batch serves every
-    lane, and each lane computes exactly what it would alone. The trained
-    parameters and optimizer states are written back to the sessions, also
-    when training fails.
+    are stacked along a lane axis, so one run of the step's plans per batch
+    serves every lane, and each lane computes exactly what it would alone.
+    The trained parameters and optimizer states are written back to the
+    sessions, also when training fails.
 
     Each lane hands every record, as it is made, to its sink: a callable
     taking a TranscriptRecord, such as `TranscriptWriter.append`, which
@@ -350,7 +343,7 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     # this epoch's per-batch losses, one row per lane
     epoch_losses = np.empty((lanes, batches))
     # one set of plans per batch shape: every batch but a short final one
-    # shares it
+    # runs the same set
     plans: dict[tuple[int, ...], tuple[StepPlan, StepPlan, StepPlan]] = {}
     bottom_params, top_params = bottom.parameters(), top.parameters()
 
@@ -377,14 +370,12 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
                         s.defense.outgoing_gradient(g, s.seed, epoch, batch_no)
                         for s, g in zip(sessions, split_lanes(cut_grad, lanes))])
 
+                step = plans.get(x_batch.shape)
+                if step is None:
+                    step = plans[x_batch.shape] = _capture_step(bottom, top, x_batch.shape)
                 try:
-                    step = plans.get(x_batch.shape)
-                    if step is None:
-                        step, outputs = _capture_step(bottom, top, x_batch, targets_of, sent_of)
-                        plans[x_batch.shape] = step
-                    else:
-                        outputs = _replay_step(step, bottom_params, top_params, x_batch,
-                                               targets_of, sent_of)
+                    outputs = _replay_step(step, bottom_params, top_params, x_batch,
+                                           targets_of, sent_of)
                 except AutogradError as exc:
                     raise ProtocolError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
                 cut, targets, loss, top_grads, sent, bottom_grads = outputs
@@ -393,8 +384,6 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
                     for sink, i, a, g in zip(sinks, split_lanes(idx, lanes),
                                              split_lanes(cut, lanes), split_lanes(sent, lanes)):
                         sink(TranscriptRecord(epoch, i.copy(), a.copy(), g.copy()))
-                if consistency_check and not changes_gradient:
-                    _check_gradient_consistency(top, cut, targets, sent, epoch, batch_no)
 
                 top_opt.step(top.flat, top_grads)
                 bottom_opt.step(bottom.flat, bottom_grads)
@@ -410,51 +399,48 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     return list(zip(transcripts, traces))
 
 
-def _capture_step(bottom: FcNetwork, top: FcNetwork, x_batch: np.ndarray, targets_of,
-                  sent_of) -> tuple[tuple[StepPlan, StepPlan, StepPlan], tuple]:
-    """One taped training step, and the three StepPlans that replay it on
-    later batches of the same shape (see the module docstring). Returns the
-    plans and the step's (cut, targets, loss, top gradients, sent gradient,
-    bottom gradients).
+def _capture_step(bottom: FcNetwork, top: FcNetwork,
+                  x_shape: tuple[int, ...]) -> tuple[StepPlan, StepPlan, StepPlan]:
+    """The three StepPlans of a training step on feature batches of
+    x_shape (see the module docstring), captured from a tape over zeros:
+    zeroed copies of the networks, zero features, targets and sent gradient.
 
     Leaves are made in an order that keeps every backward to what it is
     asked for: the features before the bottom parameters, and the targets
     before the cut and the top parameters, so no gradient is formed for
     them."""
+    bottom, top = bottom.copy(), top.copy()
+    bottom.flat[...] = 0.0
+    top.flat[...] = 0.0
     tape = Tape()
-    x = tape.leaf(x_batch)
+    x = tape.leaf(np.zeros(x_shape))
     bottom_handles = bottom.attach(tape)
-    try:
-        cut = bottom.forward(x)
-        targets = tape.leaf(targets_of(cut.data))
-        cut_in = tape.leaf(cut.data)
-        top_handles = top.attach(tape)
-        loss = mse(top.forward(cut_in), targets)
-        # label party: gradients for its own update and for the wire;
-        # create_graph keeps every gradient a node a plan can name
-        *top_grads, cut_grad = backward(loss, [*top_handles, cut_in], create_graph=True)
-        sent = tape.leaf(sent_of(cut_grad.data))
-        # feature party: backprop resumes from the gradient actually
-        # received, whatever the defense did to it
-        relay = sum_all(mul(cut, sent))
-        bottom_grads = backward(relay, bottom_handles, create_graph=True)
-    finally:
-        bottom.detach()
-        top.detach()
-    # the relay's value is a plan output only so that a replay checks it for
-    # finiteness, as the taped step does
-    plans = (StepPlan([*bottom_handles, x], [cut]),
-             StepPlan([*top_handles, cut_in, targets], [loss, *top_grads, cut_grad]),
-             StepPlan([*bottom_handles, x, sent], [*bottom_grads, relay]))
-    return plans, (cut.data, targets.data, loss.data, [g.data for g in top_grads], sent.data,
-                   [g.data for g in bottom_grads])
+    cut = bottom.forward(x)
+    targets = tape.leaf(np.zeros((*x_shape[:-1], top.out_dim)))
+    cut_in = tape.leaf(cut.data)
+    top_handles = top.attach(tape)
+    loss = mse(top.forward(cut_in), targets)
+    # label party: gradients for its own update and for the wire;
+    # create_graph keeps every gradient a node a plan can name
+    *top_grads, cut_grad = backward(loss, [*top_handles, cut_in], create_graph=True)
+    sent = tape.leaf(np.zeros(cut.shape))
+    # feature party: backprop resumes from the gradient actually received,
+    # whatever the defense did to it
+    relay = sum_all(mul(cut, sent))
+    bottom_grads = backward(relay, bottom_handles, create_graph=True)
+    # the relay's value is a plan output only so that a run checks it for
+    # finiteness, as a taped step does
+    return (StepPlan([*bottom_handles, x], [cut]),
+            StepPlan([*top_handles, cut_in, targets], [loss, *top_grads, cut_grad]),
+            StepPlan([*bottom_handles, x, sent], [*bottom_grads, relay]))
 
 
 def _replay_step(plans: tuple[StepPlan, StepPlan, StepPlan], bottom_params: list[np.ndarray],
                  top_params: list[np.ndarray], x_batch: np.ndarray, targets_of,
                  sent_of) -> tuple:
-    """The step _capture_step tapes, replayed from its plans on the current
-    parameters and a new batch; returns what _capture_step returns."""
+    """One training step, run from its plans on the current parameters and
+    a batch: returns the step's (cut, targets, loss, top gradients, sent
+    gradient, bottom gradients)."""
     forward, label, feature_backward = plans
     (cut,) = forward.run([*bottom_params, x_batch])
     targets = targets_of(cut)
@@ -462,19 +448,6 @@ def _replay_step(plans: tuple[StepPlan, StepPlan, StepPlan], bottom_params: list
     sent = sent_of(cut_grad)
     *bottom_grads, _ = feature_backward.run([*bottom_params, x_batch, sent])
     return cut, targets, loss, top_grads, sent, bottom_grads
-
-
-def _check_gradient_consistency(top, cut_values, targets, sent, epoch, batch_no):
-    # re-derive on a fresh tape from a detached copy of the pre-update top model
-    top = top.copy()
-    tape = Tape()
-    cut = tape.leaf(cut_values)
-    loss = mse(top.forward(cut), constant(targets))
-    (recomputed,) = backward(loss, [cut])
-    if not np.array_equal(recomputed.data, sent):
-        raise ProtocolError(
-            f"epoch {epoch}, batch {batch_no}: received gradient does not match "
-            "the loss gradient at the stored activations")
 
 
 def predict(session: SplitSession, x: np.ndarray) -> np.ndarray:

@@ -367,7 +367,7 @@ def test_lock_step_attack_rejects_mismatched_lanes(trained_run):
         attack_lanes([base, empty], train)
 
 
-# --- step plans: one capture per batch shape, every other batch replayed -----
+# --- step plans: one capture per batch shape, every batch runs the plan ------
 
 PLAN_SURROGATES = [([8, 1], "relu"), ([8, 16, 1], "relu"), ([8, 4, 2], "tanh")]
 
@@ -437,8 +437,8 @@ def test_replayed_batches_equal_a_loop_that_tapes_every_step(monkeypatch, dims, 
         monkeypatch.setattr(attack_module, "StepPlan", recording_plans(lanes, taped, log))
         runs.append((attack_lanes(lanes, train, test=test), log))
     (replayed, replayed_log), (reference, reference_log) = runs
-    # 2 epochs x 8 batches, of which the first of each shape is captured
-    assert len(replayed_log) == len(reference_log) == 14
+    # 2 epochs x 8 batches, every one of them run from the plans
+    assert len(replayed_log) == len(reference_log) == 16
     for got, want in zip(replayed_log, reference_log):
         assert [o.tobytes() for o in got] == [o.tobytes() for o in want]
     for got, want in zip(replayed, reference):
@@ -450,7 +450,7 @@ def test_replayed_batches_equal_a_loop_that_tapes_every_step(monkeypatch, dims, 
 
 def test_an_attack_captures_one_plan_per_batch_shape(monkeypatch):
     # three epochs over full batches and a short final one: two captures, and
-    # every other step is a replay (a fallback to taping would capture more)
+    # every step runs them (a fallback to taping would capture more)
     lanes, train, _ = plan_lanes([8, 1], "relu", 1, epochs=3)
     captured = []
 
@@ -471,7 +471,7 @@ def test_divergence_on_a_replayed_batch_is_named_like_the_taped_step(monkeypatch
     lanes, train, _ = plan_lanes([8, 16, 1], "relu", count)
     bad = min(1, count - 1)
     records = list(lanes[bad].transcript.records)
-    rec = records[2]  # batch 2 of attack epoch 0: a replay of batch 0's plan
+    rec = records[2]  # batch 2 of attack epoch 0: a run of the full-batch plan
     if kind == "overflow":
         gradient = rec.gradient * 1e300
     else:

@@ -142,6 +142,18 @@ def test_missing_csv_reports_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,cells,width", [("a,b,y\n1,2\n3,4\n5,6\n", 2, 3),
+                                              ("a,y\n1,2,3\n4,5,6\n7,8,9\n", 3, 2)],
+                         ids=["header wider", "header narrower"])
+def test_a_header_of_another_width_than_the_rows_is_a_one_line_error(tmp_path, capsys, text,
+                                                                      cells, width):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    assert main(["baseline-mp", "--dataset", str(path), "--set", "dataset.label_column=y"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: row 1 has {cells} cells, the header has {width}\n"
+
+
 def test_a_nan_cell_in_the_dataset_is_a_one_line_error_before_training(tmp_path, monkeypatch,
                                                                        capsys):
     def never(*args, **kwargs):

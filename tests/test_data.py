@@ -92,7 +92,8 @@ def test_load_csv_unknown_label(tmp_path):
 
 
 def reference_load_csv(path, label_column=-1, header=True):
-    """load_csv as a plain loop: the csv module and float() on every cell."""
+    """load_csv as a plain loop: the csv module and float() on every cell,
+    every row as wide as the header, or without one as the first row."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -103,6 +104,7 @@ def reference_load_csv(path, label_column=-1, header=True):
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: header but no data rows")
+    width = len(rows[0]) if columns is None else len(columns)
     if isinstance(label_column, str):
         if columns is None:
             raise DataError("label column given by name but header=False")
@@ -110,14 +112,14 @@ def reference_load_csv(path, label_column=-1, header=True):
             raise DataError(f"label column '{label_column}' not in header {columns}")
         label_idx = columns.index(label_column)
     else:
-        label_idx = label_column + len(rows[0]) if label_column < 0 else label_column
-        if not 0 <= label_idx < len(rows[0]):
+        label_idx = label_column + width if label_column < 0 else label_column
+        if not 0 <= label_idx < width:
             raise DataError(f"label column index {label_column} out of range")
-    width = len(rows[0])
     data = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+            expected = f"expected {width}" if columns is None else f"the header has {width}"
+            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, {expected}")
         for j, cell in enumerate(row):
             try:
                 data[i, j] = float(cell)
@@ -163,6 +165,10 @@ CSV_CASES = {
     "unknown label before a bad cell": ("a,y\nx,2\n", "z", True),
     "index out of range before a nan": ("1,nan\n", 2, False),
     "header wider than the rows": ("a,b,c\n1,2\n3,4\n", -1, True),
+    "header wider than the rows, label by name": ("a,b,y\n1,2\n3,4\n", "y", True),
+    "header narrower than the rows": ("a,y\n1,2,3\n4,5,6\n", -1, True),
+    "header narrower than a later row": ("a,y\n1,2\n3,4,5\n", -1, True),
+    "label index past the rows but inside the header": ("a,b,y\n1,2\n", 2, True),
     "one column": ("y\n1\n2\n", 0, True),
 }
 

@@ -19,6 +19,10 @@ bytes agree). The set:
   - the same train and attack, without a defense, replaying only the last
     2 of the 4 training epochs (`attack.window=2`), so the attack reads a
     window of the transcript file;
+  - the same train and attack at `training.batch_size=48` under the adaptive
+    extension (targets formed per batch) and gradient noise (the sent
+    gradient formed per batch): the 128 training rows end in a short batch
+    of 32, so training and the attack each run two batch shapes;
   - one CSV `splitlab train` (label column by name, dataset name set) and
     its `splitlab attack --out`, run from inside a temporary directory so
     the path the manifest records is the same in every checkout.
@@ -132,6 +136,14 @@ def digests(work: Path):
     _cli(["attack", "--run", str(run), "--out", str(run / "attack.json")])
     for file in RUN_FILES:
         yield f"train+attack window 2 {file}", _sha(run / file)
+
+    for name in ("adaptive_extension", "gradient_noise"):
+        run = work / f"batch_48_{name}"
+        _cli(["train", "--config", str(config), "--defense", name,
+              "--set", "training.batch_size=48", "--out", str(run)])
+        _cli(["attack", "--run", str(run), "--out", str(run / "attack.json")])
+        for file in RUN_FILES:
+            yield f"train+attack batch 48 {name} {file}", _sha(run / file)
 
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(200, 5))
