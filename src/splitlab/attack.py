@@ -19,6 +19,7 @@ chosen attacker-side by agreement with the leaked labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,8 +79,10 @@ class AttackConfig:
     transcript_window: int = 1   # replay the last k training epochs
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 1 or self.transcript_window < 1:
             raise ValueError("epochs and transcript_window must be >= 1")
 
@@ -168,10 +171,10 @@ def _capture_step(surrogate: FcNetwork, cut_shape: tuple[int, ...], leaked_cut: 
     cut_shape, captured from a tape over zeros: a zeroed copy of the
     surrogate, zero dummy labels, activations and recorded gradient. Its
     outputs, in order: the total loss, the inversion loss, the surrogate's
-    parameter gradients and the dummy-label gradient. Its inputs are the
-    surrogate's parameters, the dummy-label batch, the activations and the
-    recorded gradient; the leaked pairs stay fixed for the whole attack and
-    enter as constants."""
+    parameter gradients (one flat region, in the layout of its flat buffer)
+    and the dummy-label gradient. Its inputs are the surrogate's parameters,
+    the dummy-label batch, the activations and the recorded gradient; the
+    leaked pairs stay fixed for the whole attack and enter as constants."""
     surrogate = surrogate.copy()
     surrogate.flat[...] = 0.0
     tape = Tape()
@@ -184,7 +187,8 @@ def _capture_step(surrogate: FcNetwork, cut_shape: tuple[int, ...], leaked_cut: 
     total = add(gi_loss, smul(mc_loss, alpha))
     # create_graph keeps every gradient a node the plan can name
     grads = backward(total, [*handles, dummy_batch], create_graph=True)
-    return StepPlan([*handles, dummy_batch, cut, recorded], [total, gi_loss, *grads])
+    return StepPlan([*handles, dummy_batch, cut, recorded],
+                    [total, gi_loss, grads[:-1], grads[-1]])
 
 
 def _best_column(candidates: np.ndarray, reference: np.ndarray) -> int:
@@ -335,8 +339,8 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
             except AutogradError as exc:
                 raise AttackError(
                     f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc
-            total, gi_loss, *w_grads, d_grad = outputs
-            surrogate_opt.step(surrogate.flat, w_grads)
+            total, gi_loss, w_grad, d_grad = outputs
+            surrogate_opt.step(surrogate.flat, w_grad)
             dummy_opt.step(dummy, idx, d_grad)
             totals[:, batch_no] = total.reshape(count)
             inversions[:, batch_no] = gi_loss.reshape(count)

@@ -25,13 +25,23 @@ argument slots and its own slot (captured constants stay separate arrays).
 ``run(arrays)`` copies the inputs into their slots and recomputes each
 operation in tape order into its slot, through the same per-op kernel table
 the primitives use, so a replayed step is bit-identical to a taped one on
-the same arrays. It returns copies of the output slots: outputs are new
-arrays that later runs leave alone. Because every run writes the same
-buffer, a plan, like a tape, belongs to one logical thread. Its inputs
-must have the captured shapes; a loop keeps one plan per batch shape. One
-tape may yield several plans: the training step is three (the feature
-party's forward, the label party's part and the feature party's backward),
-with numpy work between them whose results enter the next plan as inputs.
+the same arrays. The outputs' slots lie back to back in output order, and a
+run returns views of one copy of that region: outputs are new arrays that
+later runs leave alone. A group of outputs (a network's gradients) comes
+back as one flat array, in the layout of the network's flat buffer. Because
+every run writes the same buffer, a plan, like a tape, belongs to one
+logical thread. Its inputs must have the captured shapes; a loop keeps one
+plan per batch shape.
+
+Numpy work in the middle of a step enters its plan through fed leaves. The
+capture names a leaf and the node its value is made from; the run calls a
+feeder function on that node's value at the leaf's place in tape order and
+copies the result into the leaf's slot. A leaf that holds the same values as
+an earlier node aliases that node's slot instead. The training step is one
+plan this way: the defense's targets are fed from the cut, its sent
+gradient from the cut gradient, and the label party's copy of the cut
+aliases the cut, so the feature party's backward reads the forward's own
+slots.
 
 Two rules make this sound:
   - every array that changes from step to step enters the graph as a leaf.
@@ -57,9 +67,11 @@ Conventions:
     together when a leaf is made on their tape and when ``backward`` runs on
     it: once on entry, for everything computed since the last check, and
     once on exit, for what the backward pass itself computed. A step plan
-    checks its inputs and results in one scan of its buffer per run; on a
-    hit it rescans them slot by slot, inputs first and then results in tape
-    order, and raises the error the taped step raises for the same arrays.
+    checks what it computed before each fed leaf in one scan of a buffer
+    range, before the leaf's feeder runs, so no feeder sees a non-finite
+    value, and the rest in one scan after its last operation. On a hit it
+    rescans those slots one by one in tape order, and raises the error the
+    taped step raises for the same arrays.
     The taped step also forms adjoints for leaves nobody asked for, which
     the plan drops; only if one of those is the first to overflow do the two
     name different operations. In the attack's step that is a rare case; in
@@ -76,6 +88,7 @@ Conventions:
 
 from __future__ import annotations
 
+import bisect
 from typing import Sequence
 
 import numpy as np
@@ -584,91 +597,205 @@ class StepPlan:
 
     `inputs` are leaves of one tape and `outputs` are nodes of the same tape,
     typically a loss and the gradients a ``backward(..., create_graph=True)``
-    returned. The plan keeps the ancestors of the outputs; every leaf among
-    them must be one of the inputs, and every value that entered them as a
-    constant is kept as it was at capture. ``run`` recomputes the outputs for
-    new input arrays of the captured shapes.
+    returned. An output may also be a sequence of nodes, a group, which a run
+    returns as one flat array of their values back to back (the layout of a
+    network's flat parameter buffer, for that network's gradients). The plan
+    keeps the ancestors of the outputs; every leaf among them must be an
+    input, fed or aliased, and every value that entered them as a constant
+    is kept as it was at capture. ``run`` recomputes the outputs for new
+    input arrays of the captured shapes.
+
+    `fed` pairs (leaf, source): the leaf's value is made from the source's
+    by a function the run is given, a feeder. The run calls it, with a
+    read-only view of the source's value, at the leaf's place in tape order,
+    after checking everything computed before that place, so a feeder never
+    sees a non-finite value. `aliases` pairs (leaf, source) of equal values:
+    the leaf reads the source's slot and costs nothing. A source is made
+    before its leaf. Outputs must be listed so that none made after a fed
+    leaf precedes one made before it.
 
     The plan owns one float64 buffer with a slot for each leaf and each kept
-    operation, leaves first and then operations, each in tape order. Every
-    operation is bound once to fixed views of its argument slots (or its
-    captured constants) and of its own slot, and every run writes into them,
-    so a plan, like a tape, belongs to one logical thread. ``run`` returns new
-    arrays, which a later run does not touch.
+    operation. The outputs' slots lie back to back in output order, so a run
+    returns views of one copy of them. Every operation is bound once to fixed
+    views of its argument slots (or its captured constants) and of its own
+    slot, and every run writes into them, so a plan, like a tape, belongs to
+    one logical thread. ``run`` returns new arrays, which a later run does not
+    touch.
     """
 
-    def __init__(self, inputs: Sequence[Tensor], outputs: Sequence[Tensor]):
-        if not inputs or not outputs:
+    def __init__(self, inputs: Sequence[Tensor], outputs: Sequence, fed: Sequence = (),
+                 aliases: Sequence = ()):
+        flat_outputs = [t for o in outputs for t in (o if isinstance(o, (list, tuple)) else [o])]
+        if not inputs or not flat_outputs:
             raise AutogradError("a step plan needs inputs and outputs")
         tape = inputs[0].tape
         if tape is None:
             raise AutogradError("plan inputs must be leaves of a tape")
         nodes = tape.nodes
-        for t in (*inputs, *outputs):
+        for t in (*inputs, *flat_outputs, *(t for pair in (*fed, *aliases) for t in pair)):
             if t.tape is not tape:
                 raise AutogradError("plan inputs and outputs must be nodes of one tape")
-        for t in inputs:
-            if nodes[t.node].op != "leaf":
-                raise AutogradError(f"plan input node {t.node} is a '{nodes[t.node].op}', "
-                                    "not a leaf")
+        for what, leaves in (("input", inputs), ("fed", [leaf for leaf, _ in fed]),
+                             ("aliased", [leaf for leaf, _ in aliases])):
+            for t in leaves:
+                if nodes[t.node].op != "leaf":
+                    raise AutogradError(f"plan {what} node {t.node} is a "
+                                        f"'{nodes[t.node].op}', not a leaf")
+        for leaf, source in (*fed, *aliases):
+            if source.node >= leaf.node:
+                raise AutogradError(f"leaf node {leaf.node} is made before its source, "
+                                    f"node {source.node}")
+        leaf_ids = [t.node for t in inputs] + [leaf.node for leaf, _ in (*fed, *aliases)]
+        if len(set(leaf_ids)) != len(leaf_ids):
+            raise AutogradError("a plan leaf is named twice")
+        # an aliased leaf is its source's node from here on
+        resolve: dict[int, int] = {}
+        for leaf, source in sorted(aliases, key=lambda pair: pair[0].node):
+            if leaf.shape != source.shape:
+                raise AutogradError(f"aliased leaf node {leaf.node} has shape {leaf.shape}, "
+                                    f"its source {source.shape}")
+            resolve[leaf.node] = resolve.get(source.node, source.node)
         input_ids = [t.node for t in inputs]
-        if len(set(input_ids)) != len(input_ids):
-            raise AutogradError("a plan input is named twice")
+        fed_ids = sorted(leaf.node for leaf, _ in fed)
+        fed_sources = {leaf.node: resolve.get(s.node, s.node) for leaf, s in fed}
+        output_ids = [resolve.get(t.node, t.node) for t in flat_outputs]
 
-        needed = {t.node for t in outputs}
+        needed = {*output_ids, *fed_ids, *fed_sources.values()}
         for nid in range(max(needed), -1, -1):
             if nid in needed:
-                needed.update(i for i in nodes[nid].inputs if i is not None)
+                needed.update(resolve.get(i, i) for i in nodes[nid].inputs if i is not None)
         order = sorted(needed | set(input_ids))
         for nid in order:
-            if nodes[nid].op == "leaf" and nid not in input_ids:
+            if nodes[nid].op == "leaf" and nid not in input_ids and nid not in fed_sources:
                 raise AutogradError(f"leaf node {nid} feeds the plan's outputs but is "
                                     "not one of its inputs")
 
-        # slots in the order the taped step checks their values for
-        # finiteness: leaves when they are made, operations afterwards
-        ops = [nid for nid in order if nodes[nid].op != "leaf"]
-        kept = [nid for nid in order if nodes[nid].op == "leaf"] + ops
+        # Segment k holds what is made after k fed leaves, in tape order: the
+        # run computes and checks it, then feeds the next leaf.
+        segments = len(fed_ids) + 1
+        segment = {nid: bisect.bisect_right(fed_ids, nid) for nid in order}
+        if [segment[nid] for nid in output_ids] != sorted(segment[nid] for nid in output_ids):
+            raise AutogradError("plan outputs made after a fed leaf precede outputs made "
+                                "before it")
+        # Layout: the rest of segments n-2 .. 0, the outputs, the rest of
+        # segment n-1. The check before feeder k then scans one range, from
+        # segment k's rest to segment k's last output, which holds all of
+        # segments 0..k and nothing later.
+        output_set = set(output_ids)
+        rest = [[nid for nid in order if segment[nid] == k and nid not in output_set]
+                for k in range(segments)]
+        kept = [*output_ids, *(nid for r in rest for nid in r)]
         self._buffer = np.empty(sum(nodes[nid].out.size for nid in kept))
         slot: dict[int, np.ndarray] = {}
         offset = 0
-        for nid in kept:
+
+        def place(nid: int) -> np.ndarray:
+            nonlocal offset
             out = nodes[nid].out
-            slot[nid] = self._buffer[offset:offset + out.size].reshape(out.shape)
+            view = self._buffer[offset:offset + out.size].reshape(out.shape)
             offset += out.size
-        self._checked = [(slot[nid], nodes[nid].op) for nid in kept]
+            return view
+
+        rest_start = [0] * segments
+        for k in range(segments - 2, -1, -1):
+            rest_start[k] = offset
+            for nid in rest[k]:
+                slot[nid] = place(nid)
+        out_start = offset
+        # segment k's outputs end at out_end[k]; a node named again gets a
+        # slot of its own, filled by a copy after the node is made
+        out_end = [out_start] * segments
+        copies: list[list] = [[] for _ in range(segments)]
+        # per output, its place in the region and its shape (None: a group,
+        # returned flat)
+        self._unpack = []
+        for given in outputs:
+            group = isinstance(given, (list, tuple))
+            start = offset
+            for t in (given if group else [given]):
+                nid = resolve.get(t.node, t.node)
+                view = place(nid)
+                if nid in slot:
+                    copies[segment[nid]].append((_copy_forward, None, view, slot[nid], None))
+                else:
+                    slot[nid] = view
+                for k in range(segment[nid], segments):
+                    out_end[k] = offset
+            self._unpack.append((start - out_start, offset - out_start,
+                                 None if group else given.shape))
+        for nid in rest[-1]:
+            slot[nid] = place(nid)
+        self._outputs = self._buffer[out_start:offset]
+        scans = [self._buffer[rest_start[k]:out_end[k]] for k in range(segments - 1)]
+        scans.append(self._buffer[out_end[-2] if segments > 1 else 0:])
+
         self._shapes = [t.shape for t in inputs]
         self._input_slots = [slot[nid] for nid in input_ids]
-        self._program = []
-        for nid in ops:
-            node = nodes[nid]
-            args = [arr if i is None else slot[i] for i, arr in zip(node.inputs, node.values)]
-            self._program.append((_FORWARD[node.op], node.aux, slot[nid], args[0],
-                                  args[1] if len(args) > 1 else None))
-        self._output_slots = [slot[t.node] for t in outputs]
+        feeder_of = {leaf.node: k for k, (leaf, _) in enumerate(fed)}
+        self._feeder_count = len(fed)
+        self._ops = 0
+        self._phases = []
+        for k in range(segments):
+            program = []
+            for nid in order:
+                node = nodes[nid]
+                if segment[nid] != k or node.op == "leaf":
+                    continue
+                args = [arr if i is None else slot[resolve.get(i, i)]
+                        for i, arr in zip(node.inputs, node.values)]
+                program.append((_FORWARD[node.op], node.aux, slot[nid], args[0],
+                                args[1] if len(args) > 1 else None))
+            self._ops += len(program)
+            checked = [(slot[nid], nodes[nid].op) for nid in order if segment[nid] == k]
+            feed = None
+            if k < segments - 1:
+                leaf = fed_ids[k]
+                source = slot[fed_sources[leaf]].view()
+                source.flags.writeable = False
+                feed = (feeder_of[leaf], source, slot[leaf])
+            self._phases.append((program + copies[k], scans[k], checked, feed))
 
     def __len__(self) -> int:
         """Number of operations the plan computes per run."""
-        return len(self._program)
+        return self._ops
 
-    def run(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def run(self, arrays: Sequence[np.ndarray], feeders: Sequence = ()) -> list[np.ndarray]:
         """The outputs, as new arrays, for new input arrays given in the
-        order of the plan's inputs. Inputs and results are checked for
-        finiteness in one scan of the buffer; a non-finite value raises the
-        AutogradError the taped step would raise, naming the first operation
-        (or 'leaf', for an input) in tape order that produced one, and its
-        lane."""
+        order of the plan's inputs and one feeder per fed leaf, in the order
+        of `fed`: a function from the source's value to the leaf's. What is
+        computed before each fed leaf is checked for finiteness, in one scan
+        of its buffer range, before the feeder runs, and the rest after the
+        last operation; a non-finite value raises the AutogradError the taped
+        step would raise, naming the first operation (or 'leaf', for an input
+        or a fed leaf) in tape order that produced one, and its lane. A
+        feeder whose value has another shape than the leaf's raises too."""
         if len(arrays) != len(self._shapes):
             raise AutogradError(f"plan takes {len(self._shapes)} inputs, got {len(arrays)}")
+        if len(feeders) != self._feeder_count:
+            raise AutogradError(f"plan takes {self._feeder_count} feeders, got {len(feeders)}")
         for k, (arr, shape) in enumerate(zip(arrays, self._shapes)):
             if np.shape(arr) != shape:
                 raise AutogradError(f"plan input {k} has shape {np.shape(arr)}, "
                                     f"the plan was captured for {shape}")
         for dest, arr in zip(self._input_slots, arrays):
             dest[...] = arr
-        for forward, aux, out, a, b in self._program:
-            forward(aux, out, a, b)
-        if not np.isfinite(self._buffer).all():
-            for arr, op in self._checked:
-                _require_finite(arr, op)
-        return [out.copy() for out in self._output_slots]
+        for program, scan, checked, feed in self._phases:
+            for forward, aux, out, a, b in program:
+                forward(aux, out, a, b)
+            if not np.isfinite(scan).all():
+                for arr, op in checked:
+                    _require_finite(arr, op)
+            if feed is not None:
+                k, source, dest = feed
+                value = feeders[k](source)
+                if np.shape(value) != dest.shape:
+                    raise AutogradError(f"fed leaf {k} has shape {np.shape(value)}, "
+                                        f"the plan was captured for {dest.shape}")
+                dest[...] = value
+        region = self._outputs.copy()
+        return [region[start:stop] if shape is None else region[start:stop].reshape(shape)
+                for start, stop, shape in self._unpack]
+
+
+def _copy_forward(aux, out, a, b):
+    np.copyto(out, a)

@@ -150,6 +150,10 @@ class ExperimentConfig:
         if not 0 < self.split_ratio < 1:
             raise HarnessError(f"bad configuration: split_ratio must lie in (0, 1), "
                                f"got {self.split_ratio}")
+        for name in ("lr", "attack_lr"):
+            if not getattr(self, name) > 0:
+                raise HarnessError(f"bad configuration: {_FIELD_KEYS[name]} must be > 0, "
+                                   f"got {getattr(self, name)}")
         if not 0 < self.leak_fraction <= 1:
             raise HarnessError(f"bad configuration: attack.leak_fraction must lie in (0, 1], "
                                f"got {self.leak_fraction}")

@@ -16,8 +16,10 @@ bias, weight, bias, ...), each parameter's entries row-major. Every
 write through a view is a write to the network, assigning to
 ``layer.weight`` copies into the view, and ``set_parameters`` copies into
 the views too. The buffer is never rebound. ``Adam`` keeps its moments as
-flat buffers of the same layout and updates a network's buffer in place, one
-fused pass over all parameters per step, with preallocated work arrays.
+flat buffers of the same layout and updates a network's buffer in place from
+one flat gradient of that layout (a step plan hands back a network's
+gradients so), one fused pass over all parameters per step, with
+preallocated work arrays.
 
 Networks of the same architecture can be stacked along a leading lane axis
 (``stack_networks``): every parameter becomes a (lanes, rows, cols) array
@@ -316,8 +318,8 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.step_count = 0
-        # work arrays of every step: the gathered gradient, the move, scratch
-        self._work = np.empty((3, size))
+        # work arrays of every step: the move and scratch
+        self._work = np.empty((2, size))
 
     @classmethod
     def for_network(cls, net: FcNetwork, lr: float = 0.01) -> "Adam":
@@ -357,21 +359,16 @@ class Adam:
             out.append(opt)
         return out
 
-    def step(self, params: np.ndarray, grads: Sequence[np.ndarray]) -> None:
-        """One update of a flat parameter buffer in place, from one gradient
-        per parameter in buffer order. The gradients are not scanned for
-        non-finite values: the backward pass or step plan that formed them
-        has scanned them already."""
-        if params.shape != self.m.shape:
-            raise ValueError(f"parameter buffer of shape {params.shape} does not match "
-                             f"optimizer state of {self.m.size} values")
-        if len(grads) != len(self.shapes):
-            raise ValueError("gradient count does not match optimizer state")
-        for g, shape in zip(grads, self.shapes):
-            if g.shape != shape:
-                raise ValueError(f"gradient shape {g.shape} vs parameter {shape}")
-        grad, move, scratch = self._work
-        np.concatenate(grads, axis=None, out=grad)
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One update of a flat parameter buffer in place, from one flat
+        gradient of the same layout, such as a step plan's gradient region.
+        The gradient is not scanned for non-finite values: the backward pass
+        or step plan that formed it has scanned it already."""
+        if params.shape != self.m.shape or np.shape(grad) != self.m.shape:
+            raise ValueError(f"parameter buffer of shape {params.shape} and gradient of shape "
+                             f"{np.shape(grad)} do not match optimizer state of {self.m.size} "
+                             "values")
+        move, scratch = self._work
         self.step_count += 1
         _adam_update(self.m, self.v, grad, self.step_count, self.lr, move, scratch)
         np.subtract(params, move, out=params)

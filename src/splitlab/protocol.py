@@ -9,20 +9,23 @@ it actually received, and records (activations, received gradient) for every
 batch; that record is the entire attack surface. Which defense runs is the
 session's concern only through the members of `defense.Defense`.
 
-A training step is three programs, whatever the defense: the feature
-party's forward (bottom parameters and features in, cut activations out),
-the label party's part (top parameters, cut and targets in; loss, top
-gradients and cut gradient out) and the feature party's backward (bottom
-parameters, features and the sent gradient in; bottom gradients out). The
-defense's numpy rules run between them: the targets after the forward, the
-sent gradient after the label party's part. The three are captured as
-`autograd.StepPlan`s from a tape over zeros of the step's shapes, once per
-batch shape, and every batch of that shape, the first included, runs them
-(see the autograd module docstring).
+A training step is one program, whatever the defense: the feature party's
+forward (features and bottom parameters in, cut activations out), the label
+party's part (top parameters, cut and targets in; loss, top gradients and
+cut gradient out) and the feature party's backward (the sent gradient in,
+over the forward's own values; bottom gradients out). It is captured as one
+`autograd.StepPlan` from a tape over zeros of the step's shapes, once per
+batch shape, and every batch of that shape, the first included, runs it (see
+the autograd module docstring). The defense's numpy rules run inside that
+run as feeders: the targets are fed from the cut and the sent gradient from
+the cut gradient, each after the plan has checked everything computed
+before it, so no rule sees a non-finite value. The plan hands back each
+network's gradients as one flat region, which its Adam reads as it is.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -111,65 +114,87 @@ class Transcript:
         With last_epochs=k, only the records that `last_epochs(k)` keeps
         (epoch >= the last record's epoch + 1 - k) have their payloads read;
         the others are skipped on disk, never held, and `first_record` is
-        the file index of the first record kept. None reads every record."""
-        with open(path, "rb", buffering=0) as fh:
+        the file index of the first record kept. None reads every record.
+
+        The headers are walked in one pass through a buffered reader, which
+        steps over the payloads inside its buffer without a system call; the
+        kept payloads are then read from the unbuffered file, straight into
+        their arrays."""
+        with open(path, "rb", buffering=_READ_BUFFER) as fh:
             size = os.fstat(fh.fileno()).st_size
             if fh.read(8) != _MAGIC:
                 raise ProtocolError(f"{path}: not a transcript file")
-            off = 8
-
-            def take(nbytes: int, what: str) -> int:
-                # the offset of `what`, which must fit in the file
-                nonlocal off
-                left = size - off
-                if nbytes > left:
-                    raise ProtocolError(f"{path}: {what} truncated: needs {nbytes} bytes "
-                                        f"at offset {off}, {left} left")
-                off += nbytes
-                return off - nbytes
-
-            def read_into(at: int, buf) -> None:
-                fh.seek(at)
-                if fh.readinto(buf) != memoryview(buf).nbytes:
-                    raise ProtocolError(f"{path}: file shrank while being read")
-
-            def unpack(fmt: str, what: str) -> tuple[int, ...]:
-                # an 8-byte header field
-                buf = bytearray(8)
-                read_into(take(8, what), buf)
-                return struct.unpack(fmt, buf)
-
-            (count,) = unpack("<Q", "record count")
-            # per record: epoch, index count and offset, matrix shape and offsets
-            layout = []
-            for i in range(count):
-                epoch, n_idx = unpack("<II", f"record {i} header")
-                at_indices = take(8 * n_idx, f"record {i} indices")
-                shapes, at_matrices = [], []
-                for name in ("activations", "gradient"):
-                    rows, cols = unpack("<II", f"record {i} {name} header")
-                    at_matrices.append(take(8 * rows * cols, f"record {i} {name}"))
-                    shapes.append((rows, cols))
-                try:
-                    _check_shapes(n_idx, *shapes)
-                except ProtocolError as exc:
-                    raise ProtocolError(f"{path}: record {i}: {exc}") from exc
-                layout.append((epoch, n_idx, at_indices, shapes[0], at_matrices))
-            if off != size:
-                raise ProtocolError(
-                    f"{path}: {size - off} trailing bytes after the last of {count} records")
-
+            layout = _record_layout(fh, size, path)
             cutoff = 0 if last_epochs is None or not layout else layout[-1][0] + 1 - last_epochs
             kept = [i for i, entry in enumerate(layout) if entry[0] >= cutoff]
+            raw = fh.raw
             records = []
             for epoch, n_idx, at_indices, shape, at_matrices in (layout[i] for i in kept):
                 indices = np.empty(n_idx, dtype="<u8")
-                read_into(at_indices, indices)
+                _read_into(raw, at_indices, indices, path)
                 matrices = [np.empty(shape, dtype="<f8") for _ in at_matrices]
                 for at, matrix in zip(at_matrices, matrices):
-                    read_into(at, matrix)
+                    _read_into(raw, at, matrix, path)
                 records.append(TranscriptRecord(epoch, indices.astype(np.int64), *matrices))
         return cls(records, first_record=kept[0] if kept else 0)
+
+
+# the reader's buffer: many records' headers and payloads, so the header walk
+# seeks within it
+_READ_BUFFER = 1 << 20
+_COUNT, _HEADER = struct.Struct("<Q"), struct.Struct("<II")
+
+
+def _read_into(fh, at: int, buf, path) -> None:
+    fh.seek(at)
+    if fh.readinto(buf) != memoryview(buf).nbytes:
+        raise ProtocolError(f"{path}: file shrank while being read")
+
+
+def _record_layout(fh, size: int, path) -> list[tuple]:
+    """Per record of an open transcript file of `size` bytes, after checking
+    its header: the epoch, the index count and offset, the matrix shape and
+    the two matrix offsets."""
+    off = 8
+    i = None  # the record being walked; None while reading the count
+
+    def take(nbytes: int, part: str) -> int:
+        # the offset of the record's `part`, which must fit in the file
+        nonlocal off
+        left = size - off
+        if nbytes > left:
+            what = "record count" if i is None else f"record {i} {part}"
+            raise ProtocolError(f"{path}: {what} truncated: needs {nbytes} bytes "
+                                f"at offset {off}, {left} left")
+        off += nbytes
+        return off - nbytes
+
+    def header(form: struct.Struct, part: str) -> tuple[int, ...]:
+        # an 8-byte header field
+        fh.seek(take(8, part))
+        field = fh.read(8)
+        if len(field) != 8:
+            raise ProtocolError(f"{path}: file shrank while being read")
+        return form.unpack(field)
+
+    (count,) = header(_COUNT, "")
+    layout = []
+    for i in range(count):
+        epoch, n_idx = header(_HEADER, "header")
+        at_indices = take(8 * n_idx, "indices")
+        shape = header(_HEADER, "activations header")
+        at_activations = take(8 * shape[0] * shape[1], "activations")
+        gradient_shape = header(_HEADER, "gradient header")
+        at_gradient = take(8 * gradient_shape[0] * gradient_shape[1], "gradient")
+        try:
+            _check_shapes(n_idx, shape, gradient_shape)
+        except ProtocolError as exc:
+            raise ProtocolError(f"{path}: record {i}: {exc}") from exc
+        layout.append((epoch, n_idx, at_indices, shape, (at_activations, at_gradient)))
+    if off != size:
+        raise ProtocolError(
+            f"{path}: {size - off} trailing bytes after the last of {count} records")
+    return layout
 
 
 class TranscriptWriter:
@@ -246,6 +271,9 @@ class SplitSession:
                 f"top output dim {top.out_dim} incompatible with defense (needs {expected})")
         if batch_size < 1 or epochs < 1:
             raise ProtocolError("batch_size and epochs must be >= 1")
+        # 0 trains nothing but still records the transcript: a frozen run
+        if not (math.isfinite(lr) and lr >= 0):
+            raise ProtocolError(f"lr must be finite and >= 0, got {lr}")
         self.bottom = bottom
         self.top = top
         self.defense = defense
@@ -300,7 +328,7 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     The sessions ("lanes") share the defense kind, top-model width, learning
     rate, batch size and epochs; each keeps its own seed, networks,
     optimizer state and defense parameters. Their networks and optimizers
-    are stacked along a lane axis, so one run of the step's plans per batch
+    are stacked along a lane axis, so one run of the step's plan per batch
     serves every lane, and each lane computes exactly what it would alone.
     The trained parameters and optimizer states are written back to the
     sessions, also when training fails.
@@ -342,9 +370,9 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     traces: list[list[float]] = [[] for _ in sessions]
     # this epoch's per-batch losses, one row per lane
     epoch_losses = np.empty((lanes, batches))
-    # one set of plans per batch shape: every batch but a short final one
-    # runs the same set
-    plans: dict[tuple[int, ...], tuple[StepPlan, StepPlan, StepPlan]] = {}
+    # one plan per batch shape: every batch but a short final one runs the
+    # same plan
+    plans: dict[tuple[int, ...], StepPlan] = {}
     bottom_params, top_params = bottom.parameters(), top.parameters()
 
     try:
@@ -378,15 +406,15 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
                                            targets_of, sent_of)
                 except AutogradError as exc:
                     raise ProtocolError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
-                cut, targets, loss, top_grads, sent, bottom_grads = outputs
+                cut, targets, loss, top_grad, sent, bottom_grad = outputs
 
                 if epoch >= first_kept:
                     for sink, i, a, g in zip(sinks, split_lanes(idx, lanes),
                                              split_lanes(cut, lanes), split_lanes(sent, lanes)):
                         sink(TranscriptRecord(epoch, i.copy(), a.copy(), g.copy()))
 
-                top_opt.step(top.flat, top_grads)
-                bottom_opt.step(bottom.flat, bottom_grads)
+                top_opt.step(top.flat, top_grad)
+                bottom_opt.step(bottom.flat, bottom_grad)
                 epoch_losses[:, batch_no] = loss.reshape(lanes)
             for trace, losses in zip(traces, epoch_losses):
                 trace.append(float(np.mean(losses)))
@@ -399,11 +427,15 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     return list(zip(transcripts, traces))
 
 
-def _capture_step(bottom: FcNetwork, top: FcNetwork,
-                  x_shape: tuple[int, ...]) -> tuple[StepPlan, StepPlan, StepPlan]:
-    """The three StepPlans of a training step on feature batches of
-    x_shape (see the module docstring), captured from a tape over zeros:
-    zeroed copies of the networks, zero features, targets and sent gradient.
+def _capture_step(bottom: FcNetwork, top: FcNetwork, x_shape: tuple[int, ...]) -> StepPlan:
+    """The StepPlan of a training step on feature batches of x_shape (see
+    the module docstring), captured from a tape over zeros: zeroed copies of
+    the networks, zero features, targets and sent gradient. Its inputs are
+    the features and the bottom and top parameters; the targets are fed from
+    the cut and the sent gradient from the cut gradient. Its outputs, in
+    order: the cut, the targets, the loss, the top gradients (one flat
+    region), the sent gradient, the bottom gradients (one flat region) and
+    the relay.
 
     Leaves are made in an order that keeps every backward to what it is
     asked for: the features before the bottom parameters, and the targets
@@ -417,6 +449,7 @@ def _capture_step(bottom: FcNetwork, top: FcNetwork,
     bottom_handles = bottom.attach(tape)
     cut = bottom.forward(x)
     targets = tape.leaf(np.zeros((*x_shape[:-1], top.out_dim)))
+    # the label party's copy of the cut: its backward stops here
     cut_in = tape.leaf(cut.data)
     top_handles = top.attach(tape)
     loss = mse(top.forward(cut_in), targets)
@@ -425,29 +458,26 @@ def _capture_step(bottom: FcNetwork, top: FcNetwork,
     *top_grads, cut_grad = backward(loss, [*top_handles, cut_in], create_graph=True)
     sent = tape.leaf(np.zeros(cut.shape))
     # feature party: backprop resumes from the gradient actually received,
-    # whatever the defense did to it
+    # whatever the defense did to it, over the forward's own values
     relay = sum_all(mul(cut, sent))
     bottom_grads = backward(relay, bottom_handles, create_graph=True)
     # the relay's value is a plan output only so that a run checks it for
     # finiteness, as a taped step does
-    return (StepPlan([*bottom_handles, x], [cut]),
-            StepPlan([*top_handles, cut_in, targets], [loss, *top_grads, cut_grad]),
-            StepPlan([*bottom_handles, x, sent], [*bottom_grads, relay]))
+    return StepPlan([x, *bottom_handles, *top_handles],
+                    [cut, targets, loss, top_grads, sent, bottom_grads, relay],
+                    fed=[(targets, cut), (sent, cut_grad)], aliases=[(cut_in, cut)])
 
 
-def _replay_step(plans: tuple[StepPlan, StepPlan, StepPlan], bottom_params: list[np.ndarray],
+def _replay_step(plan: StepPlan, bottom_params: list[np.ndarray],
                  top_params: list[np.ndarray], x_batch: np.ndarray, targets_of,
                  sent_of) -> tuple:
-    """One training step, run from its plans on the current parameters and
-    a batch: returns the step's (cut, targets, loss, top gradients, sent
-    gradient, bottom gradients)."""
-    forward, label, feature_backward = plans
-    (cut,) = forward.run([*bottom_params, x_batch])
-    targets = targets_of(cut)
-    loss, *top_grads, cut_grad = label.run([*top_params, cut, targets])
-    sent = sent_of(cut_grad)
-    *bottom_grads, _ = feature_backward.run([*bottom_params, x_batch, sent])
-    return cut, targets, loss, top_grads, sent, bottom_grads
+    """One training step, run from its plan on the current parameters and a
+    batch: returns the step's (cut, targets, loss, top gradient, sent
+    gradient, bottom gradient), each gradient flat in its network's
+    parameter layout."""
+    cut, targets, loss, top_grad, sent, bottom_grad, _ = plan.run(
+        [x_batch, *bottom_params, *top_params], [targets_of, sent_of])
+    return cut, targets, loss, top_grad, sent, bottom_grad
 
 
 def predict(session: SplitSession, x: np.ndarray) -> np.ndarray:

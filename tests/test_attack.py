@@ -367,6 +367,20 @@ def test_lock_step_attack_rejects_mismatched_lanes(trained_run):
         attack_lanes([base, empty], train)
 
 
+@pytest.mark.parametrize("override,message", [
+    (dict(alpha=float("nan")), "alpha must be finite and >= 0, got nan"),
+    (dict(alpha=float("inf")), "alpha must be finite and >= 0, got inf"),
+    (dict(alpha=-0.5), "alpha must be finite and >= 0, got -0.5"),
+    (dict(lr=-3), "lr must be finite and > 0, got -3"),
+    (dict(lr=0.0), "lr must be finite and > 0, got 0.0"),
+    (dict(lr=float("nan")), "lr must be finite and > 0, got nan"),
+    (dict(lr=float("inf")), "lr must be finite and > 0, got inf"),
+])
+def test_attack_config_refuses_a_bad_alpha_or_learning_rate(override, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        AttackConfig(**override)
+
+
 # --- step plans: one capture per batch shape, every batch runs the plan ------
 
 PLAN_SURROGATES = [([8, 1], "relu"), ([8, 16, 1], "relu"), ([8, 4, 2], "tanh")]
@@ -415,7 +429,8 @@ def recording_plans(lanes, taped, log):
         mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_target)
         total = add(gi_loss, smul(mc_loss, cfg.alpha))
         grads = backward(total, [*handles, dummy_batch])
-        return [total.data, gi_loss.data, *[g.data for g in grads]]
+        return [total.data, gi_loss.data, np.concatenate([g.data for g in grads[:-1]], axis=None),
+                grads[-1].data]
 
     class Recording(StepPlan):
         def run(self, arrays):

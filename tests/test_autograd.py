@@ -651,6 +651,157 @@ def test_plan_names_the_op_and_lane_the_taped_step_names(where):
     assert errors == [expected, expected]
 
 
+# --- fed leaves: numpy work between the parts of one plan --------------------
+
+def _fed_arrays(rng, bottom, top, rows, lanes):
+    """New values for every input of _fed_step, in its input order."""
+    lead = () if lanes is None else (lanes,)
+    params = [rng.normal(size=p.shape) * 0.5 for p in (*bottom.parameters(), *top.parameters())]
+    return [rng.normal(size=(*lead, rows, bottom.in_dim)), *params]
+
+
+def _feeders(poison=None):
+    """The targets from the cut and the sent gradient from the cut gradient;
+    poison=(k, lane) makes feeder k put a NaN into that lane."""
+    def targets_of(cut):
+        return cut[..., :2] * 1.5 - 0.25
+
+    def sent_of(cut_grad):
+        return cut_grad * 0.5 + 0.01
+
+    feeders = [targets_of, sent_of]
+    if poison is not None:
+        k, lane = poison
+        clean = feeders[k]
+
+        def poisoned(value):
+            out = clean(value)
+            out[lane, 0, 0] = np.nan
+            return out
+
+        feeders[k] = poisoned
+    return feeders
+
+
+def _fed_step(bottom, top, arrays, feeders, create_graph):
+    """The split training step: the targets are fed from the cut, the label
+    party's copy of the cut aliases it, and the sent gradient is fed from the
+    cut gradient. Returns the inputs (features, bottom, then top
+    parameters), the outputs (cut, loss, top gradients as a group, sent
+    gradient, bottom gradients as a group) and the links for StepPlan."""
+    x, *params = arrays
+    split = len(bottom.parameters())
+    bottom.set_parameters(params[:split])
+    top.set_parameters(params[split:])
+    targets_of, sent_of = feeders
+    tape = Tape()
+    leaf_x = tape.leaf(x)
+    bottom_handles = bottom.attach(tape)
+    try:
+        cut = bottom.forward(leaf_x)
+        targets = tape.leaf(targets_of(cut.data))
+        cut_in = tape.leaf(cut.data)
+        top_handles = top.attach(tape)
+        loss = mse(top.forward(cut_in), targets)
+        *top_grads, cut_grad = backward(loss, [*top_handles, cut_in], create_graph=create_graph)
+        sent = tape.leaf(sent_of(cut_grad.data))
+        bottom_grads = backward(sum_all(mul(cut, sent)), bottom_handles,
+                                create_graph=create_graph)
+    finally:
+        bottom.detach()
+        top.detach()
+    links = {"fed": [(targets, cut), (sent, cut_grad)], "aliases": [(cut_in, cut)]}
+    return ([leaf_x, *bottom_handles, *top_handles],
+            [cut, loss, top_grads, sent, bottom_grads], links)
+
+
+def _fed_plan(seed, lanes):
+    rng = np.random.default_rng(seed)
+    bottom = _plan_net([5, 6, 3], "relu", lanes)
+    top = _plan_net([3, 4, 2], "tanh", lanes)
+    inputs, outputs, links = _fed_step(bottom, top, _fed_arrays(rng, bottom, top, 7, lanes),
+                                       _feeders(), True)
+    return rng, bottom, top, ag.StepPlan(inputs, outputs, **links), outputs
+
+
+def _taped_values(outputs):
+    """A fresh taped step's outputs as a plan returns them."""
+    return [np.concatenate([g.data for g in out], axis=None) if isinstance(out, list)
+            else out.data for out in outputs]
+
+
+@pytest.mark.parametrize("lanes", [None, LANES], ids=["one_lane", "lane_stack"])
+def test_a_fed_plan_equals_a_fresh_taped_step(lanes):
+    rng, bottom, top, plan, _ = _fed_plan(12, lanes)
+    for _ in range(3):
+        arrays = _fed_arrays(rng, bottom, top, 7, lanes)
+        replayed = plan.run(arrays, _feeders())
+        _, taped, _ = _fed_step(bottom, top, arrays, _feeders(), False)
+        want = _taped_values(taped)
+        assert [a.shape for a in replayed] == [a.shape for a in want]
+        assert [a.tobytes() for a in replayed] == [a.tobytes() for a in want]
+    # the top and bottom gradients come back flat, in the networks' layout
+    assert replayed[2].shape == top.flat.shape and replayed[4].shape == bottom.flat.shape
+
+
+def test_a_fed_plan_names_the_op_and_lane_the_taped_step_names():
+    rng, bottom, top, plan, _ = _fed_plan(13, LANES)
+    arrays = _fed_arrays(rng, bottom, top, 7, LANES)
+    for poison in ((0, 2), (1, 1)):
+        seen = []
+
+        def watched(feeder):
+            def feed(value):
+                seen.append(bool(np.isfinite(value).all()))
+                return feeder(value)
+            return feed
+
+        errors = []
+        for run in (lambda f: plan.run(arrays, f),
+                    lambda f: _fed_step(bottom, top, arrays, f, False)):
+            with pytest.raises(AutogradError) as info:
+                run([watched(f) for f in _feeders(poison)])
+            errors.append((str(info.value), info.value.lane))
+        assert errors[0] == errors[1] == ("non-finite values produced by 'leaf' "
+                                          f"(lane {poison[1]})", poison[1])
+        # no feeder ran on a non-finite value
+        assert all(seen)
+
+
+def test_a_feeder_of_the_wrong_shape_is_named():
+    rng, bottom, top, plan, _ = _fed_plan(14, None)
+    targets_of, sent_of = _feeders()
+    arrays = _fed_arrays(rng, bottom, top, 7, None)
+    with pytest.raises(AutogradError, match=r"fed leaf 1 has shape \(7, 2\), "
+                                            r"the plan was captured for \(7, 3\)"):
+        plan.run(arrays, [targets_of, lambda g: g[:, :2]])
+    with pytest.raises(AutogradError, match="plan takes 2 feeders, got 1"):
+        plan.run(arrays, [targets_of])
+    replayed = plan.run(arrays, [targets_of, sent_of])
+    _, taped, _ = _fed_step(bottom, top, arrays, [targets_of, sent_of], False)
+    assert [a.tobytes() for a in replayed] == [a.tobytes() for a in _taped_values(taped)]
+
+
+def test_a_plan_refuses_bad_fed_or_aliased_leaves():
+    rng = np.random.default_rng(15)
+    bottom, top = _plan_net([5, 6, 3], "relu", None), _plan_net([3, 4, 2], "tanh", None)
+    inputs, outputs, links = _fed_step(bottom, top, _fed_arrays(rng, bottom, top, 7, None),
+                                       _feeders(), True)
+    (targets, cut), (sent, cut_grad) = links["fed"]
+    aliases = links["aliases"]
+    with pytest.raises(AutogradError, match=r"plan fed node \d+ is a 'add_bias', not a leaf"):
+        ag.StepPlan(inputs, outputs, fed=[(targets, cut), (cut, inputs[0])], aliases=aliases)
+    with pytest.raises(AutogradError, match="is made before its source"):
+        ag.StepPlan(inputs, outputs, fed=[(targets, cut), (sent, outputs[-1][0])],
+                    aliases=aliases)
+    with pytest.raises(AutogradError, match="not one of its inputs"):
+        ag.StepPlan(inputs, outputs, fed=links["fed"])
+    with pytest.raises(AutogradError, match="named twice"):
+        ag.StepPlan([*inputs, targets], outputs, **links)
+    with pytest.raises(AutogradError, match="precede outputs made before it"):
+        ag.StepPlan(inputs, [outputs[3], *outputs[:3]], **links)
+
+
 # --- every kernel through a plan, and the plan's buffer -----------------------
 
 # op -> (input shapes, build): build(m, *leaves) applies the op to taped

@@ -253,6 +253,22 @@ def one_line_error(capsys, argv) -> str:
     return err
 
 
+@pytest.mark.parametrize("command", ["experiment", "train"])
+@pytest.mark.parametrize("key", ["training.lr", "attack.lr"])
+def test_a_learning_rate_that_is_not_positive_is_a_one_line_error_before_training(
+        tmp_path, monkeypatch, capsys, command, key):
+    def never(*args, **kwargs):
+        raise AssertionError("training started with a learning rate that is not positive")
+
+    monkeypatch.setattr("splitlab.harness.train_lanes", never)
+    argv = [command, "--config", tiny_config_file(tmp_path), "--set", f"{key}=-1"]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "run")]
+    err = one_line_error(capsys, argv)
+    assert err == f"error: bad configuration: {key} must be > 0, got -1.0\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_errors_are_one_line_naming_the_file_key_or_flag(tmp_path, capsys):
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")

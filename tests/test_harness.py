@@ -293,6 +293,21 @@ def test_config_built_in_code_is_checked_like_a_file(override, message):
         ExperimentConfig(**override)
 
 
+@pytest.mark.parametrize("override,key,value", [
+    (dict(lr=-1.0, attack_lr=0.0), "training.lr", -1.0),
+    (dict(lr=0), "training.lr", 0.0),
+    (dict(attack_lr=0.0), "attack.lr", 0.0),
+    (dict(attack_lr=-3), "attack.lr", -3.0),
+])
+def test_config_refuses_a_learning_rate_that_is_not_positive(override, key, value):
+    message = f"bad configuration: {key} must be > 0, got {value}"
+    with pytest.raises(HarnessError, match=rf"^{re.escape(message)}$"):
+        ExperimentConfig(**override)
+    section, _, leaf = key.partition(".")
+    with pytest.raises(HarnessError, match=rf"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict({section: {leaf: value}})
+
+
 def test_config_built_in_code_stores_parsed_values():
     cfg = ExperimentConfig(dataset_path=None, bottom_hidden=[16, 8.0], top_hidden=(4,),
                            epochs=np.int64(3), lr=1)

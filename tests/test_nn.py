@@ -106,7 +106,7 @@ def test_dims_must_chain():
 def test_adam_zero_gradient_keeps_parameters():
     opt = Adam([(2, 2)], lr=0.01)
     p = np.ones(4)
-    opt.step(p, [np.zeros((2, 2))])
+    opt.step(p, np.zeros(4))
     assert np.array_equal(p, np.ones(4))
     assert opt.step_count == 1
     assert np.array_equal(opt.m, np.zeros(4))
@@ -119,7 +119,7 @@ def test_adam_first_step_formula():
     lr = 0.01
     opt = Adam([(1, 1)], lr=lr)
     new = np.array([5.0])
-    opt.step(new, [np.array([[g]])])
+    opt.step(new, np.array([g]))
     expected = 5.0 - lr * g / (abs(g) + ADAM_EPSILON)
     assert new[0] == pytest.approx(expected, abs=1e-15)
 
@@ -129,7 +129,7 @@ def test_adam_lr_zero_is_identity():
     opt = Adam([(3, 2)], lr=0.0)
     p = rng.normal(size=6)
     new = p.copy()
-    opt.step(new, [rng.normal(size=(3, 2))])
+    opt.step(new, rng.normal(size=6))
     assert np.array_equal(new, p)
 
 
@@ -139,7 +139,7 @@ def test_adam_deterministic_over_100_steps():
         opt = Adam([(2, 3)], lr=0.01)
         p = rng.normal(size=6)
         for _ in range(100):
-            opt.step(p, [rng.normal(size=(2, 3))])
+            opt.step(p, rng.normal(size=6))
         return p
 
     assert np.array_equal(run(), run())
@@ -148,9 +148,11 @@ def test_adam_deterministic_over_100_steps():
 def test_adam_rejects_bad_gradients():
     opt = Adam([(2, 2)])
     with pytest.raises(ValueError):
-        opt.step(np.zeros(4), [np.zeros((2, 3))])
+        opt.step(np.zeros(4), np.zeros(6))
     with pytest.raises(ValueError):
-        opt.step(np.zeros(6), [np.zeros((2, 2))])
+        opt.step(np.zeros(6), np.zeros(4))
+    with pytest.raises(ValueError):
+        opt.step(np.zeros(4), [np.zeros((2, 2))])
     assert opt.step_count == 0
 
 
@@ -170,7 +172,7 @@ def test_linear_regression_converges():
         handles = net.attach(tape)
         loss = mse(net.forward(constant(x)), constant(y))
         grads = backward(loss, handles)
-        opt.step(net.flat, [g.data for g in grads])
+        opt.step(net.flat, np.concatenate([g.data for g in grads], axis=None))
         net.detach()
         final = loss.item()
     assert final < 1e-3
@@ -247,16 +249,16 @@ def test_stacked_adam_steps_each_lane_as_alone():
     p_stack = np.concatenate([np.stack(ps) for ps in zip(*params)], axis=None)
     flats = [np.concatenate(p, axis=None) for p in params]
     for step in grads:
-        stacked.step(p_stack, [np.stack(gs) for gs in zip(*step)])
+        stacked.step(p_stack, np.concatenate([np.stack(gs) for gs in zip(*step)], axis=None))
         for opt, p, g in zip(opts, flats, step):
-            opt.step(p, g)
+            opt.step(p, np.concatenate(g, axis=None))
     p_lanes = [p_stack[:18].reshape(3, 6), p_stack[18:].reshape(3, 3)]
     for lane, (opt, back) in enumerate(zip(opts, stacked.split())):
         assert back.step_count == opt.step_count == 4
         assert np.array_equal(flats[lane], np.concatenate([p[lane] for p in p_lanes]))
         for a, b in ((opt.m, back.m), (opt.v, back.v)):
             assert np.array_equal(a, b)
-    opts[0].step(flats[0], grads[0][0])
+    opts[0].step(flats[0], np.concatenate(grads[0][0], axis=None))
     with pytest.raises(ValueError):
         Adam.stack(opts)
 
@@ -316,7 +318,7 @@ def test_an_in_place_write_through_a_layer_is_seen_by_the_next_step():
     net.layers[0].bias = np.full((1, 4), -2.0)  # assignment copies into the view
     written = [p.copy() for p in net.parameters()]
     assert net.layers[1].weight[0, 0] == 7.0 and net.flat[12:16].tolist() == [-2.0] * 4
-    opt.step(net.flat, grads)
+    opt.step(net.flat, np.concatenate(grads, axis=None))
     for p, w, g in zip(net.parameters(), written, grads):
         _, _, move = reference_adam(np.zeros_like(g), np.zeros_like(g), g, 1, 0.05)
         assert p.tobytes() == (w - move).tobytes()
@@ -345,7 +347,8 @@ def test_stack_and_split_round_trip_networks_and_optimizers_bytes():
     opts = [Adam.for_network(net, lr=0.05) for net in nets]
     for net, opt in zip(nets, opts):
         for _ in range(3):
-            opt.step(net.flat, [rng.normal(size=p.shape) for p in net.parameters()])
+            opt.step(net.flat, np.concatenate([rng.normal(size=p.shape) for p in net.parameters()],
+                                              axis=None))
     stack, stacked_opt = stack_networks(nets), Adam.stack(opts)
     # param-major: each parameter holds every lane before the next parameter
     assert stack.flat.tobytes() == np.concatenate(
@@ -382,7 +385,7 @@ def test_fused_adam_equals_the_textbook_update_bit_for_bit(lanes):
     vs = [np.zeros(s) for s in shapes]
     for t in range(1, 8):
         grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
-        opt.step(flat, grads)
+        opt.step(flat, np.concatenate(grads, axis=None))
         for i, g in enumerate(grads):
             ms[i], vs[i], move = reference_adam(ms[i], vs[i], g, t, 0.01)
             params[i] = params[i] - move

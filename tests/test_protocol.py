@@ -1,6 +1,6 @@
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from splitlab.defense import (
     RandomLabelExtension,
 )
 from splitlab.metrics import mean_value_baseline, metric_pair
-from splitlab.nn import FcNetwork, Layer, build_network
+from splitlab.nn import FcNetwork, Layer, build_network, stack_networks
 from splitlab.protocol import (
     ProtocolError,
     SplitSession,
@@ -171,6 +171,13 @@ def test_session_validations(small_data):
     ok = SplitSession(bottom, top_narrow, NoDefense(), batch_size=10_000)
     with pytest.raises(ProtocolError):
         train_split(ok, train)
+
+
+@pytest.mark.parametrize("lr", [-0.01, float("nan"), float("inf")])
+def test_session_refuses_a_negative_or_non_finite_learning_rate(small_data, lr):
+    train, _ = small_data
+    with pytest.raises(ProtocolError, match=rf"^lr must be finite and >= 0, got {lr}$"):
+        make_session(train, lr=lr)
 
 
 def test_transcript_roundtrip(tmp_path, small_data):
@@ -455,8 +462,8 @@ def taping_replay(sessions, log):
         *top_grads, cut_grad = backward(loss, [*top_handles, cut_in])
         sent = tape.leaf(sent_of(cut_grad.data))
         bottom_grads = backward(sum_all(mul(cut, sent)), bottom_handles)
-        outputs = (cut.data, targets.data, loss.data, [g.data for g in top_grads], sent.data,
-                   [g.data for g in bottom_grads])
+        outputs = (cut.data, targets.data, loss.data, flat(top_grads), sent.data,
+                   flat(bottom_grads))
         log.append(outputs)
         return outputs
 
@@ -475,9 +482,14 @@ def logging_replay(log):
     return step
 
 
+def flat(grads):
+    """Taped gradients back to back, in the layout of a network's flat
+    buffer."""
+    return np.concatenate([g.data for g in grads], axis=None)
+
+
 def step_bytes(outputs):
-    cut, targets, loss, top_grads, sent, bottom_grads = outputs
-    return [a.tobytes() for a in (cut, targets, loss, *top_grads, sent, *bottom_grads)]
+    return [a.tobytes() for a in outputs]
 
 
 @pytest.mark.parametrize("count", [1, 3], ids=["one_lane", "three_lanes"])
@@ -505,24 +517,95 @@ def test_replayed_batches_equal_a_loop_that_tapes_every_step(monkeypatch, small_
 
 
 def test_training_captures_one_set_of_plans_per_batch_shape_per_call(monkeypatch, small_data):
-    # full batches and a short final one: two captures of three programs per
-    # call, and every step runs them (a fallback to taping would capture
-    # more)
+    # full batches and a short final one: one plan captured for each per
+    # call, and every step runs it (a fallback to taping would capture more)
     train, _ = small_data
     captured = []
 
     class Counting(StepPlan):
-        def __init__(self, inputs, outputs):
-            super().__init__(inputs, outputs)
-            captured.append(inputs[-1].shape)
+        def __init__(self, inputs, outputs, **links):
+            super().__init__(inputs, outputs, **links)
+            captured.append(inputs[0].shape)
 
     monkeypatch.setattr(protocol_module, "StepPlan", Counting)
-    per_call = [(48, 3), (48, 1), (48, 4), (16, 3), (16, 1), (16, 4)]
     for count in (1, 3):
         captured.clear()
         train_lanes(lane_group(train, "none", count), train)
         lead = () if count == 1 else (count,)
-        assert captured == [(*lead, *shape) for shape in per_call]
+        assert captured == [(*lead, 48, 3), (*lead, 16, 3)]
+
+
+def test_the_training_plan_runs_the_bottom_forward_once():
+    # 4 lanes, batch 16, an [8, 16, 8] bottom and an [8, 1] top: the forward
+    # (5 ops), the label party's part (11) and the feature party's backward
+    # over the forward's own values (12)
+    bottom = stack_networks([build_network([8, 16, 8], seed=s) for s in range(4)])
+    top = stack_networks([build_network([8, 1], seed=10 + s) for s in range(4)])
+    assert len(protocol_module._capture_step(bottom, top, (4, 16, 8))) == 5 + 11 + 12
+
+
+@dataclass(frozen=True)
+class Watching(Defense):
+    """Trains on the plain labels and sends the raw gradient, noting for each
+    call of its rules whether the cut or the cut gradient it was given was
+    finite. With poison_lane set, its third targets call (epoch 0, batch 2)
+    returns NaN targets in that lane."""
+
+    name = "watching"
+    uses_snapshot = True
+    changes_gradient = True
+    poison_lane: int | None = None
+    seen: list = field(default_factory=list, compare=False)
+
+    def snapshot_targets(self, top, cut, y_batch, label_columns):
+        self.seen.append(("cut", bool(np.isfinite(cut).all())))
+        targets = y_batch.copy()
+        if self.poison_lane is not None and len(self.seen) - self.grad_calls() == 3:
+            targets[self.poison_lane if targets.ndim == 3 else ...] = np.nan
+        return targets
+
+    def outgoing_gradient(self, grad, seed, epoch, batch_no):
+        self.seen.append(("grad", bool(np.isfinite(grad).all())))
+        return grad.copy()
+
+    def grad_calls(self):
+        return sum(kind == "grad" for kind, _ in self.seen)
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["one_lane", "three_lanes"])
+@pytest.mark.parametrize("where", ["cut", "cut_gradient"])
+def test_defense_rules_never_see_a_non_finite_cut_or_cut_gradient(monkeypatch, small_data,
+                                                                  where, count):
+    train, _ = small_data
+    bad = min(1, count - 1)
+    lane_tag = "" if count == 1 else f" (lane {bad})"
+    runs = []
+    for taped in (False, True):
+        # one log for every lane's defense; lane 0's forms every lane's targets
+        seen = []
+        defenses = [Watching(bad if where == "cut_gradient" else None, seen)
+                    for _ in range(count)]
+        sessions = lane_sessions(train, defenses)[:count]
+        if where == "cut":
+            sessions[bad].bottom.layers[0].weight[:] = 1e308
+        step = taping_replay(sessions, []) if taped else logging_replay([])
+        with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
+            m.setattr(protocol_module, "_replay_step", step)
+            with pytest.raises(ProtocolError) as info:
+                train_lanes(sessions, train)
+        runs.append((str(info.value), seen))
+    (replayed, seen), (taped_message, taped_seen) = runs
+    assert replayed == taped_message == {
+        "cut": f"epoch 0, batch 0: non-finite values produced by 'matmul'{lane_tag}",
+        "cut_gradient": f"epoch 0, batch 2: non-finite values produced by 'leaf'{lane_tag}",
+    }[where]
+    assert all(finite for _, finite in seen)
+    if where == "cut":
+        # the taped step hands the rule the cut before it checks it
+        assert seen == [] and taped_seen == [("cut", False)]
+    else:
+        # batches 0 and 1 complete; batch 2 stops before its gradient is sent
+        assert seen == ([("cut", True)] + [("grad", True)] * count) * 2 + [("cut", True)]
 
 
 @dataclass(frozen=True)
