@@ -56,7 +56,6 @@ __all__ = [
     "AttackLane",
     "RowwiseAdam",
     "gradient_inversion_loss",
-    "completion_target",
     "model_completion_loss",
     "run_attack",
     "attack_lanes",
@@ -129,20 +128,12 @@ def gradient_inversion_loss(tape: Tape, surrogate: FcNetwork, cut_values,
     anchor = mse(pred, dummy_batch)
     (induced,) = backward(anchor, [cut], create_graph=True)
     per_sample = float(cut.rows)
-    match = smul(mse(_const(recorded_grad), induced), per_sample ** 2)
+    match = smul(mse(recorded_grad, induced), per_sample ** 2)
     return add(match, anchor), match
 
 
-def completion_target(leaked_labels: np.ndarray, width: int) -> Tensor:
-    """The leaked labels broadcast against every one of `width` surrogate
-    output columns, as the constant target of model_completion_loss."""
-    if leaked_labels.size == 0:
-        raise AttackError("leaked set is empty")
-    return constant(np.repeat(leaked_labels, width, axis=-1))
-
-
-def model_completion_loss(tape: Tape, surrogate: FcNetwork, leaked_cut,
-                          leaked_labels) -> Tensor:
+def model_completion_loss(tape: Tape, surrogate: FcNetwork, leaked_cut: np.ndarray,
+                          leaked_labels: np.ndarray) -> Tensor:
     """Fine-tuning loss on the leaked pairs: mse between the surrogate's
     outputs at the leaked activations and the leaked labels.
 
@@ -151,22 +142,18 @@ def model_completion_loss(tape: Tape, surrogate: FcNetwork, leaked_cut,
     carries the label, so the leaked labels are broadcast against every
     column; committing to a single column happens only at evaluation time.
 
-    Both inputs may be arrays. A caller that evaluates this loss every step
-    passes them wrapped once instead: the activations as a constant tensor
-    and the labels as the tensor completion_target made for this surrogate.
+    Both inputs are arrays, and enter the loss as constants: the leaked
+    pairs stay fixed for the whole attack, so a step plan captured over this
+    loss replays them as they were at capture.
     """
-    if not isinstance(leaked_labels, Tensor):
-        leaked_labels = completion_target(leaked_labels, surrogate.out_dim)
-    pred = surrogate.forward(_const(leaked_cut))
-    return mse(pred, leaked_labels)
+    if leaked_labels.size == 0:
+        raise AttackError("leaked set is empty")
+    pred = surrogate.forward(constant(leaked_cut))
+    return mse(pred, np.repeat(leaked_labels, surrogate.out_dim, axis=-1))
 
 
-def _const(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
-
-
-def _capture_step(surrogate: FcNetwork, cut_shape: tuple[int, ...], leaked_cut: Tensor,
-                  leaked_target: Tensor, alpha: float) -> StepPlan:
+def _capture_step(surrogate: FcNetwork, cut_shape: tuple[int, ...], leaked_cut: np.ndarray,
+                  leaked_labels: np.ndarray, alpha: float) -> StepPlan:
     """The StepPlan of an attack step on batches of activations of
     cut_shape, captured from a tape over zeros: a zeroed copy of the
     surrogate, zero dummy labels, activations and recorded gradient. Its
@@ -183,7 +170,7 @@ def _capture_step(surrogate: FcNetwork, cut_shape: tuple[int, ...], leaked_cut: 
     cut = tape.leaf(np.zeros(cut_shape))
     recorded = tape.leaf(np.zeros(cut_shape))
     gi_loss, _ = gradient_inversion_loss(tape, surrogate, cut, dummy_batch, recorded)
-    mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_target)
+    mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_labels)
     total = add(gi_loss, smul(mc_loss, alpha))
     # create_graph keeps every gradient a node the plan can name
     grads = backward(total, [*handles, dummy_batch], create_graph=True)
@@ -309,14 +296,12 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
 
     # The bottom model is frozen and the records and leaked pairs never
     # change, so each batch's indices, activations and recorded gradient, and
-    # the leaked activations with their broadcast labels, are formed once.
+    # the leaked activations, are formed once.
     batch_idx = [stack_lanes([rec.indices for rec in batch]) for batch in zip(*records)]
     batch_cuts = [bottom.forward_values(train.features[idx]) for idx in batch_idx]
     batch_grads = [stack_lanes([rec.gradient for rec in batch]) for batch in zip(*records)]
     leaked_cut = bottom.forward_values(stack_lanes([lane.leaked.features for lane in lanes]))
-    leaked_cut_t = constant(leaked_cut)
-    leaked_target = completion_target(stack_lanes([lane.leaked.labels for lane in lanes]),
-                                      surrogate.out_dim)
+    leaked_labels = stack_lanes([lane.leaked.labels for lane in lanes])
 
     loss_traces: list[list[float]] = [[] for _ in lanes]
     inversion_traces: list[list[float]] = [[] for _ in lanes]
@@ -332,7 +317,7 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
             plan = plans.get(cut_values.shape)
             if plan is None:
                 plan = plans[cut_values.shape] = _capture_step(
-                    surrogate, cut_values.shape, leaked_cut_t, leaked_target, config.alpha)
+                    surrogate, cut_values.shape, leaked_cut, leaked_labels, config.alpha)
             try:
                 outputs = plan.run([*surrogate_params, gather_rows(dummy, idx), cut_values,
                                     recorded_grad])

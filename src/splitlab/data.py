@@ -255,6 +255,8 @@ def synth_regression(n: int, d: int, noise_std: float = 0.1, seed: int = 0,
     the seed. Set nonlinearity=0 for an exactly linear target."""
     if n < 2 or d < 1:
         raise DataError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+    if not noise_std >= 0:
+        raise DataError(f"noise_std must be >= 0, got {noise_std}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57A7]))
     w = rng.normal(size=(d, 1))
     v = rng.normal(size=(d, 1))

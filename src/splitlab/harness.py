@@ -139,8 +139,12 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise HarnessError(f"bad configuration: {exc}") from None
             object.__setattr__(self, f.name, value)
-        if self.repeats < 1:
-            raise HarnessError("repeats must be >= 1")
+        for name, bound in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            for entry in value if isinstance(value, tuple) else (value,):
+                if entry < bound:
+                    raise HarnessError(f"bad configuration: {_FIELD_KEYS[name]} must be "
+                                       f">= {bound}, got {entry}")
         if self.attack_readout not in ATTACK_READOUTS:
             raise HarnessError(
                 f"attack_readout must be one of {ATTACK_READOUTS}, got '{self.attack_readout}'")
@@ -231,6 +235,16 @@ def _config_keys(kind: str) -> dict[str, str]:
 
 # each ExperimentConfig field's key, which its errors name
 _FIELD_KEYS = {name: key for kind in DATASET_KEYS for key, name in _config_keys(kind).items()}
+
+# the least value of each numeric field with one, checked before any compute
+# (for a tuple, of each entry)
+_LOWER_BOUNDS = {
+    "synth_n": 2, "synth_d": 1, "synth_noise_std": 0,
+    "bottom_hidden": 1, "top_hidden": 1, "cut_dim": 1,
+    "epochs": 1, "batch_size": 1, "seed": 0,
+    "attack_alpha": 0, "attack_epochs": 1, "attack_window": 1,
+    "repeats": 1,
+}
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,16 @@ session's concern only through the members of `defense.Defense`.
 A training step is one program, whatever the defense: the feature party's
 forward (features and bottom parameters in, cut activations out), the label
 party's part (top parameters, cut and targets in; loss, top gradients and
-cut gradient out) and the feature party's backward (the sent gradient in,
-over the forward's own values; bottom gradients out). It is captured as one
-`autograd.StepPlan` from a tape over zeros of the step's shapes, once per
-batch shape, and every batch of that shape, the first included, runs it (see
-the autograd module docstring). The defense's numpy rules run inside that
-run as feeders: the targets are fed from the cut and the sent gradient from
-the cut gradient, each after the plan has checked everything computed
-before it, so no rule sees a non-finite value. The plan hands back each
-network's gradients as one flat region, which its Adam reads as it is.
+cut gradient out, from a backward pass that stops at the cut) and the
+feature party's backward (the sent gradient in, over the forward's own
+values; bottom gradients out). It is captured as one `autograd.StepPlan`
+from a tape over zeros of the step's shapes, once per batch shape, and every
+batch of that shape, the first included, runs it (see the autograd module
+docstring). The defense's numpy rules run inside that run as feeders: the
+targets are fed from the cut and the sent gradient from the cut gradient,
+each after the plan has checked everything computed before it, so no rule
+sees a non-finite value. The plan hands back each network's gradients as
+one flat region, which its Adam reads as it is.
 """
 
 from __future__ import annotations
@@ -438,9 +439,10 @@ def _capture_step(bottom: FcNetwork, top: FcNetwork, x_shape: tuple[int, ...]) -
     the relay.
 
     Leaves are made in an order that keeps every backward to what it is
-    asked for: the features before the bottom parameters, and the targets
-    before the cut and the top parameters, so no gradient is formed for
-    them."""
+    asked for: the features before the bottom parameters, so no gradient is
+    formed for them, and the targets after the cut, so the label party's
+    backward, which stops at the cut, forms the targets' adjoint, -g_pred,
+    on this tape; no output needs it, so the plan drops it."""
     bottom, top = bottom.copy(), top.copy()
     bottom.flat[...] = 0.0
     top.flat[...] = 0.0
@@ -449,13 +451,12 @@ def _capture_step(bottom: FcNetwork, top: FcNetwork, x_shape: tuple[int, ...]) -
     bottom_handles = bottom.attach(tape)
     cut = bottom.forward(x)
     targets = tape.leaf(np.zeros((*x_shape[:-1], top.out_dim)))
-    # the label party's copy of the cut: its backward stops here
-    cut_in = tape.leaf(cut.data)
     top_handles = top.attach(tape)
-    loss = mse(top.forward(cut_in), targets)
-    # label party: gradients for its own update and for the wire;
-    # create_graph keeps every gradient a node a plan can name
-    *top_grads, cut_grad = backward(loss, [*top_handles, cut_in], create_graph=True)
+    loss = mse(top.forward(cut), targets)
+    # label party: gradients for its own update and for the wire, a walk
+    # that stops at the cut; create_graph keeps every gradient a node a plan
+    # can name
+    *top_grads, cut_grad = backward(loss, [*top_handles, cut], create_graph=True)
     sent = tape.leaf(np.zeros(cut.shape))
     # feature party: backprop resumes from the gradient actually received,
     # whatever the defense did to it, over the forward's own values
@@ -465,7 +466,7 @@ def _capture_step(bottom: FcNetwork, top: FcNetwork, x_shape: tuple[int, ...]) -
     # finiteness, as a taped step does
     return StepPlan([x, *bottom_handles, *top_handles],
                     [cut, targets, loss, top_grads, sent, bottom_grads, relay],
-                    fed=[(targets, cut), (sent, cut_grad)], aliases=[(cut_in, cut)])
+                    fed=[(targets, cut), (sent, cut_grad)])
 
 
 def _replay_step(plan: StepPlan, bottom_params: list[np.ndarray],

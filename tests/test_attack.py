@@ -11,13 +11,12 @@ from splitlab.attack import (
     AttackLane,
     RowwiseAdam,
     attack_lanes,
-    completion_target,
     evaluate_attack,
     gradient_inversion_loss,
     model_completion_loss,
     run_attack,
 )
-from splitlab.autograd import StepPlan, Tape, add, backward, constant, smul
+from splitlab.autograd import StepPlan, Tape, add, backward, smul
 from splitlab.data import sample_leaked, split_standardize, synth_regression
 from splitlab.defense import NoDefense
 from splitlab.harness import _failed_lane
@@ -312,19 +311,6 @@ def test_rowwise_adam_lanes_step_each_lane_alone():
         assert np.array_equal(stacked.counts[lane], opt.counts)
 
 
-def test_model_completion_accepts_prewrapped_constants(frozen_run):
-    session, _, train, _ = frozen_run
-    leaked = sample_leaked(train, 0.05, seed=4)
-    surrogate = build_network([4, 3, 2], seed=8)
-    leaked_cut = session.bottom.forward_values(leaked.features)
-    tape = Tape()
-    surrogate.attach(tape)
-    plain = model_completion_loss(tape, surrogate, leaked_cut, leaked.labels)
-    wrapped = model_completion_loss(tape, surrogate, constant(leaked_cut),
-                                    completion_target(leaked.labels, 2))
-    assert plain.data.tobytes() == wrapped.data.tobytes()
-
-
 @pytest.mark.parametrize("width", [1, 2])
 def test_lock_step_attack_matches_separate_attacks(width):
     ds = synth_regression(240, 4, noise_std=0.1, seed=13)
@@ -414,9 +400,8 @@ def recording_plans(lanes, taped, log):
     cfg = lanes[0].config
     acts = [cfg.activation] * (len(cfg.surrogate_dims) - 2) + ["identity"]
     bottom = lanes[0].bottom if len(lanes) == 1 else stack_networks([l.bottom for l in lanes])
-    leaked_cut = constant(bottom.forward_values(stack_lanes([l.leaked.features for l in lanes])))
-    leaked_target = completion_target(stack_lanes([l.leaked.labels for l in lanes]),
-                                      cfg.surrogate_dims[-1])
+    leaked_cut = bottom.forward_values(stack_lanes([l.leaked.features for l in lanes]))
+    leaked_labels = stack_lanes([l.leaked.labels for l in lanes])
 
     def taped_step(arrays):
         *params, dummy, cut, recorded = arrays
@@ -426,7 +411,7 @@ def recording_plans(lanes, taped, log):
         dummy_batch = tape.leaf(dummy)
         gi_loss, _ = gradient_inversion_loss(tape, surrogate, cut, dummy_batch,
                                              tape.leaf(recorded))
-        mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_target)
+        mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_labels)
         total = add(gi_loss, smul(mc_loss, cfg.alpha))
         grads = backward(total, [*handles, dummy_batch])
         return [total.data, gi_loss.data, np.concatenate([g.data for g in grads[:-1]], axis=None),

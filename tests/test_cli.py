@@ -269,6 +269,19 @@ def test_a_learning_rate_that_is_not_positive_is_a_one_line_error_before_trainin
     assert not (tmp_path / "run").exists()
 
 
+def test_a_config_value_below_its_bound_is_a_one_line_error_before_training(
+        tmp_path, monkeypatch, capsys):
+    # an attack window of 0 used to train, write the run and fail at attack
+    def never(*args, **kwargs):
+        raise AssertionError("training started with an attack window of 0")
+
+    monkeypatch.setattr("splitlab.cli.train_split", never)
+    err = one_line_error(capsys, ["train", "--config", tiny_config_file(tmp_path),
+                                  "--set", "attack.window=0", "--out", str(tmp_path / "run")])
+    assert err == "error: bad configuration: attack.window must be >= 1, got 0\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_errors_are_one_line_naming_the_file_key_or_flag(tmp_path, capsys):
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")

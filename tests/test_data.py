@@ -326,3 +326,7 @@ def test_synth_validation():
         synth_regression(1, 3)
     with pytest.raises(DataError):
         synth_regression(10, 0)
+    # a negative noise_std used to mean no noise at all
+    for noise_std in (-1.0, float("nan")):
+        with pytest.raises(DataError, match=rf"^noise_std must be >= 0, got {noise_std}$"):
+            synth_regression(10, 3, noise_std=noise_std)

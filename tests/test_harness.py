@@ -178,9 +178,12 @@ def test_batch_size_validation():
 
 
 def test_run_context_in_errors():
-    bad = tiny_config(cut_dim=0)
-    with pytest.raises((HarnessError, ValueError)):
-        run_experiment(bad)
+    # a config no run can use (cut_dim=0) is refused before any run, so a
+    # run that fails here diverges
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(HarnessError, match=r"^none run 0 \(seed 0\): epoch 0, batch 1: "
+                                               r"non-finite values produced by 'matmul'$"):
+            run_experiment(tiny_config(lr=1e200))
 
 
 def no_training(*args, **kwargs):
@@ -306,6 +309,27 @@ def test_config_refuses_a_learning_rate_that_is_not_positive(override, key, valu
     section, _, leaf = key.partition(".")
     with pytest.raises(HarnessError, match=rf"^{re.escape(message)}$"):
         ExperimentConfig.from_dict({section: {leaf: value}})
+
+
+@pytest.mark.parametrize("override,key,bound,value", [
+    (dict(attack_window=0), "attack.window", 1, 0),
+    (dict(attack_epochs=0), "attack.epochs", 1, 0),
+    (dict(attack_alpha=-1), "attack.alpha", 0, -1.0),
+    (dict(epochs=0), "training.epochs", 1, 0),
+    (dict(batch_size=0), "training.batch_size", 1, 0),
+    (dict(seed=-1), "training.seed", 0, -1),
+    (dict(cut_dim=0), "model.cut_dim", 1, 0),
+    (dict(bottom_hidden=(16, 0)), "model.bottom_hidden", 1, 0),
+    (dict(top_hidden=(0,)), "model.top_hidden", 1, 0),
+    (dict(synth_noise_std=-1), "dataset.noise_std", 0, -1.0),
+    (dict(synth_n=1), "dataset.n", 2, 1),
+    (dict(synth_d=0), "dataset.d", 1, 0),
+    (dict(repeats=0), "repeats", 1, 0),
+])
+def test_config_refuses_a_value_below_its_key_s_lower_bound(override, key, bound, value):
+    message = f"bad configuration: {key} must be >= {bound}, got {value}"
+    with pytest.raises(HarnessError, match=rf"^{re.escape(message)}$"):
+        ExperimentConfig(**override)
 
 
 def test_config_built_in_code_stores_parsed_values():

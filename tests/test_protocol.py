@@ -456,10 +456,9 @@ def taping_replay(sessions, log):
         bottom_handles = bottom.attach(tape)
         cut = bottom.forward(x)
         targets = tape.leaf(targets_of(cut.data))
-        cut_in = tape.leaf(cut.data)
         top_handles = top.attach(tape)
-        loss = mse(top.forward(cut_in), targets)
-        *top_grads, cut_grad = backward(loss, [*top_handles, cut_in])
+        loss = mse(top.forward(cut), targets)
+        *top_grads, cut_grad = backward(loss, [*top_handles, cut])
         sent = tape.leaf(sent_of(cut_grad.data))
         bottom_grads = backward(sum_all(mul(cut, sent)), bottom_handles)
         outputs = (cut.data, targets.data, loss.data, flat(top_grads), sent.data,
@@ -601,8 +600,8 @@ def test_defense_rules_never_see_a_non_finite_cut_or_cut_gradient(monkeypatch, s
     }[where]
     assert all(finite for _, finite in seen)
     if where == "cut":
-        # the taped step hands the rule the cut before it checks it
-        assert seen == [] and taped_seen == [("cut", False)]
+        # the taped step, too, refuses the cut at the op that made it
+        assert seen == [] and taped_seen == []
     else:
         # batches 0 and 1 complete; batch 2 stops before its gradient is sent
         assert seen == ([("cut", True)] + [("grad", True)] * count) * 2 + [("cut", True)]

@@ -25,7 +25,11 @@ bytes agree). The set:
     of 32, so training and the attack each run two batch shapes;
   - one CSV `splitlab train` (label column by name, dataset name set) and
     its `splitlab attack --out`, run from inside a temporary directory so
-    the path the manifest records is the same in every checkout.
+    the path the manifest records is the same in every checkout;
+  - two `splitlab experiment` runs that diverge, one in training and one in
+    the attack, printed as their exit code and final `error:` line instead
+    of a digest (the RuntimeWarning lines numpy writes before it carry
+    source paths and line numbers, so they are left out).
 
 Usage, from the root of a checkout (about 20 s on two cores):
 
@@ -95,8 +99,29 @@ def _cli(argv: list[str]) -> None:
         raise SystemExit(f"splitlab {' '.join(argv)} exited with {code}")
 
 
+def _failure(argv: list[str]) -> str:
+    """The exit code and the final `error:` line of a command that fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    if code == 0 or not errors:
+        raise SystemExit(f"splitlab {' '.join(argv)} did not fail with an error line")
+    return f"exit {code}, {errors[-1]}"
+
+
+# diverging runs: a training learning rate that overflows the training
+# step, and an attack learning rate that overflows an attack step
+DIVERGING = {
+    "training lr 1e200": ["--set", "training.lr=1e200", "--set", "attack.epochs=1"],
+    "attack lr 1e200": ["--set", "attack.lr=1e200", "--set", "attack.epochs=2",
+                        "--repeats", "2"],
+}
+
+
 def digests(work: Path):
-    """(name, sha256) of every output in the set, in a fixed order."""
+    """(name, sha256) of every output in the set, in a fixed order; for a
+    diverging run, (name, its exit code and error line)."""
     main = ExperimentConfig(seed=0)
     small = replace(main, synth_n=500, batch_size=16)
     yield "acceptance noise sweep", _results_digest(
@@ -160,6 +185,11 @@ def digests(work: Path):
         os.chdir(previous)
     for file in RUN_FILES:
         yield f"train+attack csv {file}", _sha(work / "csv_run" / file)
+
+    for name, extra in DIVERGING.items():
+        yield f"divergence {name}", _failure(
+            ["experiment", "--dataset", "synth", "--set", "dataset.n=160",
+             "--set", "training.epochs=2", *extra])
 
 
 def run() -> None:
