@@ -82,8 +82,9 @@ class AttackConfig:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if self.epochs < 1 or self.transcript_window < 1:
-            raise ValueError("epochs and transcript_window must be >= 1")
+        for name in ("epochs", "transcript_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -366,10 +366,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_points(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     """Every repeat of every config, which differ only in their defense.
 
-    Each (point, repeat) pair is a lane. Lanes whose defense kind and
-    top-model width agree train and are attacked in lock-step (see
-    train_lanes and attack_lanes), and each lane computes exactly what it
-    would alone. A run's runtime_ms is its lock-step group's wall time
+    Each (point, repeat) pair is a lane. Lanes whose top models have one
+    width train and are attacked in lock-step, whatever their defense kinds
+    (see train_lanes and attack_lanes), and each lane computes exactly what
+    it would alone. A run's runtime_ms is its lock-step group's wall time
     divided by the group's lane count; a result's runtime_ms is the wall
     time of the whole call divided by the number of configs.
     """
@@ -391,7 +391,7 @@ def _run_points(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
                              plan_attack(c, defense, train, run_seed))
             except Exception as exc:
                 raise HarnessError(f"{label}: {exc}") from exc
-            groups.setdefault((defense.name, defense.output_dim), []).append(lane)
+            groups.setdefault(defense.output_dim, []).append(lane)
 
     runs: list[list[RunOutcome | None]] = [[None] * c.repeats for c in configs]
     for lanes in groups.values():

@@ -15,11 +15,17 @@ bias, weight, bias, ...), each parameter's entries row-major. Every
 ``layer.weight`` and ``layer.bias`` is a view into that buffer: an in-place
 write through a view is a write to the network, assigning to
 ``layer.weight`` copies into the view, and ``set_parameters`` copies into
-the views too. The buffer is never rebound. ``Adam`` keeps its moments as
-flat buffers of the same layout and updates a network's buffer in place from
-one flat gradient of that layout (a step plan hands back a network's
-gradients so), one fused pass over all parameters per step, with
-preallocated work arrays.
+the views too. The buffer is never rebound once the network is built.
+``Adam`` keeps its moments as flat buffers of the same layout and updates a
+network's buffer in place from one flat gradient of that layout (a step plan
+hands back a network's gradients so), one fused pass over all parameters per
+step, with preallocated work arrays.
+
+Several networks can share one buffer (``stack_joined``): each network's
+buffer is then a block of it, the blocks back to back, and one optimizer
+joined from theirs (``Adam.join``, undone by ``Adam.unjoin``) updates all of
+them in one pass from one gradient of that joint layout. The split trainer
+keeps the top and the bottom model so, top first.
 
 Networks of the same architecture can be stacked along a leading lane axis
 (``stack_networks``): every parameter becomes a (lanes, rows, cols) array
@@ -52,9 +58,9 @@ from .autograd import (
     matmul,
 )
 
-__all__ = ["Layer", "FcNetwork", "build_network", "stack_networks", "Adam", "RowwiseAdam",
-           "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPSILON", "save_checkpoint", "load_checkpoint",
-           "stack_lanes", "split_lanes", "gather_rows"]
+__all__ = ["Layer", "FcNetwork", "build_network", "stack_networks", "stack_joined", "Adam",
+           "RowwiseAdam", "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPSILON", "save_checkpoint",
+           "load_checkpoint", "stack_lanes", "split_lanes", "gather_rows"]
 
 
 class Layer:
@@ -136,11 +142,14 @@ class FcNetwork:
         self.layers = layers
         self.role = role
         self._handles: list[Tensor] | None = None
-        shapes = [p.shape for layer in layers for p in (layer.weight, layer.bias)]
-        self.flat = np.empty(sum(math.prod(s) for s in shapes))
-        views = _param_views(self.flat, shapes)
-        for layer, weight, bias in zip(layers, views[::2], views[1::2]):
+        self._place(np.empty(sum(p.size for p in self.parameters())))
+
+    def _place(self, flat: np.ndarray) -> None:
+        """Move the parameters into `flat`, which becomes the buffer."""
+        views = _param_views(flat, [p.shape for p in self.parameters()])
+        for layer, weight, bias in zip(self.layers, views[::2], views[1::2]):
             layer._adopt(weight, bias)
+        self.flat = flat
 
     @property
     def in_dim(self) -> int:
@@ -276,6 +285,21 @@ def stack_networks(nets: list[FcNetwork]) -> FcNetwork:
     return FcNetwork(layers, role=first.role)
 
 
+def stack_joined(groups: Sequence[Sequence[FcNetwork]]) -> tuple[np.ndarray, list[FcNetwork]]:
+    """One lane stack per group of plain networks, as stack_networks makes
+    it but a new network even for a group of one, all over one flat buffer:
+    each stack's buffer is a block of it, the blocks back to back in group
+    order. Returns the buffer and the stacks; one optimizer step over the
+    buffer (see ``Adam.join``) updates every stack."""
+    stacks = [stack_networks(group) if len(group) > 1 else group[0].copy() for group in groups]
+    flat = np.empty(sum(stack.flat.size for stack in stacks))
+    start = 0
+    for stack in stacks:
+        stack._place(flat[start:start + stack.flat.size])
+        start += stack.flat.size
+    return flat, stacks
+
+
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
@@ -342,6 +366,34 @@ class Adam:
             np.concatenate([np.stack(lanes) for lanes in per_param], axis=None,
                            out=getattr(out, name))
         out.step_count = first.step_count
+        return out
+
+    @classmethod
+    def join(cls, opts: list["Adam"]) -> "Adam":
+        """One optimizer over the parameters of opts back to back, in order,
+        as laid out in a buffer that stack_joined made; every optimizer must
+        share lr and step count."""
+        first = opts[0]
+        for opt in opts:
+            if (opt.lr, opt.step_count) != (first.lr, first.step_count):
+                raise ValueError("cannot join optimizers with different settings or step counts")
+        out = cls([s for opt in opts for s in opt.shapes], lr=first.lr)
+        for name in ("m", "v"):
+            np.concatenate([getattr(opt, name) for opt in opts], out=getattr(out, name))
+        out.step_count = first.step_count
+        return out
+
+    def unjoin(self, counts: Sequence[int]) -> list["Adam"]:
+        """Inverse of join: the optimizers over consecutive runs of counts[i]
+        parameters, in order."""
+        out, first, start = [], 0, 0
+        for count in counts:
+            opt = Adam(self.shapes[first:first + count], lr=self.lr)
+            stop = start + opt.m.size
+            opt.m[...], opt.v[...] = self.m[start:stop], self.v[start:stop]
+            opt.step_count = self.step_count
+            out.append(opt)
+            first, start = first + count, stop
         return out
 
     def split(self) -> list["Adam"]:

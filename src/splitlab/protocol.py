@@ -20,8 +20,13 @@ batch of that shape, the first included, runs it (see the autograd module
 docstring). The defense's numpy rules run inside that run as feeders: the
 targets are fed from the cut and the sent gradient from the cut gradient,
 each after the plan has checked everything computed before it, so no rule
-sees a non-finite value. The plan hands back each network's gradients as
-one flat region, which its Adam reads as it is.
+sees a non-finite value. The plan hands back both networks' gradients as
+one flat region, the top's then the bottom's: the layout of the buffer the
+trainer keeps both networks in, which one Adam step reads as it is.
+
+Sessions trained in lock-step (`train_lanes`) share a top-model width but
+not necessarily a defense kind: the feeders form each lane's targets and
+sent gradient by that lane's own defense.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .defense import Defense
 # them by attribute.
 from .defense import adaptive_targets, compress_gradient, extend_labels_random  # noqa: F401
 from .defense import noise_gradient, noise_labels  # noqa: F401
-from .nn import Adam, FcNetwork, gather_rows, split_lanes, stack_lanes, stack_networks
+from .nn import Adam, FcNetwork, Layer, gather_rows, split_lanes, stack_joined, stack_lanes
 
 __all__ = ["ProtocolError", "TranscriptRecord", "Transcript", "TranscriptWriter",
            "SplitSession", "train_split", "train_lanes", "predict"]
@@ -270,8 +275,9 @@ class SplitSession:
         if top.out_dim != expected:
             raise ProtocolError(
                 f"top output dim {top.out_dim} incompatible with defense (needs {expected})")
-        if batch_size < 1 or epochs < 1:
-            raise ProtocolError("batch_size and epochs must be >= 1")
+        for name, value in (("batch_size", batch_size), ("epochs", epochs)):
+            if value < 1:
+                raise ProtocolError(f"{name} must be >= 1, got {value}")
         # 0 trains nothing but still records the transcript: a frozen run
         if not (math.isfinite(lr) and lr >= 0):
             raise ProtocolError(f"lr must be finite and >= 0, got {lr}")
@@ -296,6 +302,9 @@ class SplitSession:
 
 
 def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
+    """Refuse sessions that cannot train on `train` in lock-step: each must
+    fit the dataset, and all must share the top-model width, learning rate,
+    batch size and epochs. Their defense kinds may differ."""
     first = sessions[0]
     for r, s in enumerate(sessions):
         where = f"lane {r}: " if len(sessions) > 1 else ""
@@ -304,11 +313,11 @@ def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
                 f"{where}dataset has {train.d} features, bottom model expects {s.bottom.in_dim}")
         if s.batch_size > train.n:
             raise ProtocolError(f"{where}batch size exceeds training set size")
-        if (s.defense.name, s.top.out_dim, s.lr, s.batch_size, s.epochs) != \
-                (first.defense.name, first.top.out_dim, first.lr, first.batch_size, first.epochs):
+        if (s.top.out_dim, s.lr, s.batch_size, s.epochs) != \
+                (first.top.out_dim, first.lr, first.batch_size, first.epochs):
             raise ProtocolError(
-                f"{where}sessions trained in lock-step need the same defense kind, "
-                "top-model width, learning rate, batch size and epochs")
+                f"{where}sessions trained in lock-step need the same top-model width, "
+                "learning rate, batch size and epochs")
 
 
 def train_split(session: SplitSession, train: Dataset,
@@ -326,13 +335,21 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     """Train several sessions on one dataset in lock-step; returns each
     session's (transcript, per-epoch mean loss), in session order.
 
-    The sessions ("lanes") share the defense kind, top-model width, learning
-    rate, batch size and epochs; each keeps its own seed, networks,
-    optimizer state and defense parameters. Their networks and optimizers
-    are stacked along a lane axis, so one run of the step's plan per batch
-    serves every lane, and each lane computes exactly what it would alone.
-    The trained parameters and optimizer states are written back to the
-    sessions, also when training fails.
+    The sessions ("lanes") share the top-model width, learning rate, batch
+    size and epochs; each keeps its own seed, networks, optimizer state and
+    defense, of any kind. Their networks and optimizers are stacked along a
+    lane axis, so one run of the step's plan per batch serves every lane,
+    and each lane computes exactly what it would alone. The trained
+    parameters and optimizer states are written back to the sessions, also
+    when training fails.
+
+    Each lane follows its own defense's rules. The lanes are split once by
+    where their targets come from (an epoch-start snapshot of the top
+    model, a table drawn before training, or the labels), and each batch
+    forms each source's targets once, for its lanes; a group with one source
+    indexes no lanes. Only the lanes whose defense changes the gradient
+    pass it through their rule; with none, the cut gradient is sent as it
+    is.
 
     Each lane hands every record, as it is made, to its sink: a callable
     taking a TranscriptRecord, such as `TranscriptWriter.append`, which
@@ -350,19 +367,19 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     lanes = len(sessions)
     first = sessions[0]
     try:
-        bottom = stack_networks([s.bottom for s in sessions])
-        top = stack_networks([s.top for s in sessions])
-        bottom_opt = Adam.stack([s.bottom_opt for s in sessions])
-        top_opt = Adam.stack([s.top_opt for s in sessions])
+        # one buffer and one optimizer for both networks, top first, the
+        # layout of the plan's gradient output
+        flat, (top, bottom) = stack_joined([[s.top for s in sessions],
+                                            [s.bottom for s in sessions]])
+        opt = Adam.join([Adam.stack([s.top_opt for s in sessions]),
+                         Adam.stack([s.bottom_opt for s in sessions])])
     except ValueError as exc:
         raise ProtocolError(f"sessions cannot train in lock-step: {exc}") from exc
 
-    # the group's defense kind, read once: every lane's defense is of it
-    d = first.defense
-    uses_snapshot, changes_gradient = d.uses_snapshot, d.changes_gradient
-    tables = [s.defense.target_table(train.labels, s.seed) for s in sessions]
-    table = None if tables[0] is None else stack_lanes(tables)
-    label_columns = stack_lanes([s.defense.label_column for s in sessions])
+    sources = _target_sources(sessions, train.labels)
+    # the lanes whose defense changes the gradient it sends
+    senders = [s.defense.changes_gradient for s in sessions]
+    sends_raw = not any(senders)
     batches = first.batches_per_epoch(train.n)
     first_kept = 0 if keep_epochs is None else max(0, first.epochs - keep_epochs)
     transcripts = [Transcript(first_record=first_kept * batches) for _ in sessions]
@@ -381,23 +398,28 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
             order = stack_lanes([
                 np.random.default_rng(np.random.SeedSequence([s.seed, epoch, 0xB5]))
                 .permutation(train.n) for s in sessions])
-            snapshot = top.copy() if uses_snapshot else None
+            snapshots = [_lane_copy(top, part.lanes) if part.source == "snapshot" else None
+                         for part in sources]
             for batch_no, start in enumerate(range(0, train.n, first.batch_size)):
                 idx = order[..., start:start + first.batch_size]
                 x_batch = train.features[idx]
                 y_batch = train.labels[idx]
 
                 def targets_of(cut):
-                    if uses_snapshot:
-                        return d.snapshot_targets(snapshot, cut, y_batch, label_columns)
-                    return y_batch if table is None else gather_rows(table, idx)
+                    if len(sources) == 1:
+                        return sources[0].targets(snapshots[0], cut, idx, y_batch)
+                    targets = np.empty((*idx.shape, first.top.out_dim))
+                    for part, snapshot in zip(sources, snapshots):
+                        at = part.lanes
+                        targets[at] = part.targets(snapshot, cut[at], idx[at], y_batch[at])
+                    return targets
 
                 def sent_of(cut_grad):
-                    if not changes_gradient:
+                    if sends_raw:
                         return cut_grad
                     return stack_lanes([
-                        s.defense.outgoing_gradient(g, s.seed, epoch, batch_no)
-                        for s, g in zip(sessions, split_lanes(cut_grad, lanes))])
+                        s.defense.outgoing_gradient(g, s.seed, epoch, batch_no) if sends else g
+                        for s, sends, g in zip(sessions, senders, split_lanes(cut_grad, lanes))])
 
                 step = plans.get(x_batch.shape)
                 if step is None:
@@ -407,19 +429,19 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
                                            targets_of, sent_of)
                 except AutogradError as exc:
                     raise ProtocolError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
-                cut, targets, loss, top_grad, sent, bottom_grad = outputs
+                cut, targets, loss, grad, sent = outputs
 
                 if epoch >= first_kept:
                     for sink, i, a, g in zip(sinks, split_lanes(idx, lanes),
                                              split_lanes(cut, lanes), split_lanes(sent, lanes)):
                         sink(TranscriptRecord(epoch, i.copy(), a.copy(), g.copy()))
 
-                top_opt.step(top.flat, top_grad)
-                bottom_opt.step(bottom.flat, bottom_grad)
+                opt.step(flat, grad)
                 epoch_losses[:, batch_no] = loss.reshape(lanes)
             for trace, losses in zip(traces, epoch_losses):
                 trace.append(float(np.mean(losses)))
     finally:
+        top_opt, bottom_opt = opt.unjoin([len(top_params), len(bottom_params)])
         for s, b, t, bo, to in zip(sessions, bottom.split(), top.split(),
                                    bottom_opt.split(), top_opt.split()):
             s.bottom.set_parameters(b.parameters())
@@ -428,15 +450,64 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     return list(zip(transcripts, traces))
 
 
+@dataclass(frozen=True)
+class _TargetSource:
+    """The lanes of a lock-step group whose targets come from one source
+    (`lanes` is None when it serves every lane): "snapshot" (formed by the
+    rule of `defense`, the first of these lanes' defenses, from an
+    epoch-start copy of their top models), "table" (rows of `table`, drawn
+    before training) or "labels"."""
+
+    source: str
+    lanes: np.ndarray | None
+    defense: Defense
+    table: np.ndarray | None
+    label_columns: np.ndarray | int | None
+
+    def targets(self, snapshot, cut, idx, y_batch):
+        """One batch's targets for these lanes, from their cut, batch
+        positions and labels."""
+        if self.source == "snapshot":
+            return self.defense.snapshot_targets(snapshot, cut, y_batch, self.label_columns)
+        return y_batch if self.table is None else gather_rows(self.table, idx)
+
+
+def _target_sources(sessions: list[SplitSession], labels: np.ndarray) -> list[_TargetSource]:
+    """The lanes of each target source, in order of each source's first
+    lane, with the tables and label columns they read. Snapshot lanes are
+    split by defense class, each class applying its own rule."""
+    tables = [s.defense.target_table(labels, s.seed) for s in sessions]
+    by_source: dict[tuple, list[int]] = {}
+    for r, (s, table) in enumerate(zip(sessions, tables)):
+        key = (("snapshot", type(s.defense)) if s.defense.uses_snapshot
+               else ("labels",) if table is None else ("table",))
+        by_source.setdefault(key, []).append(r)
+    return [_TargetSource(
+        source,
+        None if len(by_source) == 1 else np.array(lanes),
+        sessions[lanes[0]].defense,
+        stack_lanes([tables[r] for r in lanes]) if source == "table" else None,
+        stack_lanes([sessions[r].defense.label_column for r in lanes])
+        if source == "snapshot" else None)
+        for (source, *_), lanes in by_source.items()]
+
+
+def _lane_copy(net: FcNetwork, lanes: np.ndarray | None) -> FcNetwork:
+    """A copy of a lane stack, or of its lanes `lanes` (None: all of them)."""
+    if lanes is None:
+        return net.copy()
+    return FcNetwork([Layer(l.weight[lanes], l.bias[lanes], l.activation) for l in net.layers],
+                     role=net.role)
+
+
 def _capture_step(bottom: FcNetwork, top: FcNetwork, x_shape: tuple[int, ...]) -> StepPlan:
     """The StepPlan of a training step on feature batches of x_shape (see
     the module docstring), captured from a tape over zeros: zeroed copies of
     the networks, zero features, targets and sent gradient. Its inputs are
     the features and the bottom and top parameters; the targets are fed from
     the cut and the sent gradient from the cut gradient. Its outputs, in
-    order: the cut, the targets, the loss, the top gradients (one flat
-    region), the sent gradient, the bottom gradients (one flat region) and
-    the relay.
+    order: the cut, the targets, the loss, the gradients (one flat region:
+    the top's, then the bottom's), the sent gradient and the relay.
 
     Leaves are made in an order that keeps every backward to what it is
     asked for: the features before the bottom parameters, so no gradient is
@@ -465,7 +536,7 @@ def _capture_step(bottom: FcNetwork, top: FcNetwork, x_shape: tuple[int, ...]) -
     # the relay's value is a plan output only so that a run checks it for
     # finiteness, as a taped step does
     return StepPlan([x, *bottom_handles, *top_handles],
-                    [cut, targets, loss, top_grads, sent, bottom_grads, relay],
+                    [cut, targets, loss, [*top_grads, *bottom_grads], sent, relay],
                     fed=[(targets, cut), (sent, cut_grad)])
 
 
@@ -473,12 +544,12 @@ def _replay_step(plan: StepPlan, bottom_params: list[np.ndarray],
                  top_params: list[np.ndarray], x_batch: np.ndarray, targets_of,
                  sent_of) -> tuple:
     """One training step, run from its plan on the current parameters and a
-    batch: returns the step's (cut, targets, loss, top gradient, sent
-    gradient, bottom gradient), each gradient flat in its network's
-    parameter layout."""
-    cut, targets, loss, top_grad, sent, bottom_grad, _ = plan.run(
+    batch: returns the step's (cut, targets, loss, gradient, sent gradient),
+    the gradient flat in the layout of a buffer stack_joined made of the top
+    and the bottom model."""
+    cut, targets, loss, grad, sent, _ = plan.run(
         [x_batch, *bottom_params, *top_params], [targets_of, sent_of])
-    return cut, targets, loss, top_grad, sent, bottom_grad
+    return cut, targets, loss, grad, sent
 
 
 def predict(session: SplitSession, x: np.ndarray) -> np.ndarray:

@@ -367,6 +367,13 @@ def test_attack_config_refuses_a_bad_alpha_or_learning_rate(override, message):
         AttackConfig(**override)
 
 
+@pytest.mark.parametrize("field", ["epochs", "transcript_window"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_attack_config_names_the_count_below_one_and_its_value(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {value}$"):
+        AttackConfig(**{field: value})
+
+
 # --- step plans: one capture per batch shape, every batch runs the plan ------
 
 PLAN_SURROGATES = [([8, 1], "relu"), ([8, 16, 1], "relu"), ([8, 4, 2], "tanh")]

@@ -248,6 +248,52 @@ def test_sweep_emits_the_bytes_of_its_points_run_alone(tmp_path, variant, param,
     assert swept.read_bytes() == alone.read_bytes()
 
 
+def record_groups(monkeypatch):
+    """Wrap the harness's train_lanes; returns the list to which each call
+    appends its lanes' (defense name, top-model width) pairs."""
+    from splitlab import harness
+
+    groups, train_lanes = [], harness.train_lanes
+
+    def recording(sessions, *args, **kwargs):
+        groups.append([(s.defense.name, s.defense.output_dim) for s in sessions])
+        return train_lanes(sessions, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_lanes", recording)
+    return groups
+
+
+def test_an_extension_sweep_trains_one_group_per_width(monkeypatch, tmp_path):
+    # random and adaptive lanes of one width train and are attacked together,
+    # and each point's rows are the bytes of that point run alone
+    cfg = tiny_config(repeats=2)
+    groups = record_groups(monkeypatch)
+    swept = sweep_extension_dims(cfg, [2, 8])
+    assert groups == [[("random_extension", w)] * 2 + [("adaptive_extension", w)] * 2
+                      for w in (2, 8)]
+    alone = [run_experiment(replace(cfg, defense=r.config.defense)) for r in swept]
+    emit_results(swept, "json", tmp_path / "swept.json")
+    emit_results(alone, "json", tmp_path / "alone.json")
+    assert (tmp_path / "swept.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+
+
+def test_points_of_one_width_train_as_one_group_whatever_their_defense(monkeypatch,
+                                                                       tmp_path):
+    from splitlab import harness
+
+    cfg = tiny_config(repeats=2)
+    configs = [replace(cfg, defense=d) for d in (
+        {"name": "none"}, {"name": "label_noise", "scale": 0.5},
+        {"name": "gradient_noise", "scale": 0.05},
+        {"name": "gradient_compression", "keep_rate": 0.5})]
+    groups = record_groups(monkeypatch)
+    together = harness._run_points(configs)
+    assert [len(group) for group in groups] == [8]
+    emit_results(together, "json", tmp_path / "together.json")
+    emit_results([run_experiment(c) for c in configs], "json", tmp_path / "alone.json")
+    assert (tmp_path / "together.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+
+
 def test_failure_names_the_point_run_and_seed():
     # a label-noise scale of 1e300 overflows the loss of that point's lanes
     with np.errstate(over="ignore", invalid="ignore"):

@@ -16,6 +16,7 @@ from splitlab.nn import (
     load_checkpoint,
     save_checkpoint,
     split_lanes,
+    stack_joined,
     stack_lanes,
     stack_networks,
 )
@@ -392,3 +393,33 @@ def test_fused_adam_equals_the_textbook_update_bit_for_bit(lanes):
         assert flat.tobytes() == np.concatenate(params, axis=None).tobytes()
         assert opt.m.tobytes() == np.concatenate(ms, axis=None).tobytes()
         assert opt.v.tobytes() == np.concatenate(vs, axis=None).tobytes()
+
+
+def test_joined_stacks_share_one_buffer_and_one_adam_step_equals_one_per_network():
+    rng = np.random.default_rng(6)
+    tops = [build_network([4, 2], seed=s) for s in (1, 2)]
+    bottoms = [build_network([3, 5, 4], seed=s) for s in (3, 4)]
+    alone = [stack_networks(tops), stack_networks(bottoms)]
+    flat, joined = stack_joined([tops, bottoms])
+    # the stacks' buffers are consecutive blocks of one buffer, top first
+    assert flat.tobytes() == np.concatenate([net.flat for net in alone]).tobytes()
+    assert all(np.shares_memory(net.flat, flat) for net in joined)
+    assert [net.flat.tobytes() for net in joined] == [net.flat.tobytes() for net in alone]
+    # a group of one is a copy, not the network itself
+    _, (single,) = stack_joined([[tops[0]]])
+    assert single is not tops[0] and not np.shares_memory(single.flat, tops[0].flat)
+    assert single.flat.tobytes() == tops[0].flat.tobytes()
+
+    opts = [Adam.for_network(net, lr=0.05) for net in alone]
+    joint = Adam.join(opts)
+    for _ in range(3):
+        grads = [rng.normal(size=net.flat.shape) for net in alone]
+        for net, opt, grad in zip(alone, opts, grads):
+            opt.step(net.flat, grad)
+        joint.step(flat, np.concatenate(grads))
+    assert [net.flat.tobytes() for net in joined] == [net.flat.tobytes() for net in alone]
+    for opt, back in zip(opts, joint.unjoin([len(net.parameters()) for net in alone])):
+        assert (back.m.tobytes(), back.v.tobytes()) == (opt.m.tobytes(), opt.v.tobytes())
+        assert (back.shapes, back.step_count, back.lr) == (opt.shapes, opt.step_count, opt.lr)
+    with pytest.raises(ValueError, match="cannot join"):
+        Adam.join([opts[0], Adam.for_network(alone[1], lr=0.05)])

@@ -180,6 +180,14 @@ def test_session_refuses_a_negative_or_non_finite_learning_rate(small_data, lr):
         make_session(train, lr=lr)
 
 
+@pytest.mark.parametrize("field", ["batch_size", "epochs"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_session_names_the_count_below_one_and_its_value(small_data, field, value):
+    train, _ = small_data
+    with pytest.raises(ProtocolError, match=rf"^{field} must be >= 1, got {value}$"):
+        make_session(train, **{field: value})
+
+
 def test_transcript_roundtrip(tmp_path, small_data):
     train, _ = small_data
     session = make_session(train, epochs=2, batch_size=64)
@@ -343,6 +351,19 @@ def test_divergence_raises_with_context_before_any_update(small_data):
 
 # --- lock-step lanes: each lane trains exactly as it would alone -------------
 
+@dataclass(frozen=True)
+class HalfLabels(Defense):
+    """Forms its targets from the epoch-start snapshot by a rule of its own:
+    half the labels."""
+
+    name = "half_labels"
+    uses_snapshot = True
+
+    @staticmethod
+    def snapshot_targets(top, cut, y_batch, label_columns):
+        return 0.5 * y_batch
+
+
 LANE_DEFENSES = {
     "none": [NoDefense(), NoDefense(), NoDefense()],
     "label_noise": [LabelNoise(0.1), LabelNoise(1.0, "gaussian"), LabelNoise(0.0)],
@@ -353,13 +374,23 @@ LANE_DEFENSES = {
                          RandomLabelExtension(3, 1, 2.0)],
     "adaptive_extension": [AdaptiveLabelExtension(3, 1), AdaptiveLabelExtension(3, 0),
                            AdaptiveLabelExtension(3, 2)],
+    # groups of one top-model width whose lanes differ in defense kind: each
+    # lane takes its targets from its own source and sends the gradient its
+    # own rule makes
+    "mixed_width_1": [NoDefense(), LabelNoise(0.1), GradientNoise(0.01, "gaussian"),
+                      GradientCompression(0.25), RandomLabelExtension(1, 0, 0.5),
+                      AdaptiveLabelExtension(1, 0)],
+    "mixed_width_3": [RandomLabelExtension(3, 0), AdaptiveLabelExtension(3, 1),
+                      RandomLabelExtension(3, 2, 0.5), AdaptiveLabelExtension(3, 2)],
+    # two snapshot rules in one group: each lane applies its own class's rule
+    "mixed_snapshot_rules": [AdaptiveLabelExtension(1, 0), HalfLabels(), NoDefense()],
 }
 
 
 def lane_sessions(train, defenses):
     return [make_session(train, defense=d, epochs=3, batch_size=48, seed=seed,
                          bottom_hidden=(6,), top_hidden=(5,))
-            for seed, d in zip((4, 9, 4), defenses)]
+            for seed, d in zip((4, 9, 4, 7, 2, 9), defenses)]
 
 
 def assert_same_records(a, b):
@@ -408,9 +439,11 @@ def test_lock_step_keep_epochs_trims_only_old_records(small_data):
 
 def test_lock_step_rejects_incompatible_sessions(small_data):
     train, _ = small_data
-    mixed = lane_sessions(train, [NoDefense(), LabelNoise(0.1), NoDefense()])
-    with pytest.raises(ProtocolError, match="lane 1"):
-        train_lanes(mixed, train)
+    # defense kinds may differ, top-model widths may not
+    train_lanes(lane_sessions(train, [NoDefense(), LabelNoise(0.1), NoDefense()]), train)
+    widths = lane_sessions(train, [NoDefense(), RandomLabelExtension(3, 0), NoDefense()])
+    with pytest.raises(ProtocolError, match="lane 1: .* need the same top-model width"):
+        train_lanes(widths, train)
     wider = [make_session(train, top_hidden=(5,)), make_session(train, top_hidden=(6,))]
     with pytest.raises(ProtocolError, match="lock-step"):
         train_lanes(wider, train)
@@ -461,8 +494,8 @@ def taping_replay(sessions, log):
         *top_grads, cut_grad = backward(loss, [*top_handles, cut])
         sent = tape.leaf(sent_of(cut_grad.data))
         bottom_grads = backward(sum_all(mul(cut, sent)), bottom_handles)
-        outputs = (cut.data, targets.data, loss.data, flat(top_grads), sent.data,
-                   flat(bottom_grads))
+        outputs = (cut.data, targets.data, loss.data, flat([*top_grads, *bottom_grads]),
+                   sent.data)
         log.append(outputs)
         return outputs
 
@@ -482,8 +515,8 @@ def logging_replay(log):
 
 
 def flat(grads):
-    """Taped gradients back to back, in the layout of a network's flat
-    buffer."""
+    """Taped gradients back to back, in the layout of a flat buffer (the top
+    and the bottom model's, top first, for a training step)."""
     return np.concatenate([g.data for g in grads], axis=None)
 
 

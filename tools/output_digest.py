@@ -12,6 +12,9 @@ bytes agree). The set:
   - the `emit_results` JSON of one round shaped like the benchmark's
     `defense_sweep_small` workload (seed 0, n 500, three sweep families with
     two values each, both extension variants at widths 2 and 8, 2 repeats);
+  - the `emit_results` JSON of one `harness._run_points` call over no
+    defense, label noise, gradient noise and compression (all of top-model
+    width 1, so the harness may train and attack them together), 2 repeats;
   - for each of the six defenses, a 160-sample synthetic `splitlab train`
     (transcript, checkpoints, manifest) and its `splitlab attack --out`;
   - the same train and attack, without a defense, on tanh networks with a
@@ -61,6 +64,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from splitlab.cli import main as cli_main  # noqa: E402
+from splitlab import harness  # noqa: E402
 from splitlab.harness import (  # noqa: E402
     ExperimentConfig,
     emit_results,
@@ -138,6 +142,11 @@ def digests(work: Path):
         results += sweep_defense(sweep, variant, param, grid)
     results += sweep_extension_dims(sweep, [2, 8])
     yield "defense_sweep_small round", _results_digest(results, work)
+    yield "width-1 points of four defenses", _results_digest(harness._run_points(
+        [replace(sweep, defense=spec) for spec in (
+            {"name": "none"}, {"name": "label_noise", "scale": 0.5},
+            {"name": "gradient_noise", "scale": 0.05},
+            {"name": "gradient_compression", "keep_rate": 0.5})]), work)
 
     config = work / "tiny.json"
     config.write_text(json.dumps(TINY_CONFIG))
