@@ -8,7 +8,7 @@ attack-task error tradeoffs.
 """
 
 from .autograd import Tape, Tensor, backward
-from .attack import AttackConfig, AttackResult, evaluate_attack, run_attack
+from .attack import AttackConfig, AttackResult, run_attack
 from .data import (
     Dataset,
     LeakedSet,
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tape", "Tensor", "backward",
-    "AttackConfig", "AttackResult", "evaluate_attack", "run_attack",
+    "AttackConfig", "AttackResult", "run_attack",
     "Dataset", "LeakedSet", "load_csv", "sample_leaked", "split_standardize",
     "synth_regression",
     "AdaptiveLabelExtension", "GradientCompression", "GradientNoise",

@@ -59,7 +59,6 @@ __all__ = [
     "model_completion_loss",
     "run_attack",
     "attack_lanes",
-    "evaluate_attack",
 ]
 
 
@@ -186,10 +185,6 @@ def _best_column(candidates: np.ndarray, reference: np.ndarray) -> int:
     return int(np.argmin(errors))
 
 
-def evaluate_attack(inferred: np.ndarray, truth: np.ndarray) -> MetricPair:
-    return metric_pair(inferred, truth)
-
-
 @dataclass(frozen=True)
 class AttackLane:
     """One attack of a lock-step group: the transcript and frozen bottom
@@ -225,19 +220,38 @@ def run_attack(transcript: Transcript, bottom: FcNetwork, train: Dataset,
 
 def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
     """The lane's replayed records, after checking it against the dataset:
-    every replayed index must name a training sample."""
+    every replayed index must name a training sample, and no record may
+    name one twice (RowwiseAdam steps distinct rows). A bad record is named
+    by its index in the file and its epoch."""
     records = lane.transcript.last_epochs(lane.config.transcript_window)
     if not records:
         raise AttackError(f"{where}transcript has no records")
+    first = lane.transcript.first_record + len(lane.transcript) - len(records)
+
+    def refuse(k: int, problem: str):
+        raise AttackError(
+            f"{where}transcript record {first + k} (epoch {records[k].epoch}) {problem}")
+
     indices = np.concatenate([rec.indices for rec in records])
     if not ((0 <= indices) & (indices < train.n)).all():
-        first = lane.transcript.first_record + len(lane.transcript) - len(records)
         for k, rec in enumerate(records):
             bad = rec.indices[(rec.indices < 0) | (rec.indices >= train.n)]
             if bad.size:
-                raise AttackError(
-                    f"{where}transcript record {first + k} (epoch {rec.epoch}) holds sample "
-                    f"index {bad[0]}, outside the {train.n} training samples")
+                refuse(k, f"holds sample index {bad[0]}, outside the {train.n} training samples")
+    # one check per batch size: a sorted record repeats an index next to it
+    by_size: dict[int, list[int]] = {}
+    for k, rec in enumerate(records):
+        by_size.setdefault(rec.indices.size, []).append(k)
+    repeats = []
+    for ks in by_size.values():
+        ordered = np.sort(np.stack([records[k].indices for k in ks]), axis=1)
+        same = ordered[:, 1:] == ordered[:, :-1]
+        rows = np.flatnonzero(same.any(axis=1))
+        if rows.size:
+            repeats.append((ks[rows[0]], ordered[rows[0], 1:][same[rows[0]]][0]))
+    if repeats:
+        k, index = min(repeats)
+        refuse(k, f"names sample index {index} more than once")
     cut_dim = records[0].activations.shape[1]
     if lane.bottom.out_dim != cut_dim:
         raise AttackError(f"{where}bottom model output dim {lane.bottom.out_dim} "
@@ -346,14 +360,14 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
                 raise AttackError(f"evaluation column {lane.evaluation_column} out of range")
             label_column = model_column = lane.evaluation_column
         inferred = dummy_r[:, [label_column]].copy()
-        train_metrics = evaluate_attack(inferred, train.labels)
+        train_metrics = metric_pair(inferred, train.labels)
 
         test_predictions = None
         test_metrics = None
         if test is not None:
             completed = sur.forward_values(lane.bottom.forward_values(test.features))
             test_predictions = completed[:, [model_column]]
-            test_metrics = evaluate_attack(test_predictions, test.labels)
+            test_metrics = metric_pair(test_predictions, test.labels)
 
         results.append(AttackResult(
             inferred_labels=inferred,

@@ -279,11 +279,6 @@ class ExperimentResult:
         """Attacker-optimal repeat (lowest attack MAE)."""
         return best_of_runs(list(self.runs), "attack_mae")
 
-    @property
-    def worst_attack(self) -> RunOutcome:
-        """Defender-optimal repeat (highest attack MAE)."""
-        return max(self.runs, key=lambda r: r.attack_train.mae)
-
 
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
     """The configured dataset: the CSV at cfg.dataset_path, or the synthetic

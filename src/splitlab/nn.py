@@ -22,21 +22,22 @@ hands back a network's gradients so), one fused pass over all parameters per
 step, with preallocated work arrays.
 
 Several networks can share one buffer (``stack_joined``): each network's
-buffer is then a block of it, the blocks back to back, and one optimizer
-joined from theirs (``Adam.join``, undone by ``Adam.unjoin``) updates all of
-them in one pass from one gradient of that joint layout. The split trainer
-keeps the top and the bottom model so, top first.
+buffer is then a block of it, the blocks back to back, and one ``Adam`` over
+the joint layout (the shapes of every network's parameters, in block order)
+updates all of them in one pass from one gradient of that layout. The split
+trainer keeps the top and the bottom model so, top first.
 
 Networks of the same architecture can be stacked along a leading lane axis
 (``stack_networks``): every parameter becomes a (lanes, rows, cols) array
 (still one block of the flat buffer, so the buffer holds each parameter for
 all lanes before the next parameter) and one pass computes every lane's
-network on its own lane of the input; ``Adam.stack`` and the helpers at the
-end of the module do the same for optimizer state and per-lane arrays. Every
-lane helper keeps one rule for a single item: stacking one network,
-optimizer or array returns it as it is, and splitting one without a lane
-axis returns it alone in a list, so one lane computes on the very objects it
-would use alone.
+network on its own lane of the input. An ``Adam`` over the stacked shapes
+steps every lane as a per-lane ``Adam`` would, the lanes sharing its step
+count; the helpers at the end of the module stack and split per-lane arrays.
+Every lane helper keeps one rule for a single item: stacking one network or
+array returns it as it is, and splitting one without a lane axis returns it
+alone in a list, so one lane computes on the very objects it would use
+alone.
 """
 
 from __future__ import annotations
@@ -289,8 +290,8 @@ def stack_joined(groups: Sequence[Sequence[FcNetwork]]) -> tuple[np.ndarray, lis
     """One lane stack per group of plain networks, as stack_networks makes
     it but a new network even for a group of one, all over one flat buffer:
     each stack's buffer is a block of it, the blocks back to back in group
-    order. Returns the buffer and the stacks; one optimizer step over the
-    buffer (see ``Adam.join``) updates every stack."""
+    order. Returns the buffer and the stacks; one Adam step over the buffer
+    updates every stack."""
     stacks = [stack_networks(group) if len(group) > 1 else group[0].copy() for group in groups]
     flat = np.empty(sum(stack.flat.size for stack in stacks))
     start = 0
@@ -331,14 +332,14 @@ def _adam_update(m: np.ndarray, v: np.ndarray, grad: np.ndarray, t, lr: float,
 
 
 class Adam:
-    """Adam over the flat parameter buffer of one network (see the module
-    docstring), with one step count. `m` and `v` are flat buffers of the
-    same layout; `shapes` lists the parameters' shapes in buffer order."""
+    """Adam over a flat parameter buffer laid out as `shapes`, back to back:
+    one network's, a lane stack's or several networks' joined by
+    stack_joined (see the module docstring), with one step count. `m` and
+    `v` are flat buffers of the same layout."""
 
     def __init__(self, shapes: Sequence[tuple[int, ...]], lr: float = 0.01):
         self.lr = float(lr)
-        self.shapes = [tuple(s) for s in shapes]
-        size = sum(math.prod(s) for s in self.shapes)
+        size = sum(math.prod(s) for s in shapes)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.step_count = 0
@@ -348,68 +349,6 @@ class Adam:
     @classmethod
     def for_network(cls, net: FcNetwork, lr: float = 0.01) -> "Adam":
         return cls([p.shape for p in net.parameters()], lr=lr)
-
-    @classmethod
-    def stack(cls, opts: list["Adam"]) -> "Adam":
-        """One optimizer over lane-stacked parameters whose lane r continues
-        opts[r]; every optimizer must share parameter shapes, lr and step
-        count. A single optimizer is returned as it is."""
-        if len(opts) == 1:
-            return opts[0]
-        first = opts[0]
-        for opt in opts:
-            if (opt.shapes, opt.lr, opt.step_count) != (first.shapes, first.lr, first.step_count):
-                raise ValueError("cannot stack optimizers with different settings or step counts")
-        out = cls([(len(opts), *s) for s in first.shapes], lr=first.lr)
-        for name in ("m", "v"):
-            per_param = zip(*(_param_views(getattr(o, name), o.shapes) for o in opts))
-            np.concatenate([np.stack(lanes) for lanes in per_param], axis=None,
-                           out=getattr(out, name))
-        out.step_count = first.step_count
-        return out
-
-    @classmethod
-    def join(cls, opts: list["Adam"]) -> "Adam":
-        """One optimizer over the parameters of opts back to back, in order,
-        as laid out in a buffer that stack_joined made; every optimizer must
-        share lr and step count."""
-        first = opts[0]
-        for opt in opts:
-            if (opt.lr, opt.step_count) != (first.lr, first.step_count):
-                raise ValueError("cannot join optimizers with different settings or step counts")
-        out = cls([s for opt in opts for s in opt.shapes], lr=first.lr)
-        for name in ("m", "v"):
-            np.concatenate([getattr(opt, name) for opt in opts], out=getattr(out, name))
-        out.step_count = first.step_count
-        return out
-
-    def unjoin(self, counts: Sequence[int]) -> list["Adam"]:
-        """Inverse of join: the optimizers over consecutive runs of counts[i]
-        parameters, in order."""
-        out, first, start = [], 0, 0
-        for count in counts:
-            opt = Adam(self.shapes[first:first + count], lr=self.lr)
-            stop = start + opt.m.size
-            opt.m[...], opt.v[...] = self.m[start:stop], self.v[start:stop]
-            opt.step_count = self.step_count
-            out.append(opt)
-            first, start = first + count, stop
-        return out
-
-    def split(self) -> list["Adam"]:
-        """The per-lane optimizers of a stacked one, in lane order; an
-        optimizer over parameters without a lane axis is returned alone."""
-        if not self.shapes or len(self.shapes[0]) == 2:
-            return [self]
-        out = []
-        for r in range(self.shapes[0][0]):
-            opt = Adam([s[1:] for s in self.shapes], lr=self.lr)
-            for name in ("m", "v"):
-                np.concatenate([p[r] for p in _param_views(getattr(self, name), self.shapes)],
-                               axis=None, out=getattr(opt, name))
-            opt.step_count = self.step_count
-            out.append(opt)
-        return out
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """One update of a flat parameter buffer in place, from one flat

@@ -263,7 +263,11 @@ class TranscriptWriter:
 
 
 class SplitSession:
-    """State for one two-party training run."""
+    """State for one two-party training run: the two networks, the defense
+    and the training settings. It holds no optimizer state: every training
+    call starts Adam afresh (zero moments, step count 0), so a session
+    trained twice trains in its second call as a fresh session would from
+    the parameters the first call left."""
 
     def __init__(self, bottom: FcNetwork, top: FcNetwork, defense: Defense,
                  lr: float = 0.01, batch_size: int = 128, epochs: int = 100,
@@ -288,8 +292,6 @@ class SplitSession:
         self.batch_size = int(batch_size)
         self.epochs = int(epochs)
         self.seed = int(seed)
-        self.bottom_opt = Adam.for_network(bottom, lr=lr)
-        self.top_opt = Adam.for_network(top, lr=lr)
 
     @property
     def cut_dim(self) -> int:
@@ -301,11 +303,18 @@ class SplitSession:
         return -(-n // self.batch_size)
 
 
+def _lock_step_settings(session: SplitSession) -> dict:
+    """The settings every session of a lock-step group must share."""
+    return {"top-model width": session.top.out_dim, "learning rate": session.lr,
+            "batch size": session.batch_size, "epochs": session.epochs}
+
+
 def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
     """Refuse sessions that cannot train on `train` in lock-step: each must
-    fit the dataset, and all must share the top-model width, learning rate,
-    batch size and epochs. Their defense kinds may differ."""
-    first = sessions[0]
+    fit the dataset, and all must share the settings of _lock_step_settings,
+    a differing one named with both values. Their defense kinds may
+    differ."""
+    shared = _lock_step_settings(sessions[0])
     for r, s in enumerate(sessions):
         where = f"lane {r}: " if len(sessions) > 1 else ""
         if train.d != s.bottom.in_dim:
@@ -313,11 +322,10 @@ def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
                 f"{where}dataset has {train.d} features, bottom model expects {s.bottom.in_dim}")
         if s.batch_size > train.n:
             raise ProtocolError(f"{where}batch size exceeds training set size")
-        if (s.top.out_dim, s.lr, s.batch_size, s.epochs) != \
-                (first.top.out_dim, first.lr, first.batch_size, first.epochs):
-            raise ProtocolError(
-                f"{where}sessions trained in lock-step need the same top-model width, "
-                "learning rate, batch size and epochs")
+        for name, value in _lock_step_settings(s).items():
+            if value != shared[name]:
+                raise ProtocolError(f"{where}sessions trained in lock-step need the same "
+                                    f"{name}: {value} here, {shared[name]} in lane 0")
 
 
 def train_split(session: SplitSession, train: Dataset,
@@ -336,12 +344,13 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     session's (transcript, per-epoch mean loss), in session order.
 
     The sessions ("lanes") share the top-model width, learning rate, batch
-    size and epochs; each keeps its own seed, networks, optimizer state and
-    defense, of any kind. Their networks and optimizers are stacked along a
-    lane axis, so one run of the step's plan per batch serves every lane,
-    and each lane computes exactly what it would alone. The trained
-    parameters and optimizer states are written back to the sessions, also
-    when training fails.
+    size and epochs; each keeps its own seed, networks and defense, of any
+    kind. Their networks are stacked along a lane axis over one buffer, so
+    one run of the step's plan per batch serves every lane, and one Adam
+    over that buffer, made for this call, updates every lane; each lane
+    computes exactly what it would alone. The trained parameters are
+    written back to the sessions, also when training fails; the Adam state
+    ends with the call (see SplitSession).
 
     Each lane follows its own defense's rules. The lanes are split once by
     where their targets come from (an epoch-start snapshot of the top
@@ -367,14 +376,14 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     lanes = len(sessions)
     first = sessions[0]
     try:
-        # one buffer and one optimizer for both networks, top first, the
-        # layout of the plan's gradient output
+        # one buffer for both networks, top first, the layout of the plan's
+        # gradient output
         flat, (top, bottom) = stack_joined([[s.top for s in sessions],
                                             [s.bottom for s in sessions]])
-        opt = Adam.join([Adam.stack([s.top_opt for s in sessions]),
-                         Adam.stack([s.bottom_opt for s in sessions])])
     except ValueError as exc:
         raise ProtocolError(f"sessions cannot train in lock-step: {exc}") from exc
+    bottom_params, top_params = bottom.parameters(), top.parameters()
+    opt = Adam([p.shape for p in (*top_params, *bottom_params)], lr=first.lr)
 
     sources = _target_sources(sessions, train.labels)
     # the lanes whose defense changes the gradient it sends
@@ -391,7 +400,6 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     # one plan per batch shape: every batch but a short final one runs the
     # same plan
     plans: dict[tuple[int, ...], StepPlan] = {}
-    bottom_params, top_params = bottom.parameters(), top.parameters()
 
     try:
         for epoch in range(first.epochs):
@@ -441,12 +449,9 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
             for trace, losses in zip(traces, epoch_losses):
                 trace.append(float(np.mean(losses)))
     finally:
-        top_opt, bottom_opt = opt.unjoin([len(top_params), len(bottom_params)])
-        for s, b, t, bo, to in zip(sessions, bottom.split(), top.split(),
-                                   bottom_opt.split(), top_opt.split()):
+        for s, b, t in zip(sessions, bottom.split(), top.split()):
             s.bottom.set_parameters(b.parameters())
             s.top.set_parameters(t.parameters())
-            s.bottom_opt, s.top_opt = bo, to
     return list(zip(transcripts, traces))
 
 

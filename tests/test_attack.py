@@ -11,7 +11,6 @@ from splitlab.attack import (
     AttackLane,
     RowwiseAdam,
     attack_lanes,
-    evaluate_attack,
     gradient_inversion_loss,
     model_completion_loss,
     run_attack,
@@ -23,8 +22,6 @@ from splitlab.harness import _failed_lane
 from splitlab.metrics import mean_value_baseline
 from splitlab.nn import FcNetwork, Layer, build_network, stack_lanes, stack_networks
 from splitlab.protocol import SplitSession, Transcript, TranscriptRecord, train_split
-
-from oracles import loop_mae_mse
 
 
 @pytest.fixture(scope="module")
@@ -206,18 +203,6 @@ def test_model_completion_rejects_empty_leak():
         model_completion_loss(tape, surrogate, np.zeros((0, 4)), np.zeros((0, 1)))
 
 
-def test_evaluate_attack_examples():
-    exact = evaluate_attack(np.array([[1.0], [2.0]]), np.array([[1.0], [2.0]]))
-    assert (exact.mae, exact.mse) == (0.0, 0.0)
-    off = evaluate_attack(np.array([[0.0], [0.0]]), np.array([[1.0], [-1.0]]))
-    assert (off.mae, off.mse) == (1.0, 1.0)
-    rng = np.random.default_rng(4)
-    a, b = rng.normal(size=(30, 1)), rng.normal(size=(30, 1))
-    got = evaluate_attack(a, b)
-    mae, mse = loop_mae_mse(a, b)
-    assert abs(got.mae - mae) < 1e-12 and abs(got.mse - mse) < 1e-12
-
-
 def test_rowwise_adam_touches_only_given_rows():
     opt = RowwiseAdam((6, 2), lr=0.1)
     values = np.zeros((6, 2))
@@ -280,6 +265,26 @@ def test_attack_validations(trained_run):
     from splitlab.protocol import Transcript
     with pytest.raises(AttackError):
         run_attack(Transcript(), session.bottom, train, leaked, AttackConfig(epochs=1))
+
+
+def test_a_record_naming_one_sample_twice_is_refused_before_any_step(trained_run,
+                                                                      monkeypatch):
+    session, transcript, train, _ = trained_run
+    leaked = sample_leaked(train, 0.02, seed=9)
+    records = list(transcript.records)
+    bad = records[285]
+    indices = bad.indices.copy()
+    indices[1] = indices[0]
+    records[285] = TranscriptRecord(bad.epoch, indices, bad.activations, bad.gradient)
+
+    def no_capture(*args, **kwargs):
+        raise AssertionError("an attack step was captured")
+
+    monkeypatch.setattr(attack_module, "_capture_step", no_capture)
+    with pytest.raises(AttackError, match=rf"^transcript record 285 \(epoch 28\) names sample "
+                                          rf"index {indices[0]} more than once$"):
+        run_attack(Transcript(records), session.bottom, train, leaked,
+                   AttackConfig(epochs=1, transcript_window=2))
 
 
 def test_divergence_names_epoch_batch_and_op(frozen_run):

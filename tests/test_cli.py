@@ -438,6 +438,19 @@ def test_attack_on_a_transcript_index_past_the_int64_range_is_a_one_line_error(
                         r"sample index -3, outside the 128 training samples\n", err)
 
 
+def test_attack_on_a_record_naming_one_sample_twice_is_a_one_line_error(tmp_path, capsys):
+    run_dir = trained_run(tmp_path)
+    path = run_dir / "transcript.bin"
+    record = Transcript.load(path).records[9]
+    blob = bytearray(path.read_bytes())
+    at = blob.find(np.ascontiguousarray(record.indices, dtype="<u8").tobytes())
+    blob[at + 8:at + 16] = struct.pack("<Q", record.indices[0])
+    path.write_bytes(bytes(blob))
+    err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
+    assert err == (f"error: transcript record 9 (epoch 2) names sample index "
+                   f"{record.indices[0]} more than once\n")
+
+
 def test_attack_on_a_window_names_a_bad_record_by_its_place_in_the_file(tmp_path, capsys):
     # the attack reads only the last 2 of 4 epochs, yet the record is named
     # by its index among all 16 in the file

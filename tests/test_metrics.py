@@ -4,6 +4,8 @@ import pytest
 from splitlab.data import split_standardize, synth_regression
 from splitlab.metrics import MetricPair, best_of_runs, mean_value_baseline, metric_pair
 
+from oracles import loop_mae_mse
+
 
 class FakeRun:
     def __init__(self, original_mae, attack_mae, tag):
@@ -15,6 +17,18 @@ class FakeRun:
 def test_metric_pair_identical_inputs():
     x = np.random.default_rng(0).normal(size=(10, 1))
     assert metric_pair(x, x) == MetricPair(0.0, 0.0)
+
+
+def test_metric_pair_examples():
+    exact = metric_pair(np.array([[1.0], [2.0]]), np.array([[1.0], [2.0]]))
+    assert (exact.mae, exact.mse) == (0.0, 0.0)
+    off = metric_pair(np.array([[0.0], [0.0]]), np.array([[1.0], [-1.0]]))
+    assert (off.mae, off.mse) == (1.0, 1.0)
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(30, 1)), rng.normal(size=(30, 1))
+    got = metric_pair(a, b)
+    mae, mse = loop_mae_mse(a, b)
+    assert abs(got.mae - mae) < 1e-12 and abs(got.mse - mse) < 1e-12
 
 
 def test_metric_pair_validation():

@@ -242,26 +242,27 @@ def test_stack_networks_rejects_different_architectures():
 
 def test_stacked_adam_steps_each_lane_as_alone():
     rng = np.random.default_rng(14)
-    opts = [Adam([(2, 3), (1, 3)], lr=0.05) for _ in range(3)]
+    shapes = [(2, 3), (1, 3)]
+    opts = [Adam(shapes, lr=0.05) for _ in range(3)]
     params = [[rng.normal(size=(2, 3)), rng.normal(size=(1, 3))] for _ in range(3)]
     grads = [[[rng.normal(size=(2, 3)), rng.normal(size=(1, 3))] for _ in range(3)]
              for _ in range(4)]
-    stacked = Adam.stack(opts)
+    stacked = Adam([(3, *s) for s in shapes], lr=0.05)
     p_stack = np.concatenate([np.stack(ps) for ps in zip(*params)], axis=None)
     flats = [np.concatenate(p, axis=None) for p in params]
     for step in grads:
         stacked.step(p_stack, np.concatenate([np.stack(gs) for gs in zip(*step)], axis=None))
         for opt, p, g in zip(opts, flats, step):
             opt.step(p, np.concatenate(g, axis=None))
+    # param-major: each parameter holds every lane before the next parameter
     p_lanes = [p_stack[:18].reshape(3, 6), p_stack[18:].reshape(3, 3)]
-    for lane, (opt, back) in enumerate(zip(opts, stacked.split())):
-        assert back.step_count == opt.step_count == 4
-        assert np.array_equal(flats[lane], np.concatenate([p[lane] for p in p_lanes]))
-        for a, b in ((opt.m, back.m), (opt.v, back.v)):
-            assert np.array_equal(a, b)
-    opts[0].step(flats[0], np.concatenate(grads[0][0], axis=None))
-    with pytest.raises(ValueError):
-        Adam.stack(opts)
+    m_lanes = [stacked.m[:18].reshape(3, 6), stacked.m[18:].reshape(3, 3)]
+    v_lanes = [stacked.v[:18].reshape(3, 6), stacked.v[18:].reshape(3, 3)]
+    assert stacked.step_count == 4
+    for lane, opt in enumerate(opts):
+        assert opt.step_count == 4
+        for alone, lanes in ((flats[lane], p_lanes), (opt.m, m_lanes), (opt.v, v_lanes)):
+            assert alone.tobytes() == np.concatenate([p[lane] for p in lanes]).tobytes()
 
 
 def test_lane_array_helpers():
@@ -278,11 +279,9 @@ def test_lane_array_helpers():
 
 def test_lane_helpers_keep_a_single_network_or_optimizer_as_it_is():
     net = build_network([3, 4, 2], seed=0)
-    opt = Adam.for_network(net, lr=0.05)
     assert stack_networks([net]) is net
-    assert Adam.stack([opt]) is opt
-    assert net.split() == [net] and opt.split() == [opt]
-    assert len(Adam.stack([opt, Adam.for_network(net, lr=0.05)]).split()) == 2
+    assert net.split() == [net]
+    assert len(stack_networks([net, net.copy()]).split()) == 2
 
 
 def test_checkpoint_rejects_a_lane_stack(tmp_path):
@@ -345,20 +344,17 @@ def test_set_parameters_copies_into_the_buffer_without_rebinding_it():
 def test_stack_and_split_round_trip_networks_and_optimizers_bytes():
     rng = np.random.default_rng(5)
     nets = [build_network([3, 4, 2], activation="tanh", seed=s) for s in (1, 2, 3)]
-    opts = [Adam.for_network(net, lr=0.05) for net in nets]
-    for net, opt in zip(nets, opts):
+    for net in nets:
+        opt = Adam.for_network(net, lr=0.05)
         for _ in range(3):
             opt.step(net.flat, np.concatenate([rng.normal(size=p.shape) for p in net.parameters()],
                                               axis=None))
-    stack, stacked_opt = stack_networks(nets), Adam.stack(opts)
+    stack = stack_networks(nets)
     # param-major: each parameter holds every lane before the next parameter
     assert stack.flat.tobytes() == np.concatenate(
         [np.stack(ps) for ps in zip(*(n.parameters() for n in nets))], axis=None).tobytes()
     for net, back in zip(nets, stack.split()):
         assert back.flat.tobytes() == net.flat.tobytes()
-    for opt, back in zip(opts, stacked_opt.split()):
-        assert (back.m.tobytes(), back.v.tobytes()) == (opt.m.tobytes(), opt.v.tobytes())
-        assert (back.shapes, back.step_count, back.lr) == (opt.shapes, opt.step_count, opt.lr)
 
 
 def test_checkpoint_files_are_byte_identical_through_stack_and_load(tmp_path):
@@ -411,15 +407,14 @@ def test_joined_stacks_share_one_buffer_and_one_adam_step_equals_one_per_network
     assert single.flat.tobytes() == tops[0].flat.tobytes()
 
     opts = [Adam.for_network(net, lr=0.05) for net in alone]
-    joint = Adam.join(opts)
+    # one Adam over the joined shapes, in block order
+    joint = Adam([p.shape for net in joined for p in net.parameters()], lr=0.05)
     for _ in range(3):
         grads = [rng.normal(size=net.flat.shape) for net in alone]
         for net, opt, grad in zip(alone, opts, grads):
             opt.step(net.flat, grad)
         joint.step(flat, np.concatenate(grads))
     assert [net.flat.tobytes() for net in joined] == [net.flat.tobytes() for net in alone]
-    for opt, back in zip(opts, joint.unjoin([len(net.parameters()) for net in alone])):
-        assert (back.m.tobytes(), back.v.tobytes()) == (opt.m.tobytes(), opt.v.tobytes())
-        assert (back.shapes, back.step_count, back.lr) == (opt.shapes, opt.step_count, opt.lr)
-    with pytest.raises(ValueError, match="cannot join"):
-        Adam.join([opts[0], Adam.for_network(alone[1], lr=0.05)])
+    assert joint.m.tobytes() == np.concatenate([opt.m for opt in opts]).tobytes()
+    assert joint.v.tobytes() == np.concatenate([opt.v for opt in opts]).tobytes()
+    assert joint.step_count == opts[0].step_count == opts[1].step_count == 3

@@ -346,7 +346,24 @@ def test_divergence_raises_with_context_before_any_update(small_data):
             train_split(session, train)
     after = session.bottom.parameters() + session.top.parameters()
     assert all(np.array_equal(b, a) for b, a in zip(before, after))
-    assert session.top_opt.step_count == session.bottom_opt.step_count == 0
+
+
+def test_a_second_training_call_starts_adam_afresh(small_data):
+    # a session holds no optimizer state: training it again is training a
+    # fresh session from the parameters the first call left
+    train, _ = small_data
+    settings = dict(defense=GradientNoise(0.01), epochs=2, batch_size=48, bottom_hidden=(6,))
+    session = make_session(train, **settings)
+    _, first, _ = train_split(session, train)
+    fresh = make_session(train, **settings)
+    fresh.bottom.set_parameters(session.bottom.parameters())
+    fresh.top.set_parameters(session.top.parameters())
+    _, again, trace = train_split(session, train)
+    _, expected, expected_trace = train_split(fresh, train)
+    assert trace == expected_trace
+    assert_same_records(again, expected)
+    assert_same_state(session, fresh)
+    assert first.records[0].activations.tobytes() != again.records[0].activations.tobytes()
 
 
 # --- lock-step lanes: each lane trains exactly as it would alone -------------
@@ -406,10 +423,6 @@ def assert_same_state(a, b):
     for net_a, net_b in ((a.bottom, b.bottom), (a.top, b.top)):
         for p, q in zip(net_a.parameters(), net_b.parameters()):
             assert p.tobytes() == q.tobytes()
-    for opt_a, opt_b in ((a.bottom_opt, b.bottom_opt), (a.top_opt, b.top_opt)):
-        assert opt_a.step_count == opt_b.step_count
-        for p, q in ((opt_a.m, opt_b.m), (opt_a.v, opt_b.v)):
-            assert p.tobytes() == q.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(LANE_DEFENSES))
@@ -444,6 +457,11 @@ def test_lock_step_rejects_incompatible_sessions(small_data):
     widths = lane_sessions(train, [NoDefense(), RandomLabelExtension(3, 0), NoDefense()])
     with pytest.raises(ProtocolError, match="lane 1: .* need the same top-model width"):
         train_lanes(widths, train)
+    rates = [make_session(train, lr=0.01), make_session(train, lr=0.02)]
+    with pytest.raises(ProtocolError, match=re.escape(
+            "lane 1: sessions trained in lock-step need the same learning rate: "
+            "0.02 here, 0.01 in lane 0")):
+        train_lanes(rates, train)
     wider = [make_session(train, top_hidden=(5,)), make_session(train, top_hidden=(6,))]
     with pytest.raises(ProtocolError, match="lock-step"):
         train_lanes(wider, train)
