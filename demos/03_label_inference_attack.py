@@ -31,8 +31,8 @@ session, transcript, _ = train_split(session, train)
 leaked = sample_leaked(train, fraction=0.01, seed=42)
 print(f"attacker's leak: {len(leaked.indices)} of {train.n} labels")
 
-config = AttackConfig(alpha=0.05, lr=0.01, epochs=25, seed=42,
-                      transcript_window=100)  # replay the whole history
+# the attack replays the whole history it is given
+config = AttackConfig(alpha=0.05, lr=0.01, epochs=25, seed=42)
 print("running gradient inversion + model completion (25 epochs)...")
 result = run_attack(transcript, session.bottom, train, leaked, config, test=test)
 

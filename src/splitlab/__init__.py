@@ -38,7 +38,7 @@ from .harness import (
     sweep_defense,
     sweep_extension_dims,
 )
-from .metrics import MetricPair, best_of_runs, mean_value_baseline, metric_pair
+from .metrics import MetricPair, mean_value_baseline, metric_pair
 from .nn import Adam, FcNetwork, build_network, load_checkpoint, save_checkpoint
 from .protocol import SplitSession, Transcript, predict, train_split
 
@@ -55,7 +55,7 @@ __all__ = [
     "noise_labels", "sufficiency_check",
     "ExperimentConfig", "ExperimentResult", "emit_results", "run_experiment",
     "sweep_defense", "sweep_extension_dims",
-    "MetricPair", "best_of_runs", "mean_value_baseline", "metric_pair",
+    "MetricPair", "mean_value_baseline", "metric_pair",
     "Adam", "FcNetwork", "build_network", "load_checkpoint", "save_checkpoint",
     "SplitSession", "Transcript", "predict", "train_split",
 ]

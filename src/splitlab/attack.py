@@ -20,7 +20,7 @@ chosen attacker-side by agreement with the leaked labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,22 +68,25 @@ class AttackError(RuntimeError):
 
 @dataclass(frozen=True)
 class AttackConfig:
+    """The attacker's settings. The attack replays every record of the
+    transcript it is given; to replay only the final k training epochs, give
+    it `transcript.last_epochs(k)`, or read the file with
+    `Transcript.load(path, last_epochs=k)`."""
+
     alpha: float = 0.05          # weight of the leaked-label fine-tuning term
     lr: float = 0.01
     epochs: int = 50
     seed: int = 0
     surrogate_dims: list[int] | None = None  # default: [cut_dim, 1]
     activation: str = "relu"
-    transcript_window: int = 1   # replay the last k training epochs
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("epochs", "transcript_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -203,9 +206,9 @@ def run_attack(transcript: Transcript, bottom: FcNetwork, train: Dataset,
                test: Dataset | None = None,
                evaluation_column: int | None = None) -> AttackResult:
     """Full attack: joint optimization of surrogate and dummy labels against
-    the transcript, then evaluation of the inferred training labels and, when
-    a test split is given, of the completed model's test predictions. This
-    is attack_lanes with one lane.
+    every record of the transcript, then evaluation of the inferred training
+    labels and, when a test split is given, of the completed model's test
+    predictions. This is attack_lanes with one lane.
 
     With a multi-column surrogate the reported metrics read one column of the
     dummy labels / completed model. `evaluation_column=None` lets the attacker
@@ -219,14 +222,15 @@ def run_attack(transcript: Transcript, bottom: FcNetwork, train: Dataset,
 
 
 def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
-    """The lane's replayed records, after checking it against the dataset:
-    every replayed index must name a training sample, and no record may
-    name one twice (RowwiseAdam steps distinct rows). A bad record is named
-    by its index in the file and its epoch."""
-    records = lane.transcript.last_epochs(lane.config.transcript_window)
+    """The lane's records, after checking it against the dataset: every
+    replayed index must name a training sample, and no record may name one
+    twice (RowwiseAdam steps distinct rows). A bad record is named by its
+    index among the run's records (counted from the transcript's
+    first_record) and its epoch."""
+    records = lane.transcript.records
     if not records:
         raise AttackError(f"{where}transcript has no records")
-    first = lane.transcript.first_record + len(lane.transcript) - len(records)
+    first = lane.transcript.first_record
 
     def refuse(k: int, problem: str):
         raise AttackError(
@@ -264,14 +268,27 @@ def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
     return records
 
 
+def _lock_step_settings(lane: AttackLane, records: list) -> dict:
+    """The settings every lane of a lock-step attack must share: each attack
+    setting but the seed, the replayed batch sizes, the leaked-set size and
+    the bottom model's architecture."""
+    settings = {f.name: getattr(lane.config, f.name)
+                for f in fields(lane.config) if f.name != "seed"}
+    return {**settings, "replayed batch sizes": [rec.indices.size for rec in records],
+            "leaked-set size": len(lane.leaked.labels),
+            "bottom-model architecture": lane.bottom.architecture}
+
+
 def attack_lanes(lanes: list[AttackLane], train: Dataset,
                  test: Dataset | None = None) -> list[AttackResult]:
     """Run several attacks on one dataset in lock-step; returns each lane's
     result, in lane order (see run_attack for what one attack does).
 
-    The lanes share every attack setting but the seed, and their replayed
-    transcript windows have the same batch sizes in the same order; each
-    keeps its own transcript, bottom model, leaked labels, surrogate and
+    The lanes share the settings of _lock_step_settings, a differing one
+    named with both values: every attack setting but the seed, the bottom
+    model's architecture, the leaked-set size, and the batch sizes of their
+    transcripts, in the same order. Each keeps its own transcript (every
+    record of which it replays), bottom model, leaked labels, surrogate and
     dummy labels. Surrogates and dummy labels are stacked along a lane axis,
     so one plan run per batch serves every lane, and each lane computes
     exactly what it would alone.
@@ -282,13 +299,12 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     config = lanes[0].config
     records = [_check_lane(lane, train, f"lane {r}: " if count > 1 else "")
                for r, lane in enumerate(lanes)]
+    shared = _lock_step_settings(lanes[0], records[0])
     for r, (lane, recs) in enumerate(zip(lanes, records)):
-        if replace(lane.config, seed=config.seed) != config or \
-                [x.indices.shape for x in recs] != [x.indices.shape for x in records[0]] or \
-                lane.leaked.labels.shape != lanes[0].leaked.labels.shape:
-            raise AttackError(
-                f"lane {r}: attacks run in lock-step need the same settings (except "
-                "the seed), replayed batch sizes and leaked-set size")
+        for name, value in _lock_step_settings(lane, recs).items():
+            if value != shared[name]:
+                raise AttackError(f"lane {r}: attacks run in lock-step need the same "
+                                  f"{name}: {value} here, {shared[name]} in lane 0")
     cut_dim = records[0][0].activations.shape[1]
     dims = list(config.surrogate_dims) if config.surrogate_dims else [cut_dim, 1]
 
@@ -301,10 +317,7 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
         rng = np.random.default_rng(np.random.SeedSequence([lane.config.seed, 0xDB]))
         dummies.append(rng.standard_normal((train.n, dims[-1])))
     surrogate = stack_networks(surrogates)
-    try:
-        bottom = stack_networks([lane.bottom for lane in lanes])
-    except ValueError as exc:
-        raise AttackError(f"attacks cannot run in lock-step: {exc}") from exc
+    bottom = stack_networks([lane.bottom for lane in lanes])
     dummy = stack_lanes(dummies)
     surrogate_opt = Adam.for_network(surrogate, lr=config.lr)
     dummy_opt = RowwiseAdam(dummy.shape, lr=config.lr)

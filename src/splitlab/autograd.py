@@ -44,9 +44,10 @@ Two rules make this sound:
   - every array that changes from step to step enters the graph as a leaf.
     A value that entered as a constant (an untaped tensor) is replayed as it
     was at capture,
-  - VJPs take step data only through node inputs, never through an array
-    derived from them and stored in a node's aux (the relu VJP therefore
-    uses the ``relu_grad(g, x)`` primitive rather than ``mulc`` by a mask).
+  - VJPs take step data only through node inputs: a plan replays a node's
+    aux as it was at capture, so aux holds only scalars and shapes, never
+    an array (the relu VJP therefore forms its mask from its input, through
+    the ``relu_grad(g, x)`` primitive).
 
 Under these rules a plan depends on its inputs' shapes alone: whatever else
 it holds (an mse's 1/n, a scale by the row count) is derived from shapes or
@@ -97,7 +98,6 @@ __all__ = [
     "sub",
     "mul",
     "smul",
-    "mulc",
     "tile_rows",
     "sum_rows",
     "sum_all",
@@ -246,7 +246,6 @@ _FORWARD = {
     "sub": lambda aux, out, a, b: np.subtract(a, b, out=out),
     "mul": lambda aux, out, a, b: np.multiply(a, b, out=out),
     "smul": lambda aux, out, a, b: np.multiply(a, aux, out=out),
-    "mulc": lambda aux, out, a, b: np.multiply(a, aux, out=out),
     "tile_rows": lambda aux, out, a, b: _fill(out, a, (*a.shape[:-2], aux, a.shape[-1])),
     "sum_rows": lambda aux, out, a, b: np.add.reduce(a, axis=-2, keepdims=True, out=out),
     "sum_all": lambda aux, out, a, b: np.add.reduce(a, axis=(-2, -1), keepdims=True, out=out),
@@ -321,15 +320,6 @@ def mul(a, b) -> Tensor:
 
 def smul(a, c: float) -> Tensor:
     return _emit("smul", (_t(a),), float(c))
-
-
-def mulc(a, m) -> Tensor:
-    """Elementwise multiply by a constant array (no gradient through ``m``)."""
-    a = _t(a)
-    m = _as_matrix(m)
-    if a.shape != m.shape:
-        raise AutogradError(f"mulc shapes {a.shape} vs {m.shape}")
-    return _emit("mulc", (a,), m)
 
 
 def tile_rows(b, n: int) -> Tensor:
@@ -464,7 +454,6 @@ _VJP = {
     "sub": _sub_vjp,
     "mul": _mul_vjp,
     "smul": lambda node, nid, g, tape, need: (smul(g, node.aux),),
-    "mulc": lambda node, nid, g, tape, need: (mulc(g, node.aux),),
     "tile_rows": lambda node, nid, g, tape, need: (sum_rows(g),),
     "sum_rows": lambda node, nid, g, tape, need: (tile_rows(g, node.values[0].shape[-2]),),
     "sum_all": lambda node, nid, g, tape, need: (spread(g, *node.values[0].shape[-2:]),),

@@ -125,10 +125,9 @@ class GradientCompression(Defense):
 class _LabelExtension(Defense):
     dims: int
     label_index: int
-    noise_std: float = 1.0
 
     def __post_init__(self):
-        _check_extension(self.dims, self.label_index, self.noise_std)
+        _check_extension(self.dims, self.label_index)
 
     @property
     def output_dim(self) -> int:
@@ -141,10 +140,16 @@ class _LabelExtension(Defense):
 
 @dataclass(frozen=True)
 class RandomLabelExtension(_LabelExtension):
-    """Labels become dims-wide Gaussian vectors; column label_index holds the
-    true label. Drawn once before training."""
+    """Labels become dims-wide Gaussian vectors of standard deviation
+    noise_std; column label_index holds the true label. Drawn once before
+    training."""
 
+    noise_std: float = 1.0
     name = "random_extension"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_noise_std(self.noise_std)
 
     def target_table(self, labels, seed):
         return extend_labels_random(labels, self.dims, self.label_index, self.noise_std,
@@ -165,8 +170,7 @@ class AdaptiveLabelExtension(_LabelExtension):
     top layer, which the columns share, lets the live model drift from its
     snapshot. `PAPER.md` gives the paper's setup but not the rule of its
     adaptive extension, so this rule is the lab's own and is not checked
-    against the paper. noise_std mirrors the random extension; nothing
-    draws with it."""
+    against the paper."""
 
     name = "adaptive_extension"
     uses_snapshot = True
@@ -202,11 +206,14 @@ def _table_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
 
 
-def _check_extension(dims, label_index, noise_std):
+def _check_extension(dims, label_index):
     if dims < 1:
         raise ValueError(f"extension dims must be >= 1, got {dims}")
     if not 0 <= label_index < dims:
         raise ValueError(f"label_index {label_index} out of range for dims {dims}")
+
+
+def _check_noise_std(noise_std):
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
 
@@ -276,7 +283,8 @@ def compress_gradient(g: np.ndarray, keep_rate: float) -> np.ndarray:
 def extend_labels_random(y: np.ndarray, dims: int, label_index: int,
                          noise_std: float, seed: int) -> ExtendedLabels:
     """Fixed n x dims Gaussian matrix with the true labels at label_index."""
-    _check_extension(dims, label_index, noise_std)
+    _check_extension(dims, label_index)
+    _check_noise_std(noise_std)
     if y.ndim != 2 or y.shape[1] != 1:
         raise ValueError(f"labels must be n x 1, got {y.shape}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1E]))

@@ -28,7 +28,7 @@ from .data import (
     synth_regression,
 )
 from .defense import FIELD_PARSERS, Defense, defense_from_dict
-from .metrics import MetricPair, best_of_runs, mean_value_baseline, metric_pair
+from .metrics import MetricPair, mean_value_baseline, metric_pair
 from .nn import build_network
 from .protocol import SplitSession, predict, train_lanes, train_split  # noqa: F401
 
@@ -272,12 +272,15 @@ class ExperimentResult:
 
     @property
     def best_original(self) -> RunOutcome:
-        return best_of_runs(list(self.runs), "original_mae")
+        """The repeat with the lowest original-task train MAE; ties go to the
+        earliest, as min keeps the first of equal keys."""
+        return min(self.runs, key=lambda run: run.original_train.mae)
 
     @property
     def best_attack(self) -> RunOutcome:
-        """Attacker-optimal repeat (lowest attack MAE)."""
-        return best_of_runs(list(self.runs), "attack_mae")
+        """Attacker-optimal repeat (lowest attack train MAE); ties go to the
+        earliest."""
+        return min(self.runs, key=lambda run: run.attack_train.mae)
 
 
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -333,7 +336,6 @@ def plan_attack(cfg: ExperimentConfig, defense: Defense, train: Dataset,
         seed=attack_seed,
         surrogate_dims=[cfg.cut_dim, *cfg.top_hidden, width],
         activation=cfg.activation,
-        transcript_window=cfg.attack_window,
     )
     evaluation_column = None
     if cfg.attack_readout == "secret_column" and cfg.attacker_knows_extension:
@@ -390,7 +392,7 @@ def _run_points(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
 
     runs: list[list[RunOutcome | None]] = [[None] * c.repeats for c in configs]
     for lanes in groups.values():
-        for lane, outcome in zip(lanes, _run_group(lanes, train, test)):
+        for lane, outcome in zip(lanes, _run_group(lanes, train, test, cfg.attack_window)):
             runs[lane.point][lane.run] = outcome
 
     mp_train = mean_value_baseline(train.labels, train.labels)
@@ -402,14 +404,14 @@ def _run_points(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
             for c, defense, point_runs in zip(configs, defenses, runs)]
 
 
-def _run_group(lanes: list[_Lane], train: Dataset, test: Dataset) -> list[RunOutcome]:
-    """Train, evaluate and attack one lock-step group of lanes."""
+def _run_group(lanes: list[_Lane], train: Dataset, test: Dataset,
+               window: int) -> list[RunOutcome]:
+    """Train, evaluate and attack one lock-step group of lanes; the attack
+    replays the final `window` training epochs, the only records the trainer
+    keeps."""
     started = time.perf_counter()
     try:
-        # the attack replays only the final attack_window epochs, so the
-        # trainer keeps no older records
-        trained = train_lanes([lane.session for lane in lanes], train,
-                              keep_epochs=lanes[0].plan.config.transcript_window)
+        trained = train_lanes([lane.session for lane in lanes], train, keep_epochs=window)
         originals = [(metric_pair(predict(lane.session, train.features), train.labels),
                       metric_pair(predict(lane.session, test.features), test.labels))
                      for lane in lanes]

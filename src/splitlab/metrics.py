@@ -1,14 +1,12 @@
-"""Shared evaluation: MAE/MSE pairs, the constant-mean baseline, and
-best-of-k run selection."""
+"""Shared evaluation: MAE/MSE pairs and the constant-mean baseline."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-__all__ = ["MetricPair", "metric_pair", "mean_value_baseline", "best_of_runs"]
+__all__ = ["MetricPair", "metric_pair", "mean_value_baseline"]
 
 
 @dataclass(frozen=True)
@@ -43,27 +41,3 @@ def mean_value_baseline(train_labels: np.ndarray, eval_labels: np.ndarray) -> Me
         raise ValueError("empty input")
     prediction = np.full_like(eval_labels, train_labels.mean())
     return metric_pair(prediction, eval_labels)
-
-
-_CRITERIA = {
-    "original_mae": lambda r: r.original_train.mae,
-    "attack_mae": lambda r: r.attack_train.mae,
-}
-
-
-def best_of_runs(results: Sequence, criterion: str = "original_mae"):
-    """Minimum-MAE run under the chosen criterion; ties go to the earliest
-    run. Works on any objects exposing original_train / attack_train pairs."""
-    if not results:
-        raise ValueError("no runs to select from")
-    try:
-        key = _CRITERIA[criterion]
-    except KeyError:
-        raise ValueError(f"criterion must be one of {sorted(_CRITERIA)}") from None
-    best = results[0]
-    best_value = key(best)
-    for r in results[1:]:
-        value = key(r)
-        if value < best_value:
-            best, best_value = r, value
-    return best

@@ -165,6 +165,12 @@ class FcNetwork:
         return [self.in_dim] + [l.weight.shape[-1] for l in self.layers]
 
     @property
+    def architecture(self) -> str:
+        """The widths and the layers' activations, which networks stacked
+        together share: "[4, 5, 1] (relu, identity)"."""
+        return f"{self.dims} ({', '.join(l.activation for l in self.layers)})"
+
+    @property
     def lanes(self) -> int | None:
         """Number of stacked lanes, or None for a plain network."""
         w = self.layers[0].weight
@@ -276,10 +282,9 @@ def stack_networks(nets: list[FcNetwork]) -> FcNetwork:
     for net in nets:
         if net.lanes is not None:
             raise ValueError("cannot stack networks that already have a lane axis")
-        if net.dims != first.dims or [l.activation for l in net.layers] != \
-                [l.activation for l in first.layers]:
-            raise ValueError(f"cannot stack networks {first.dims} and {net.dims}: "
-                             "architectures differ")
+        if net.architecture != first.architecture:
+            raise ValueError(f"cannot stack networks {first.architecture} and "
+                             f"{net.architecture}: architectures differ")
     layers = [Layer(np.stack([n.layers[i].weight for n in nets]),
                     np.stack([n.layers[i].bias for n in nets]), layer.activation)
               for i, layer in enumerate(first.layers)]

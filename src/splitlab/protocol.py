@@ -80,8 +80,8 @@ def _check_shapes(index_count: int, activations: tuple, gradient: tuple) -> None
 class Transcript:
     records: list[TranscriptRecord] = field(default_factory=list)
     # the place of records[0] among all the run's records: nonzero when older
-    # records were not kept (train_lanes' keep_epochs) or not read (load's
-    # last_epochs)
+    # records were left out (train_lanes' keep_epochs, load's and
+    # last_epochs' window)
     first_record: int = 0
 
     def __len__(self) -> int:
@@ -91,12 +91,15 @@ class Transcript:
     def epochs(self) -> int:
         return 0 if not self.records else self.records[-1].epoch + 1
 
-    def last_epochs(self, k: int = 1) -> list[TranscriptRecord]:
-        """Records from the final k training epochs, in recorded order."""
-        if not self.records:
-            return []
+    def last_epochs(self, k: int = 1) -> "Transcript":
+        """The records from the final k training epochs, in recorded order,
+        with first_record placing them among the run's records: the
+        transcript train_lanes(keep_epochs=k) returns and load(last_epochs=k)
+        reads."""
         cutoff = self.epochs - k
-        return [r for r in self.records if r.epoch >= cutoff]
+        kept = [i for i, r in enumerate(self.records) if r.epoch >= cutoff]
+        return Transcript([self.records[i] for i in kept],
+                          self.first_record + (kept[0] if kept else 0))
 
     def save(self, path) -> None:
         """Write the records to `path` through a TranscriptWriter, the only
@@ -118,9 +121,9 @@ class Transcript:
         the record.
 
         With last_epochs=k, only the records that `last_epochs(k)` keeps
-        (epoch >= the last record's epoch + 1 - k) have their payloads read;
-        the others are skipped on disk, never held, and `first_record` is
-        the file index of the first record kept. None reads every record.
+        (epoch >= the last record's epoch + 1 - k) have their payloads read,
+        so the result equals `load(path).last_epochs(k)`; the others are
+        skipped on disk and never held. None reads every record.
 
         The headers are walked in one pass through a buffered reader, which
         steps over the payloads inside its buffer without a system call; the
@@ -293,10 +296,6 @@ class SplitSession:
         self.epochs = int(epochs)
         self.seed = int(seed)
 
-    @property
-    def cut_dim(self) -> int:
-        return self.bottom.out_dim
-
     def batches_per_epoch(self, n: int) -> int:
         """Mini-batches in one epoch over n samples, the last possibly short;
         a run records epochs times as many transcript records."""
@@ -306,7 +305,9 @@ class SplitSession:
 def _lock_step_settings(session: SplitSession) -> dict:
     """The settings every session of a lock-step group must share."""
     return {"top-model width": session.top.out_dim, "learning rate": session.lr,
-            "batch size": session.batch_size, "epochs": session.epochs}
+            "batch size": session.batch_size, "epochs": session.epochs,
+            "bottom-model architecture": session.bottom.architecture,
+            "top-model architecture": session.top.architecture}
 
 
 def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
@@ -321,7 +322,8 @@ def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
             raise ProtocolError(
                 f"{where}dataset has {train.d} features, bottom model expects {s.bottom.in_dim}")
         if s.batch_size > train.n:
-            raise ProtocolError(f"{where}batch size exceeds training set size")
+            raise ProtocolError(
+                f"{where}batch size {s.batch_size} exceeds the {train.n} training samples")
         for name, value in _lock_step_settings(s).items():
             if value != shared[name]:
                 raise ProtocolError(f"{where}sessions trained in lock-step need the same "
@@ -375,13 +377,10 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
         raise ProtocolError(f"{len(sinks)} record sinks for {len(sessions)} sessions")
     lanes = len(sessions)
     first = sessions[0]
-    try:
-        # one buffer for both networks, top first, the layout of the plan's
-        # gradient output
-        flat, (top, bottom) = stack_joined([[s.top for s in sessions],
-                                            [s.bottom for s in sessions]])
-    except ValueError as exc:
-        raise ProtocolError(f"sessions cannot train in lock-step: {exc}") from exc
+    # one buffer for both networks, top first, the layout of the plan's
+    # gradient output
+    flat, (top, bottom) = stack_joined([[s.top for s in sessions],
+                                        [s.bottom for s in sessions]])
     bottom_params, top_params = bottom.parameters(), top.parameters()
     opt = Adam([p.shape for p in (*top_params, *bottom_params)], lr=first.lr)
 

@@ -54,7 +54,7 @@ def test_gradient_match_is_zero_at_the_truth(frozen_run):
     # Copying the label party's top model into the surrogate and the true
     # labels into the dummy labels must reproduce every recorded gradient.
     session, transcript, train, _ = frozen_run
-    for rec in transcript.last_epochs(1):
+    for rec in transcript.last_epochs(1).records:
         surrogate = session.top.copy(role="surrogate")
         tape = Tape()
         surrogate.attach(tape)
@@ -217,17 +217,18 @@ def test_rowwise_adam_touches_only_given_rows():
 def test_alpha_zero_total_trace_equals_inversion_trace(trained_run):
     session, transcript, train, _ = trained_run
     leaked = sample_leaked(train, 0.02, seed=5)
-    cfg = AttackConfig(alpha=0.0, epochs=3, seed=9, transcript_window=2)
-    result = run_attack(transcript, session.bottom, train, leaked, cfg)
+    cfg = AttackConfig(alpha=0.0, epochs=3, seed=9)
+    result = run_attack(transcript.last_epochs(2), session.bottom, train, leaked, cfg)
     assert result.loss_trace == result.inversion_trace
 
 
 def test_attack_is_deterministic(trained_run):
     session, transcript, train, test = trained_run
     leaked = sample_leaked(train, 0.02, seed=6)
-    cfg = AttackConfig(epochs=3, seed=12, transcript_window=2)
-    r1 = run_attack(transcript, session.bottom, train, leaked, cfg, test=test)
-    r2 = run_attack(transcript, session.bottom, train, leaked, cfg, test=test)
+    cfg = AttackConfig(epochs=3, seed=12)
+    window = transcript.last_epochs(2)
+    r1 = run_attack(window, session.bottom, train, leaked, cfg, test=test)
+    r2 = run_attack(window, session.bottom, train, leaked, cfg, test=test)
     assert np.array_equal(r1.inferred_labels, r2.inferred_labels)
     assert r1.loss_trace == r2.loss_trace
     assert r1.train_metrics == r2.train_metrics
@@ -237,8 +238,8 @@ def test_attack_is_deterministic(trained_run):
 def test_attack_loss_mostly_decreases(trained_run):
     session, transcript, train, _ = trained_run
     leaked = sample_leaked(train, 0.02, seed=7)
-    cfg = AttackConfig(epochs=12, seed=3, transcript_window=5)
-    result = run_attack(transcript, session.bottom, train, leaked, cfg)
+    cfg = AttackConfig(epochs=12, seed=3)
+    result = run_attack(transcript.last_epochs(5), session.bottom, train, leaked, cfg)
     drops = sum(b <= a for a, b in zip(result.loss_trace, result.loss_trace[1:]))
     assert drops / (len(result.loss_trace) - 1) >= 0.9
 
@@ -246,8 +247,9 @@ def test_attack_loss_mostly_decreases(trained_run):
 def test_attack_beats_mean_baseline_without_defense(trained_run):
     session, transcript, train, test = trained_run
     leaked = sample_leaked(train, 0.02, seed=8)
-    cfg = AttackConfig(epochs=25, seed=1, transcript_window=30)
-    result = run_attack(transcript, session.bottom, train, leaked, cfg, test=test)
+    cfg = AttackConfig(epochs=25, seed=1)
+    result = run_attack(transcript.last_epochs(30), session.bottom, train, leaked, cfg,
+                        test=test)
     baseline = mean_value_baseline(train.labels, train.labels)
     assert result.train_metrics.mae < baseline.mae
     assert result.test_metrics is not None
@@ -283,8 +285,8 @@ def test_a_record_naming_one_sample_twice_is_refused_before_any_step(trained_run
     monkeypatch.setattr(attack_module, "_capture_step", no_capture)
     with pytest.raises(AttackError, match=rf"^transcript record 285 \(epoch 28\) names sample "
                                           rf"index {indices[0]} more than once$"):
-        run_attack(Transcript(records), session.bottom, train, leaked,
-                   AttackConfig(epochs=1, transcript_window=2))
+        run_attack(Transcript(records).last_epochs(2), session.bottom, train, leaked,
+                   AttackConfig(epochs=1))
 
 
 def test_divergence_names_epoch_batch_and_op(frozen_run):
@@ -329,9 +331,8 @@ def test_lock_step_attack_matches_separate_attacks(width):
         _, transcript, _ = train_split(session, train)
         leaked = sample_leaked(train, 0.05, seed=20 + lane)
         # a hidden surrogate layer takes the second-order inversion through it
-        cfg = AttackConfig(epochs=2, seed=30 + lane, transcript_window=2,
-                           surrogate_dims=[4, 3, width])
-        lanes.append(AttackLane(transcript, session.bottom, leaked, cfg,
+        cfg = AttackConfig(epochs=2, seed=30 + lane, surrogate_dims=[4, 3, width])
+        lanes.append(AttackLane(transcript.last_epochs(2), session.bottom, leaked, cfg,
                                 evaluation_column=[None, width - 1, None][lane]))
     together = attack_lanes(lanes, train, test=test)
     for lane, got in zip(lanes, together):
@@ -358,6 +359,35 @@ def test_lock_step_attack_rejects_mismatched_lanes(trained_run):
         attack_lanes([base, empty], train)
 
 
+@pytest.mark.parametrize("setting", ["epochs", "surrogate_dims", "replayed batch sizes",
+                                     "leaked-set size", "bottom-model architecture"])
+def test_lock_step_attack_names_the_lane_the_setting_and_both_values(trained_run, setting,
+                                                                     monkeypatch):
+    session, transcript, train, _ = trained_run
+    base = AttackLane(transcript.last_epochs(2), session.bottom,
+                      sample_leaked(train, 0.02, seed=9), AttackConfig(epochs=1, seed=1))
+    other, here, there = {
+        "epochs": (dict(config=AttackConfig(epochs=2, seed=2)), 2, 1),
+        "surrogate_dims": (dict(config=AttackConfig(epochs=1, seed=2, surrogate_dims=[4, 2, 1])),
+                           [4, 2, 1], None),
+        # 320 training rows in batches of 32: 10 records an epoch
+        "replayed batch sizes": (dict(transcript=transcript.last_epochs(1)), [32] * 10,
+                                 [32] * 20),
+        "leaked-set size": (dict(leaked=sample_leaked(train, 0.05, seed=9)), 16, 6),
+        "bottom-model architecture": (dict(bottom=build_network([4, 6, 4], activation="tanh")),
+                                      "[4, 6, 4] (tanh, identity)", "[4, 4] (identity)"),
+    }[setting]
+
+    def no_capture(*args, **kwargs):
+        raise AssertionError("an attack step was captured")
+
+    message = (f"lane 1: attacks run in lock-step need the same {setting}: "
+               f"{here} here, {there} in lane 0")
+    monkeypatch.setattr(attack_module, "_capture_step", no_capture)
+    with pytest.raises(AttackError, match=rf"^{re.escape(message)}$"):
+        attack_lanes([base, replace(base, **other)], train)
+
+
 @pytest.mark.parametrize("override,message", [
     (dict(alpha=float("nan")), "alpha must be finite and >= 0, got nan"),
     (dict(alpha=float("inf")), "alpha must be finite and >= 0, got inf"),
@@ -372,7 +402,7 @@ def test_attack_config_refuses_a_bad_alpha_or_learning_rate(override, message):
         AttackConfig(**override)
 
 
-@pytest.mark.parametrize("field", ["epochs", "transcript_window"])
+@pytest.mark.parametrize("field", ["epochs"])
 @pytest.mark.parametrize("value", [0, -2])
 def test_attack_config_names_the_count_below_one_and_its_value(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {value}$"):
@@ -397,10 +427,10 @@ def plan_lanes(dims, act, count, epochs=2):
         session = SplitSession(bottom, top, NoDefense(), lr=0.01, batch_size=64,
                                epochs=2, seed=70 + lane)
         _, transcript, _ = train_split(session, train)
-        cfg = AttackConfig(lr=0.1, epochs=epochs, seed=80 + lane, transcript_window=2,
-                           surrogate_dims=dims, activation=act)
-        lanes.append(AttackLane(transcript, bottom, sample_leaked(train, 0.05, seed=90 + lane),
-                                cfg))
+        cfg = AttackConfig(lr=0.1, epochs=epochs, seed=80 + lane, surrogate_dims=dims,
+                           activation=act)
+        lanes.append(AttackLane(transcript.last_epochs(2), bottom,
+                                sample_leaked(train, 0.05, seed=90 + lane), cfg))
     return lanes, train, test
 
 

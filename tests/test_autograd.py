@@ -13,7 +13,6 @@ from splitlab.autograd import (
     matmul,
     mse,
     mul,
-    mulc,
     relu,
     relu_grad,
     smul,
@@ -282,7 +281,6 @@ def _gradcheck_cases():
         ("sub", (2, 3), lambda x: sum_all(mul(sub(constant(r), x), constant(r)))),
         ("mul", (2, 3), lambda x: sum_all(mul(mul(x, constant(r)), constant(r)))),
         ("smul", (2, 3), lambda x: sum_all(mul(smul(x, -1.7), constant(r)))),
-        ("mulc", (2, 3), lambda x: sum_all(mul(mulc(x, r), constant(r)))),
         ("tile_rows", (1, 3), lambda x: sum_all(mul(tile_rows(x, 4), constant(r_wide)))),
         ("add_bias", (1, 3), lambda x: sum_all(mul(tanh(add_bias(constant(r_wide), x)), constant(r_wide)))),
         ("sum_rows", (4, 3), lambda x: sum_all(mul(sum_rows(x), constant(one_row)))),
@@ -443,7 +441,6 @@ def _lane_ops():
         ("mul", (2, 3), lambda x, c: mul(x, c(r))),
         ("mul_self", (2, 3), lambda x, c: mul(x, x)),
         ("smul", (2, 3), lambda x, c: smul(x, -1.7)),
-        ("mulc", (2, 3), lambda x, c: mulc(x, c(r))),
         ("tile_rows", (1, 3), lambda x, c: tile_rows(x, 4)),
         ("add_bias_bias", (1, 3), lambda x, c: add_bias(c(r_wide), x)),
         ("add_bias_input", (4, 3), lambda x, c: add_bias(x, c(one_row))),
@@ -817,25 +814,23 @@ def test_a_plan_refuses_bad_fed_leaves():
 
 # --- every kernel through a plan, and the plan's buffer -----------------------
 
-# op -> (input shapes, build): build(m, *leaves) applies the op to taped
-# leaves; m is a fixed array of the first input's shape (mulc's constant)
+# op -> (input shapes, build): build(*leaves) applies the op to taped leaves
 KERNEL_CASES = {
-    "matmul": ([(3, 4), (4, 2)], lambda m, a, b: matmul(a, b)),
-    "transpose": ([(3, 4)], lambda m, a: transpose(a)),
-    "add": ([(3, 4), (3, 4)], lambda m, a, b: add(a, b)),
-    "sub": ([(3, 4), (3, 4)], lambda m, a, b: sub(a, b)),
-    "mul": ([(3, 4), (3, 4)], lambda m, a, b: mul(a, b)),
-    "smul": ([(3, 4)], lambda m, a: smul(a, -1.7)),
-    "mulc": ([(3, 4)], lambda m, a: mulc(a, m)),
-    "tile_rows": ([(1, 4)], lambda m, a: tile_rows(a, 3)),
-    "sum_rows": ([(3, 4)], lambda m, a: sum_rows(a)),
-    "sum_all": ([(3, 4)], lambda m, a: sum_all(a)),
-    "spread": ([(1, 1)], lambda m, a: spread(a, 3, 4)),
-    "relu": ([(3, 4)], lambda m, a: relu(a)),
-    "relu_grad": ([(3, 4), (3, 4)], lambda m, g, x: relu_grad(g, x)),
-    "tanh": ([(3, 4)], lambda m, a: tanh(a)),
-    "add_bias": ([(3, 4), (1, 4)], lambda m, x, b: add_bias(x, b)),
-    "mse": ([(3, 4), (3, 4)], lambda m, p, t: mse(p, t)),
+    "matmul": ([(3, 4), (4, 2)], lambda a, b: matmul(a, b)),
+    "transpose": ([(3, 4)], lambda a: transpose(a)),
+    "add": ([(3, 4), (3, 4)], lambda a, b: add(a, b)),
+    "sub": ([(3, 4), (3, 4)], lambda a, b: sub(a, b)),
+    "mul": ([(3, 4), (3, 4)], lambda a, b: mul(a, b)),
+    "smul": ([(3, 4)], lambda a: smul(a, -1.7)),
+    "tile_rows": ([(1, 4)], lambda a: tile_rows(a, 3)),
+    "sum_rows": ([(3, 4)], lambda a: sum_rows(a)),
+    "sum_all": ([(3, 4)], lambda a: sum_all(a)),
+    "spread": ([(1, 1)], lambda a: spread(a, 3, 4)),
+    "relu": ([(3, 4)], lambda a: relu(a)),
+    "relu_grad": ([(3, 4), (3, 4)], lambda g, x: relu_grad(g, x)),
+    "tanh": ([(3, 4)], lambda a: tanh(a)),
+    "add_bias": ([(3, 4), (1, 4)], lambda x, b: add_bias(x, b)),
+    "mse": ([(3, 4), (3, 4)], lambda p, t: mse(p, t)),
 }
 
 
@@ -843,14 +838,14 @@ def test_the_kernel_table_and_the_vjp_table_name_the_same_ops():
     assert set(ag._FORWARD) == set(ag._VJP) == set(KERNEL_CASES)
 
 
-def _kernel_step(op, arrays, m):
+def _kernel_step(op, arrays):
     """The op on leaves, then a backward with create_graph from a loss
     quadratic in its result (so every gradient is a node). Returns the
     leaves and the outputs: the op's result, the loss and the gradients."""
     _, build = KERNEL_CASES[op]
     tape = Tape()
     leaves = [tape.leaf(a) for a in arrays]
-    y = build(m, *leaves)
+    y = build(*leaves)
     loss = sum_all(mul(y, y))
     # relu_grad has no gradient in x
     wrt = leaves[:1] if op == "relu_grad" else leaves
@@ -867,12 +862,11 @@ def test_every_kernel_replays_the_taped_bytes(op, lanes):
     def draw():
         return [rng.normal(size=(*lead, *shape)) for shape in shapes]
 
-    m = rng.normal(size=(*lead, *shapes[0]))
-    plan = ag.StepPlan(*_kernel_step(op, draw(), m))
+    plan = ag.StepPlan(*_kernel_step(op, draw()))
     for _ in range(2):
         arrays = draw()
         replayed = plan.run(arrays)
-        _, taped = _kernel_step(op, arrays, m)
+        _, taped = _kernel_step(op, arrays)
         assert len(replayed) == len(taped) == 2 + len(shapes) - (op == "relu_grad")
         for got, want in zip(replayed, taped):
             assert got.shape == want.shape and got.tobytes() == want.data.tobytes()

@@ -278,6 +278,11 @@ def test_defense_unknown_name_and_params():
         defense_from_dict({"name": "blur"}, cut_dim=4)
     with pytest.raises(ValueError):
         defense_from_dict({"name": "label_noise", "keep_rate": 0.5}, cut_dim=4)
+    # noise_std is the random extension's only: nothing draws with it here
+    with pytest.raises(ValueError, match=r"unexpected defense parameters \['noise_std'\]"):
+        defense_from_dict({"name": "adaptive_extension", "noise_std": 1.0}, cut_dim=4)
+    with pytest.raises(TypeError, match="noise_std"):
+        AdaptiveLabelExtension(dims=2, label_index=0, noise_std=1.0)
 
 
 def test_target_dim():
@@ -307,7 +312,7 @@ def test_defense_to_dict_format():
     assert defense_to_dict(RandomLabelExtension(6, 3, 2.0)) == {
         "name": "random_extension", "dims": 6, "label_index": 3, "noise_std": 2.0}
     assert defense_to_dict(AdaptiveLabelExtension(4, 0)) == {
-        "name": "adaptive_extension", "dims": 4, "label_index": 0, "noise_std": 1.0}
+        "name": "adaptive_extension", "dims": 4, "label_index": 0}
 
 
 @pytest.mark.parametrize("spec,param", [
@@ -340,7 +345,7 @@ def test_defense_parameters_accept_whole_floats_and_numerals():
     lambda: GradientNoise(scale=float("inf")),
     lambda: GradientCompression(keep_rate=float("nan")),
     lambda: RandomLabelExtension(dims=2, label_index=0, noise_std=float("nan")),
-    lambda: AdaptiveLabelExtension(dims=2, label_index=0, noise_std=float("inf")),
+    lambda: RandomLabelExtension(dims=2, label_index=0, noise_std=float("inf")),
 ])
 def test_non_finite_parameters_are_rejected_at_construction(make):
     with pytest.raises(ValueError):

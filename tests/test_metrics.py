@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from splitlab.data import split_standardize, synth_regression
-from splitlab.metrics import MetricPair, best_of_runs, mean_value_baseline, metric_pair
+from splitlab.metrics import MetricPair, mean_value_baseline, metric_pair
 
 from oracles import loop_mae_mse
-
-
-class FakeRun:
-    def __init__(self, original_mae, attack_mae, tag):
-        self.original_train = MetricPair(original_mae, original_mae ** 2 + 0.1)
-        self.attack_train = MetricPair(attack_mae, attack_mae ** 2 + 0.1)
-        self.tag = tag
 
 
 def test_metric_pair_identical_inputs():
@@ -61,25 +54,3 @@ def test_mean_baseline_empty_input():
     with pytest.raises(ValueError):
         mean_value_baseline(np.zeros((0, 1)), np.ones((2, 1)))
 
-
-def test_best_of_runs_single():
-    run = FakeRun(0.5, 0.5, "only")
-    assert best_of_runs([run], "original_mae") is run
-
-
-def test_best_of_runs_picks_minimum():
-    runs = [FakeRun(0.3, 0.9, "a"), FakeRun(0.2, 0.8, "b"), FakeRun(0.4, 0.7, "c")]
-    assert best_of_runs(runs, "original_mae").tag == "b"
-    assert best_of_runs(runs, "attack_mae").tag == "c"
-
-
-def test_best_of_runs_tie_goes_to_earliest():
-    runs = [FakeRun(0.2, 0.5, "first"), FakeRun(0.2, 0.5, "second")]
-    assert best_of_runs(runs, "original_mae").tag == "first"
-
-
-def test_best_of_runs_validation():
-    with pytest.raises(ValueError):
-        best_of_runs([], "original_mae")
-    with pytest.raises(ValueError):
-        best_of_runs([FakeRun(0.1, 0.1, "x")], "test_mae")

@@ -208,7 +208,7 @@ def test_transcript_last_epochs(small_data):
     session = make_session(train, epochs=3, batch_size=64)
     _, transcript, _ = train_split(session, train)
     last = transcript.last_epochs(1)
-    assert {r.epoch for r in last} == {2}
+    assert {r.epoch for r in last.records} == {2}
     assert transcript.epochs == 3
 
 
@@ -255,9 +255,9 @@ def test_a_windowed_load_equals_last_epochs_of_the_full_load(saved_transcript):
     full = Transcript.load(path)
     for k in (1, 2, 3, None):
         window = Transcript.load(path, last_epochs=k)
-        expected = full.records if k is None else full.last_epochs(k)
-        assert_same_records(window, Transcript(expected))
-        assert window.first_record == count - len(expected)
+        expected = full if k is None else full.last_epochs(k)
+        assert_same_records(window, expected)
+        assert window.first_record == expected.first_record == count - len(expected)
         assert window.epochs == full.epochs
 
 
@@ -446,7 +446,8 @@ def test_lock_step_keep_epochs_trims_only_old_records(small_data):
     kept = train_lanes(lane_sessions(train, defenses)[:2], train, keep_epochs=1)
     for (transcript, trace), (trimmed, trimmed_trace) in zip(full, kept):
         assert trimmed_trace == trace
-        assert_same_records(trimmed, Transcript(transcript.last_epochs(1)))
+        assert_same_records(trimmed, transcript.last_epochs(1))
+        assert trimmed.first_record == transcript.last_epochs(1).first_record
         assert trimmed.first_record == len(transcript) - len(trimmed)
 
 
@@ -462,11 +463,26 @@ def test_lock_step_rejects_incompatible_sessions(small_data):
             "lane 1: sessions trained in lock-step need the same learning rate: "
             "0.02 here, 0.01 in lane 0")):
         train_lanes(rates, train)
-    wider = [make_session(train, top_hidden=(5,)), make_session(train, top_hidden=(6,))]
-    with pytest.raises(ProtocolError, match="lock-step"):
-        train_lanes(wider, train)
     with pytest.raises(ProtocolError):
         train_lanes([], train)
+
+
+@pytest.mark.parametrize("lanes,message", [
+    (dict(top_hidden=[(5,), (6,)]),
+     "sessions trained in lock-step need the same top-model architecture: "
+     "[4, 6, 1] (relu, identity) here, [4, 5, 1] (relu, identity) in lane 0"),
+    (dict(bottom_hidden=[(6,), (6, 2)]),
+     "sessions trained in lock-step need the same bottom-model architecture: "
+     "[3, 6, 2, 4] (relu, relu, identity) here, [3, 6, 4] (relu, identity) in lane 0"),
+    (dict(batch_size=[32, 500]), "batch size 500 exceeds the 160 training samples"),
+], ids=["top_architecture", "bottom_architecture", "batch_size"])
+def test_a_lock_step_refusal_names_the_lane_the_setting_and_both_values(small_data, lanes,
+                                                                        message):
+    train, _ = small_data
+    (name, values), = lanes.items()
+    sessions = [make_session(train, **{name: value}) for value in values]
+    with pytest.raises(ProtocolError, match=rf"^lane 1: {re.escape(message)}$"):
+        train_lanes(sessions, train)
 
 
 def test_lock_step_divergence_names_the_lane(small_data):
