@@ -6,19 +6,15 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from splitlab.defense import NoDefense
 from splitlab.harness import (
     ExperimentConfig,
-    ExperimentResult,
     HarnessError,
-    RunOutcome,
     emit_results,
     result_rows,
     run_experiment,
     sweep_defense,
     sweep_extension_dims,
 )
-from splitlab.metrics import MetricPair
 
 
 def tiny_config(**overrides):
@@ -91,33 +87,6 @@ def test_best_and_worst_selection():
     attacks = [r.attack_train.mae for r in res.runs]
     assert res.best_original.original_train.mae == min(originals)
     assert res.best_attack.attack_train.mae == min(attacks)
-
-
-def result_of_runs(*maes):
-    """An ExperimentResult whose run i (seed i) has the original and attack
-    train MAEs maes[i]."""
-    def pair(mae):
-        return MetricPair(mae, mae ** 2 + 0.1)
-
-    runs = tuple(RunOutcome(seed=i, attack_seed=i, original_train=pair(original),
-                            original_test=pair(original), attack_train=pair(attack),
-                            attack_test=pair(attack), runtime_ms=0.0)
-                 for i, (original, attack) in enumerate(maes))
-    return ExperimentResult(config=ExperimentConfig(), dataset_name="", defense=NoDefense(),
-                            runs=runs, mp_train=pair(1.0), mp_test=pair(1.0), runtime_ms=0.0)
-
-
-def test_best_run_is_the_minimum():
-    result = result_of_runs((0.3, 0.9), (0.2, 0.8), (0.4, 0.7))
-    assert result.best_original.seed == 1
-    assert result.best_attack.seed == 2
-    single = result_of_runs((0.5, 0.5))
-    assert single.best_original is single.best_attack is single.runs[0]
-
-
-def test_best_run_ties_go_to_the_earliest():
-    result = result_of_runs((0.2, 0.5), (0.2, 0.5))
-    assert result.best_original.seed == result.best_attack.seed == 0
 
 
 def test_noise_scale_zero_equals_no_defense(tiny_result):

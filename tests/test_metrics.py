@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from splitlab.data import split_standardize, synth_regression
+from splitlab.defense import NoDefense
+from splitlab.harness import ExperimentConfig, ExperimentResult, RunOutcome
 from splitlab.metrics import MetricPair, mean_value_baseline, metric_pair
 
 from oracles import loop_mae_mse
@@ -29,6 +31,36 @@ def test_metric_pair_validation():
         metric_pair(np.ones((2, 1)), np.ones((3, 1)))
     with pytest.raises(ValueError):
         MetricPair(-0.1, 0.0)
+
+
+def result_of_runs(*maes):
+    """An ExperimentResult whose run i (seed i) has the original and attack
+    train MAEs maes[i]."""
+    def pair(mae):
+        return MetricPair(mae, mae ** 2 + 0.1)
+
+    runs = tuple(RunOutcome(seed=i, attack_seed=i, original_train=pair(original),
+                            original_test=pair(original), attack_train=pair(attack),
+                            attack_test=pair(attack), runtime_ms=0.0)
+                 for i, (original, attack) in enumerate(maes))
+    return ExperimentResult(config=ExperimentConfig(), dataset_name="", defense=NoDefense(),
+                            runs=runs, mp_train=pair(1.0), mp_test=pair(1.0), runtime_ms=0.0)
+
+
+def test_best_of_runs_single():
+    single = result_of_runs((0.5, 0.5))
+    assert single.best_original is single.best_attack is single.runs[0]
+
+
+def test_best_of_runs_picks_minimum():
+    result = result_of_runs((0.3, 0.9), (0.2, 0.8), (0.4, 0.7))
+    assert result.best_original.seed == 1
+    assert result.best_attack.seed == 2
+
+
+def test_best_of_runs_tie_goes_to_earliest():
+    result = result_of_runs((0.2, 0.5), (0.2, 0.5))
+    assert result.best_original.seed == result.best_attack.seed == 0
 
 
 def test_jensen_inequality_holds():
