@@ -225,16 +225,16 @@ def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
     """The lane's records, after checking it against the dataset: every
     replayed index must name a training sample, and no record may name one
     twice (RowwiseAdam steps distinct rows). A bad record is named by its
-    index among the run's records (counted from the transcript's
-    first_record) and its epoch."""
+    epoch and its batch, its place among that epoch's records (see
+    Transcript)."""
     records = lane.transcript.records
     if not records:
         raise AttackError(f"{where}transcript has no records")
-    first = lane.transcript.first_record
 
     def refuse(k: int, problem: str):
-        raise AttackError(
-            f"{where}transcript record {first + k} (epoch {records[k].epoch}) {problem}")
+        epoch = records[k].epoch
+        batch = sum(rec.epoch == epoch for rec in records[:k])
+        raise AttackError(f"{where}transcript epoch {epoch}, batch {batch} {problem}")
 
     indices = np.concatenate([rec.indices for rec in records])
     if not ((0 <= indices) & (indices < train.n)).all():

@@ -129,8 +129,7 @@ def cmd_train(args) -> int:
     defense = defense_from_dict(cfg.defense, cut_dim=cfg.cut_dim, seed=cfg.seed)
     session = build_session(cfg, defense, raw.d, cfg.seed)
     # records stream to disk as they are made; a run that fails leaves no file
-    count = session.epochs * session.batches_per_epoch(train.n)
-    with TranscriptWriter(out / "transcript.bin", count) as transcript:
+    with TranscriptWriter(out / "transcript.bin") as transcript:
         _, _, trace = train_split(session, train, sink=transcript.append)
 
     save_checkpoint(session.bottom, out / "bottom.json")

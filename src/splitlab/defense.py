@@ -41,7 +41,6 @@ __all__ = [
     "RandomLabelExtension",
     "AdaptiveLabelExtension",
     "Defense",
-    "ExtendedLabels",
     "SufficiencyReport",
     "noise_labels",
     "noise_gradient",
@@ -153,7 +152,7 @@ class RandomLabelExtension(_LabelExtension):
 
     def target_table(self, labels, seed):
         return extend_labels_random(labels, self.dims, self.label_index, self.noise_std,
-                                    _table_seed(seed, 0xE7)).matrix
+                                    _table_seed(seed, 0xE7))
 
 
 @dataclass(frozen=True)
@@ -218,16 +217,6 @@ def _check_noise_std(noise_std):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
 
 
-@dataclass(frozen=True)
-class ExtendedLabels:
-    matrix: np.ndarray  # n x dims
-    label_index: int
-
-    def __post_init__(self):
-        if np.isnan(self.matrix).any():
-            raise ValueError("extended labels contain NaN")
-
-
 # ------------------------------------------------------------- perturbations
 
 def noise_labels(y: np.ndarray, distribution: str, scale: float, seed: int) -> np.ndarray:
@@ -281,16 +270,18 @@ def compress_gradient(g: np.ndarray, keep_rate: float) -> np.ndarray:
 # ----------------------------------------------------------- label extension
 
 def extend_labels_random(y: np.ndarray, dims: int, label_index: int,
-                         noise_std: float, seed: int) -> ExtendedLabels:
+                         noise_std: float, seed: int) -> np.ndarray:
     """Fixed n x dims Gaussian matrix with the true labels at label_index."""
     _check_extension(dims, label_index)
     _check_noise_std(noise_std)
     if y.ndim != 2 or y.shape[1] != 1:
         raise ValueError(f"labels must be n x 1, got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("labels must be finite")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1E]))
     matrix = rng.normal(scale=noise_std, size=(y.shape[0], dims))
     matrix[:, label_index] = y[:, 0]
-    return ExtendedLabels(matrix, label_index)
+    return matrix
 
 
 # the adaptive extension's target rule, also callable on its own

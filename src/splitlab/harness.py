@@ -375,7 +375,7 @@ def _run_points(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     raw = load_dataset(cfg)
     train, test = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
     if cfg.batch_size > train.n:
-        raise HarnessError(f"batch size {cfg.batch_size} exceeds train size {train.n}")
+        raise HarnessError(f"batch size {cfg.batch_size} exceeds the {train.n} training samples")
     defenses = [defense_from_dict(c.defense, cut_dim=c.cut_dim, seed=c.seed) for c in configs]
 
     groups: dict[tuple, list[_Lane]] = {}

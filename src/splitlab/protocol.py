@@ -78,11 +78,12 @@ def _check_shapes(index_count: int, activations: tuple, gradient: tuple) -> None
 
 @dataclass
 class Transcript:
+    """The feature party's records, in recorded order. A record is named by
+    its epoch and its batch, its place among that epoch's records: the name
+    training gives the step, in any window, since a window keeps whole
+    epochs."""
+
     records: list[TranscriptRecord] = field(default_factory=list)
-    # the place of records[0] among all the run's records: nonzero when older
-    # records were left out (train_lanes' keep_epochs, load's and
-    # last_epochs' window)
-    first_record: int = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -92,14 +93,11 @@ class Transcript:
         return 0 if not self.records else self.records[-1].epoch + 1
 
     def last_epochs(self, k: int = 1) -> "Transcript":
-        """The records from the final k training epochs, in recorded order,
-        with first_record placing them among the run's records: the
-        transcript train_lanes(keep_epochs=k) returns and load(last_epochs=k)
-        reads."""
+        """The records from the final k training epochs, in recorded order:
+        the transcript train_lanes(keep_epochs=k) returns and
+        load(last_epochs=k) reads."""
         cutoff = self.epochs - k
-        kept = [i for i, r in enumerate(self.records) if r.epoch >= cutoff]
-        return Transcript([self.records[i] for i in kept],
-                          self.first_record + (kept[0] if kept else 0))
+        return Transcript([r for r in self.records if r.epoch >= cutoff])
 
     def save(self, path) -> None:
         """Write the records to `path` through a TranscriptWriter, the only
@@ -107,7 +105,7 @@ class Transcript:
         b"SLTRAN01" and the u64 record count, then per record the u32 epoch,
         the u32 index count and the u64 indices, then the activations and
         the gradient, each as u32 rows, u32 cols and row-major f64 values."""
-        with TranscriptWriter(path, len(self.records)) as writer:
+        with TranscriptWriter(path) as writer:
             for record in self.records:
                 writer.append(record)
 
@@ -118,7 +116,7 @@ class Transcript:
         must fit in the file, a record's two matrices must share one shape
         with as many rows as it has indices, and nothing may follow the last
         record. A malformed file raises ProtocolError naming the path and
-        the record.
+        the record's index in the file.
 
         With last_epochs=k, only the records that `last_epochs(k)` keeps
         (epoch >= the last record's epoch + 1 - k) have their payloads read,
@@ -145,7 +143,7 @@ class Transcript:
                 for at, matrix in zip(at_matrices, matrices):
                     _read_into(raw, at, matrix, path)
                 records.append(TranscriptRecord(epoch, indices.astype(np.int64), *matrices))
-        return cls(records, first_record=kept[0] if kept else 0)
+        return cls(records)
 
 
 # the reader's buffer: many records' headers and payloads, so the header walk
@@ -209,22 +207,21 @@ def _record_layout(fh, size: int, path) -> list[tuple]:
 class TranscriptWriter:
     """Writes a transcript file record by record, in the framing
     `Transcript.save` documents, so a run's records need not be held
-    together. The record count goes first, so it is fixed up front.
+    together. The record count goes first: the writer leaves a placeholder
+    there, and close() fills in the number of records appended.
 
     The file is written as `<name>.part` next to `path`. close() renames it
-    to `path`, and refuses with ProtocolError, deleting it, unless exactly
-    `count` records were appended; abort() deletes it. As a context manager
-    the writer closes on a normal exit and aborts on an exception, so a
-    failed run leaves no file behind."""
+    to `path`; abort() deletes it. As a context manager the writer closes
+    on a normal exit and aborts on an exception, so a failed run leaves no
+    file behind."""
 
-    def __init__(self, path, count: int):
+    def __init__(self, path):
         self.path = Path(path)
-        self.count = int(count)
         self.written = 0
         self._part = self.path.with_name(self.path.name + ".part")
         self._fh = open(self._part, "wb")
         try:
-            self._fh.write(_MAGIC + struct.pack("<Q", self.count))
+            self._fh.write(_MAGIC + _COUNT.pack(0))
         except BaseException:
             self.abort()
             raise
@@ -240,9 +237,8 @@ class TranscriptWriter:
 
     def close(self) -> None:
         try:
-            if self.written != self.count:
-                raise ProtocolError(f"{self.path}: {self.written} records written, "
-                                    f"but the file header announces {self.count}")
+            self._fh.seek(len(_MAGIC))
+            self._fh.write(_COUNT.pack(self.written))
             self._fh.close()
             os.replace(self._part, self.path)
         except BaseException:
@@ -295,11 +291,6 @@ class SplitSession:
         self.batch_size = int(batch_size)
         self.epochs = int(epochs)
         self.seed = int(seed)
-
-    def batches_per_epoch(self, n: int) -> int:
-        """Mini-batches in one epoch over n samples, the last possibly short;
-        a run records epochs times as many transcript records."""
-        return -(-n // self.batch_size)
 
 
 def _lock_step_settings(session: SplitSession) -> dict:
@@ -367,8 +358,7 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     streams it to disk. By default (sinks=None) the sink appends to the
     lane's returned transcript; with sinks given, the returned transcripts
     stay empty. keep_epochs=k hands on only the records of the final k
-    epochs (all epochs when None); the returned transcripts then note the
-    index of their first record among all of the run's.
+    epochs (all epochs when None), those `Transcript.last_epochs(k)` keeps.
     """
     if not sessions:
         raise ProtocolError("no sessions to train")
@@ -388,14 +378,13 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     # the lanes whose defense changes the gradient it sends
     senders = [s.defense.changes_gradient for s in sessions]
     sends_raw = not any(senders)
-    batches = first.batches_per_epoch(train.n)
     first_kept = 0 if keep_epochs is None else max(0, first.epochs - keep_epochs)
-    transcripts = [Transcript(first_record=first_kept * batches) for _ in sessions]
+    transcripts = [Transcript() for _ in sessions]
     if sinks is None:
         sinks = [transcript.records.append for transcript in transcripts]
     traces: list[list[float]] = [[] for _ in sessions]
     # this epoch's per-batch losses, one row per lane
-    epoch_losses = np.empty((lanes, batches))
+    epoch_losses = np.empty((lanes, -(-train.n // first.batch_size)))
     # one plan per batch shape: every batch but a short final one runs the
     # same plan
     plans: dict[tuple[int, ...], StepPlan] = {}

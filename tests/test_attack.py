@@ -283,10 +283,30 @@ def test_a_record_naming_one_sample_twice_is_refused_before_any_step(trained_run
         raise AssertionError("an attack step was captured")
 
     monkeypatch.setattr(attack_module, "_capture_step", no_capture)
-    with pytest.raises(AttackError, match=rf"^transcript record 285 \(epoch 28\) names sample "
+    with pytest.raises(AttackError, match=rf"^transcript epoch 28, batch 5 names sample "
                                           rf"index {indices[0]} more than once$"):
         run_attack(Transcript(records).last_epochs(2), session.bottom, train, leaked,
                    AttackConfig(epochs=1))
+
+
+def test_a_bad_record_is_named_by_its_epoch_and_batch_in_any_window(tmp_path):
+    # epochs out of file order: the window keeps the records of epoch 2 at
+    # file indices 1 and 3, and the bad one is that epoch's second batch
+    train, _ = split_standardize(synth_regression(40, 4, seed=2), seed=2)
+    assert train.n == 32
+    rng = np.random.default_rng(0)
+    records = [TranscriptRecord(epoch, np.array([0, last]), rng.normal(size=(2, 3)),
+                                rng.normal(size=(2, 3)))
+               for epoch, last in ((0, 1), (2, 1), (1, 1), (2, 99))]
+    path = tmp_path / "shuffled.transcript"
+    Transcript(records).save(path)
+    bottom = build_network([4, 3], seed=1, role="bottom")
+    leaked = sample_leaked(train, 0.1, seed=0)
+    message = ("^transcript epoch 2, batch 1 holds sample index 99, "
+               "outside the 32 training samples$")
+    for window in (Transcript(records).last_epochs(1), Transcript.load(path, last_epochs=1)):
+        with pytest.raises(AttackError, match=message):
+            run_attack(window, bottom, train, leaked, AttackConfig(epochs=1))
 
 
 def test_divergence_names_epoch_batch_and_op(frozen_run):

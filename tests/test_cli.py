@@ -415,7 +415,7 @@ def test_attack_on_a_transcript_that_does_not_fit_the_dataset_is_a_one_line_erro
     capsys.readouterr()
     assert main(["attack", "--run", str(run_dir)]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: transcript record \d+ \(epoch \d\) holds sample index \d+, "
+    assert re.fullmatch(rf"error: transcript epoch \d, batch \d holds sample index \d+, "
                         rf"outside the {int(0.8 * n)} training samples\n", err)
 
 
@@ -434,7 +434,8 @@ def test_attack_on_a_transcript_index_past_the_int64_range_is_a_one_line_error(
     capsys.readouterr()
     assert main(["attack", "--run", str(run_dir)]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: transcript record {len(transcript) - 1} \(epoch 3\) holds "
+    assert len(transcript) == 16
+    assert re.fullmatch(r"error: transcript epoch 3, batch 3 holds "
                         r"sample index -3, outside the 128 training samples\n", err)
 
 
@@ -447,13 +448,13 @@ def test_attack_on_a_record_naming_one_sample_twice_is_a_one_line_error(tmp_path
     blob[at + 8:at + 16] = struct.pack("<Q", record.indices[0])
     path.write_bytes(bytes(blob))
     err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
-    assert err == (f"error: transcript record 9 (epoch 2) names sample index "
+    assert err == (f"error: transcript epoch 2, batch 1 names sample index "
                    f"{record.indices[0]} more than once\n")
 
 
-def test_attack_on_a_window_names_a_bad_record_by_its_place_in_the_file(tmp_path, capsys):
-    # the attack reads only the last 2 of 4 epochs, yet the record is named
-    # by its index among all 16 in the file
+def test_attack_on_a_window_names_a_bad_record_by_its_epoch_and_batch(tmp_path, capsys):
+    # the attack reads only the last 2 of 4 epochs, and the record is named
+    # as training named its step
     run_dir = tmp_path / "run"
     config = tiny_config_file(tmp_path, attack={"epochs": 2, "window": 2, "leak_fraction": 0.05})
     assert main(["train", "--config", config, "--out", str(run_dir)]) == 0
@@ -465,7 +466,7 @@ def test_attack_on_a_window_names_a_bad_record_by_its_place_in_the_file(tmp_path
     blob[at:at + 8] = struct.pack("<Q", 500)
     path.write_bytes(bytes(blob))
     err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
-    assert err == ("error: transcript record 15 (epoch 3) holds sample index 500, "
+    assert err == ("error: transcript epoch 3, batch 3 holds sample index 500, "
                    "outside the 128 training samples\n")
 
 

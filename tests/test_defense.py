@@ -122,16 +122,17 @@ def test_compress_tie_breaks_toward_lower_flat_index():
 
 def test_random_extension_degenerate_single_dim():
     y = np.arange(5, dtype=float).reshape(-1, 1)
-    ext = extend_labels_random(y, dims=1, label_index=0, noise_std=1.0, seed=0)
-    assert np.array_equal(ext.matrix, y)
+    matrix = extend_labels_random(y, dims=1, label_index=0, noise_std=1.0, seed=0)
+    assert np.array_equal(matrix, y)
 
 
 def test_random_extension_preserves_label_column_and_moments():
     rng = np.random.default_rng(5)
     y = rng.normal(size=(20_000, 1))
-    ext = extend_labels_random(y, dims=4, label_index=2, noise_std=1.5, seed=8)
-    assert np.array_equal(ext.matrix[:, 2], y[:, 0])
-    noise_cols = np.delete(ext.matrix, 2, axis=1)
+    matrix = extend_labels_random(y, dims=4, label_index=2, noise_std=1.5, seed=8)
+    assert matrix.shape == (20_000, 4)
+    assert np.array_equal(matrix[:, 2], y[:, 0])
+    noise_cols = np.delete(matrix, 2, axis=1)
     assert abs(noise_cols.mean()) < 0.05
     assert abs(noise_cols.std() - 1.5) < 0.075  # within 5% of the requested sigma
 
@@ -140,7 +141,15 @@ def test_random_extension_deterministic():
     y = np.ones((100, 1))
     a = extend_labels_random(y, 3, 1, 1.0, seed=4)
     b = extend_labels_random(y, 3, 1, 1.0, seed=4)
-    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_random_extension_refuses_non_finite_labels(bad):
+    y = np.ones((4, 1))
+    y[2, 0] = bad
+    with pytest.raises(ValueError, match="^labels must be finite$"):
+        extend_labels_random(y, 3, 1, 1.0, seed=4)
 
 
 def test_adaptive_targets_match_outputs_except_label_column():

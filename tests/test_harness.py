@@ -63,6 +63,18 @@ def test_config_rejects_bad_readout_before_training(monkeypatch):
         ExperimentConfig.from_dict({"attack": {"readout": "bogus"}})
 
 
+def test_a_batch_larger_than_the_train_split_is_refused_before_training(monkeypatch):
+    # the same words as the protocol's own refusal
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("splitlab.harness.train_lanes", no_training)
+    cfg = ExperimentConfig(synth_n=100, batch_size=500, epochs=1, attack_epochs=1)
+    with pytest.raises(HarnessError) as caught:
+        run_experiment(cfg)
+    assert str(caught.value) == "batch size 500 exceeds the 80 training samples"
+
+
 def test_run_has_all_metric_blocks(tiny_result):
     run = tiny_result.runs[0]
     for pair in (run.original_train, run.original_test, run.attack_train,

@@ -251,13 +251,12 @@ def test_transcript_rejects_trailing_bytes(saved_transcript):
 # --- windowed reads and streamed writes ---------------------------------------
 
 def test_a_windowed_load_equals_last_epochs_of_the_full_load(saved_transcript):
-    path, count = saved_transcript
+    path, _ = saved_transcript
     full = Transcript.load(path)
     for k in (1, 2, 3, None):
         window = Transcript.load(path, last_epochs=k)
         expected = full if k is None else full.last_epochs(k)
         assert_same_records(window, expected)
-        assert window.first_record == expected.first_record == count - len(expected)
         assert window.epochs == full.epochs
 
 
@@ -271,7 +270,6 @@ def test_a_windowed_load_keeps_records_by_epoch_not_by_position(tmp_path):
     Transcript(records).save(path)
     window = Transcript.load(path, last_epochs=1)
     assert_same_records(window, Transcript([records[1], records[3]]))
-    assert window.first_record == 1
 
 
 def test_a_streamed_transcript_file_equals_the_saved_one(tmp_path, small_data):
@@ -279,31 +277,33 @@ def test_a_streamed_transcript_file_equals_the_saved_one(tmp_path, small_data):
     held, streamed = (make_session(train, epochs=2, batch_size=48) for _ in range(2))
     _, transcript, _ = train_split(held, train)
     transcript.save(tmp_path / "saved")
-    count = streamed.epochs * streamed.batches_per_epoch(train.n)
-    assert count == len(transcript)
-    with TranscriptWriter(tmp_path / "streamed", count) as writer:
+    with TranscriptWriter(tmp_path / "streamed") as writer:
         _, unfilled, _ = train_split(streamed, train, sink=writer.append)
     assert len(unfilled) == 0
     assert (tmp_path / "streamed").read_bytes() == (tmp_path / "saved").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["saved", "streamed"]
 
 
-@pytest.mark.parametrize("appended", [2, 4])
-def test_the_writer_refuses_to_close_on_another_record_count(tmp_path, appended):
-    record = TranscriptRecord(0, np.arange(2), np.zeros((2, 3)), np.zeros((2, 3)))
-    path = tmp_path / "run.transcript"
-    writer = TranscriptWriter(path, 3)
-    for _ in range(appended):
+@pytest.mark.parametrize("appended", [0, 1, 3])
+def test_the_writer_fills_in_the_record_count_when_it_closes(tmp_path, appended):
+    rng = np.random.default_rng(appended)
+    records = [TranscriptRecord(epoch, rng.permutation(4)[:2], rng.normal(size=(2, 3)),
+                                rng.normal(size=(2, 3))) for epoch in range(appended)]
+    writer = TranscriptWriter(tmp_path / "streamed")
+    for record in records:
         writer.append(record)
-    with pytest.raises(ProtocolError, match=rf"{appended} records written, but the file "
-                                            r"header announces 3"):
-        writer.close()
-    assert list(tmp_path.iterdir()) == []
+    writer.close()
+    Transcript(records).save(tmp_path / "saved")
+    blob = (tmp_path / "streamed").read_bytes()
+    assert struct.unpack_from("<Q", blob, 8) == (appended,)
+    assert blob == (tmp_path / "saved").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["saved", "streamed"]
+    assert_same_records(Transcript.load(tmp_path / "streamed"), Transcript(records))
 
 
 def test_the_writer_leaves_no_file_when_its_block_raises(tmp_path):
     with pytest.raises(ValueError):
-        with TranscriptWriter(tmp_path / "run.transcript", 1):
+        with TranscriptWriter(tmp_path / "run.transcript"):
             raise ValueError("training failed")
     assert list(tmp_path.iterdir()) == []
 
@@ -447,8 +447,6 @@ def test_lock_step_keep_epochs_trims_only_old_records(small_data):
     for (transcript, trace), (trimmed, trimmed_trace) in zip(full, kept):
         assert trimmed_trace == trace
         assert_same_records(trimmed, transcript.last_epochs(1))
-        assert trimmed.first_record == transcript.last_epochs(1).first_record
-        assert trimmed.first_record == len(transcript) - len(trimmed)
 
 
 def test_lock_step_rejects_incompatible_sessions(small_data):
