@@ -1,9 +1,10 @@
 """Label inference from the recorded transcript.
 
-The feature party replays its recorded per-batch (activations, gradient)
-pairs against a surrogate top model and trainable dummy labels. The loss has
-two parts: a gradient-matching term, in which the gradient of the surrogate's
-own training loss w.r.t. the activations (a second-order quantity, obtained by
+The feature party replays its recorded per-batch gradients, at the
+activations its own frozen bottom model gives each batch, against a surrogate
+top model and trainable dummy labels. The loss has two parts: a
+gradient-matching term, in which the gradient of the surrogate's own training
+loss w.r.t. the activations (a second-order quantity, obtained by
 differentiating through a taped backward pass) must reproduce the recorded
 gradient, and an anchor term tying the dummy labels to the surrogate's
 predictions so the joint problem has isolated optima. A small amount of
@@ -42,6 +43,7 @@ from .nn import (
     FcNetwork,
     RowwiseAdam,
     build_network,
+    check_lock_step,
     gather_rows,
     split_lanes,
     stack_lanes,
@@ -108,7 +110,7 @@ def gradient_inversion_loss(tape: Tape, surrogate: FcNetwork, cut_values,
     a dummy-label batch living on it.
 
     Returns (loss, match_term) where match_term measures how well the
-    gradient induced by (surrogate, dummy labels) at the recorded activations
+    gradient induced by (surrogate, dummy labels) at the batch's activations
     reproduces the recorded gradient; the loss adds the anchor term
     mse(surrogate(cut), dummy). Both are differentiable in the surrogate
     parameters and the dummy labels. `cut_values` is an array, or a leaf of
@@ -256,7 +258,7 @@ def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
     if repeats:
         k, index = min(repeats)
         refuse(k, f"names sample index {index} more than once")
-    cut_dim = records[0].activations.shape[1]
+    cut_dim = records[0].gradient.shape[1]
     if lane.bottom.out_dim != cut_dim:
         raise AttackError(f"{where}bottom model output dim {lane.bottom.out_dim} "
                           f"!= transcript cut dim {cut_dim}")
@@ -279,6 +281,24 @@ def _lock_step_settings(lane: AttackLane, records: list) -> dict:
             "bottom-model architecture": lane.bottom.architecture}
 
 
+def _blocks(batch_idx: list[np.ndarray], rows_shape: tuple[int, ...]) -> list[range]:
+    """The replayed records, by position, split into blocks: from the
+    first record on, the longest runs of consecutive records in which no
+    lane's records share a row. In a transcript that training writes, a
+    block is one training epoch. `batch_idx` holds each record's indices
+    (lanes x batch, or batch for one lane) into rows of `rows_shape`."""
+    # per lane and row, the position of the last record that names it
+    last = np.full(rows_shape, -1)
+    lane_axis = () if len(rows_shape) == 1 else (np.arange(rows_shape[0])[:, None],)
+    starts = [0]
+    for k, idx in enumerate(batch_idx):
+        at = (*lane_axis, idx)
+        if (last[at] >= starts[-1]).any():
+            starts.append(k)
+        last[at] = k
+    return [range(start, stop) for start, stop in zip(starts, [*starts[1:], len(batch_idx)])]
+
+
 def attack_lanes(lanes: list[AttackLane], train: Dataset,
                  test: Dataset | None = None) -> list[AttackResult]:
     """Run several attacks on one dataset in lock-step; returns each lane's
@@ -292,6 +312,21 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     dummy labels. Surrogates and dummy labels are stacked along a lane axis,
     so one plan run per batch serves every lane, and each lane computes
     exactly what it would alone.
+
+    A record gives the attack its indices and its recorded gradient; the
+    attack reads nothing from the recorded activations. It forms the frozen
+    bottom model's activations once, as one table of every training
+    sample's (n x cut per lane), and each step takes its batch's rows of it.
+    The records are replayed in blocks (see _blocks): within a block each
+    step reads its dummy labels from one gather made at the block's start
+    and leaves its dummy-label gradient in the block's rows, and one
+    RowwiseAdam step over those rows ends the block, while the surrogate
+    steps after every record. No row is read after another record of its
+    block has moved it, so each row sees what a step per record would give
+    it. A table row equals the row a forward pass over the batch alone
+    gives wherever the BLAS computes each row of a matrix product the same
+    at any place in the matrix; OpenBLAS does not for some narrow layer
+    widths, whose last rows can then differ in their last bits.
     """
     if not lanes:
         raise AttackError("no attacks to run")
@@ -299,13 +334,9 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     config = lanes[0].config
     records = [_check_lane(lane, train, f"lane {r}: " if count > 1 else "")
                for r, lane in enumerate(lanes)]
-    shared = _lock_step_settings(lanes[0], records[0])
-    for r, (lane, recs) in enumerate(zip(lanes, records)):
-        for name, value in _lock_step_settings(lane, recs).items():
-            if value != shared[name]:
-                raise AttackError(f"lane {r}: attacks run in lock-step need the same "
-                                  f"{name}: {value} here, {shared[name]} in lane 0")
-    cut_dim = records[0][0].activations.shape[1]
+    check_lock_step([_lock_step_settings(lane, recs) for lane, recs in zip(lanes, records)],
+                    "attacks run in lock-step", AttackError)
+    cut_dim = records[0][0].gradient.shape[1]
     dims = list(config.surrogate_dims) if config.surrogate_dims else [cut_dim, 1]
 
     surrogates = []
@@ -323,11 +354,14 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     dummy_opt = RowwiseAdam(dummy.shape, lr=config.lr)
 
     # The bottom model is frozen and the records and leaked pairs never
-    # change, so each batch's indices, activations and recorded gradient, and
-    # the leaked activations, are formed once.
+    # change, so the activations of every training sample (one n x cut table
+    # per lane), each batch's indices and recorded gradient, the blocks and
+    # their rows, and the leaked activations are formed once.
+    cut_table = bottom.forward_values(stack_lanes([train.features] * count))
     batch_idx = [stack_lanes([rec.indices for rec in batch]) for batch in zip(*records)]
-    batch_cuts = [bottom.forward_values(train.features[idx]) for idx in batch_idx]
     batch_grads = [stack_lanes([rec.gradient for rec in batch]) for batch in zip(*records)]
+    blocks = _blocks(batch_idx, dummy.shape[:-1])
+    block_rows = [np.concatenate([batch_idx[k] for k in block], axis=-1) for block in blocks]
     leaked_cut = bottom.forward_values(stack_lanes([lane.leaked.features for lane in lanes]))
     leaked_labels = stack_lanes([lane.leaked.labels for lane in lanes])
 
@@ -340,23 +374,31 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     plans: dict[tuple[int, ...], StepPlan] = {}
     surrogate_params = surrogate.parameters()
     for epoch in range(config.epochs):
-        for batch_no, (idx, cut_values, recorded_grad) in enumerate(
-                zip(batch_idx, batch_cuts, batch_grads)):
-            plan = plans.get(cut_values.shape)
-            if plan is None:
-                plan = plans[cut_values.shape] = _capture_step(
-                    surrogate, cut_values.shape, leaked_cut, leaked_labels, config.alpha)
-            try:
-                outputs = plan.run([*surrogate_params, gather_rows(dummy, idx), cut_values,
-                                    recorded_grad])
-            except AutogradError as exc:
-                raise AttackError(
-                    f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc
-            total, gi_loss, w_grad, d_grad = outputs
-            surrogate_opt.step(surrogate.flat, w_grad)
-            dummy_opt.step(dummy, idx, d_grad)
-            totals[:, batch_no] = total.reshape(count)
-            inversions[:, batch_no] = gi_loss.reshape(count)
+        for block, rows in zip(blocks, block_rows):
+            block_dummy = gather_rows(dummy, rows)
+            block_grad = np.empty_like(block_dummy)
+            start = 0
+            for batch_no in block:
+                idx = batch_idx[batch_no]
+                part = slice(start, start + idx.shape[-1])
+                start = part.stop
+                cut_values = gather_rows(cut_table, idx)
+                plan = plans.get(cut_values.shape)
+                if plan is None:
+                    plan = plans[cut_values.shape] = _capture_step(
+                        surrogate, cut_values.shape, leaked_cut, leaked_labels, config.alpha)
+                try:
+                    outputs = plan.run([*surrogate_params, block_dummy[..., part, :],
+                                        cut_values, batch_grads[batch_no]])
+                except AutogradError as exc:
+                    raise AttackError(
+                        f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc
+                total, gi_loss, w_grad, d_grad = outputs
+                surrogate_opt.step(surrogate.flat, w_grad)
+                block_grad[..., part, :] = d_grad
+                totals[:, batch_no] = total.reshape(count)
+                inversions[:, batch_no] = gi_loss.reshape(count)
+            dummy_opt.step(dummy, rows, block_grad)
         for traces, values in ((loss_traces, totals), (inversion_traces, inversions)):
             for trace, per_lane in zip(traces, values):
                 trace.append(float(np.mean(per_lane)))

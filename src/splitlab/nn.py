@@ -33,7 +33,8 @@ Networks of the same architecture can be stacked along a leading lane axis
 all lanes before the next parameter) and one pass computes every lane's
 network on its own lane of the input. An ``Adam`` over the stacked shapes
 steps every lane as a per-lane ``Adam`` would, the lanes sharing its step
-count; the helpers at the end of the module stack and split per-lane arrays.
+count; the helpers at the end of the module stack and split per-lane arrays
+and refuse lanes whose shared settings differ (``check_lock_step``).
 Every lane helper keeps one rule for a single item: stacking one network or
 array returns it as it is, and splitting one without a lane axis returns it
 alone in a list, so one lane computes on the very objects it would use
@@ -61,7 +62,7 @@ from .autograd import (
 
 __all__ = ["Layer", "FcNetwork", "build_network", "stack_networks", "stack_joined", "Adam",
            "RowwiseAdam", "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPSILON", "save_checkpoint",
-           "load_checkpoint", "stack_lanes", "split_lanes", "gather_rows"]
+           "load_checkpoint", "stack_lanes", "split_lanes", "gather_rows", "check_lock_step"]
 
 
 class Layer:
@@ -374,7 +375,13 @@ class RowwiseAdam:
     """Adam over the rows of one big matrix, where each step touches only a
     subset of rows. Rows keep individual step counts, so rows outside a batch
     are left exactly as they were. With a lane axis (shape lanes x n x k)
-    each lane is its own matrix and a step takes one row subset per lane."""
+    each lane is its own matrix and a step takes one row subset per lane.
+
+    Since each row's update reads only that row's count, moments and
+    gradient, one step over the union of several disjoint row subsets equals
+    one step per subset, byte for byte. The attack uses this: the records of
+    a block share no row, so one step over the block's rows, with each
+    record's gradient in its rows, ends the block."""
 
     def __init__(self, shape: tuple[int, ...], lr: float = 0.01):
         self.lr = float(lr)
@@ -473,3 +480,16 @@ def gather_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if table.ndim == 3:
         return table[np.arange(len(table))[:, None], idx]
     return table[idx]
+
+
+def check_lock_step(settings: Sequence[dict], what: str, error: type[Exception]) -> None:
+    """Refuse lanes that cannot run in lock-step: raise `error` at the first
+    lane whose settings (one dict per lane, lane 0 first) differ from lane
+    0's, naming the lane, the setting and both values, as "lane r: <what>
+    need the same <setting>: A here, B in lane 0"."""
+    shared = settings[0]
+    for r, lane in enumerate(settings):
+        for name, value in lane.items():
+            if value != shared[name]:
+                raise error(f"lane {r}: {what} need the same {name}: {value} here, "
+                            f"{shared[name]} in lane 0")

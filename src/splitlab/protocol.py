@@ -46,7 +46,8 @@ from .defense import Defense
 # them by attribute.
 from .defense import adaptive_targets, compress_gradient, extend_labels_random  # noqa: F401
 from .defense import noise_gradient, noise_labels  # noqa: F401
-from .nn import Adam, FcNetwork, Layer, gather_rows, split_lanes, stack_joined, stack_lanes
+from .nn import (Adam, FcNetwork, Layer, check_lock_step, gather_rows, split_lanes, stack_joined,
+                 stack_lanes)
 
 __all__ = ["ProtocolError", "TranscriptRecord", "Transcript", "TranscriptWriter",
            "SplitSession", "train_split", "train_lanes", "predict"]
@@ -306,7 +307,6 @@ def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
     fit the dataset, and all must share the settings of _lock_step_settings,
     a differing one named with both values. Their defense kinds may
     differ."""
-    shared = _lock_step_settings(sessions[0])
     for r, s in enumerate(sessions):
         where = f"lane {r}: " if len(sessions) > 1 else ""
         if train.d != s.bottom.in_dim:
@@ -315,10 +315,8 @@ def _check_lanes(sessions: list[SplitSession], train: Dataset) -> None:
         if s.batch_size > train.n:
             raise ProtocolError(
                 f"{where}batch size {s.batch_size} exceeds the {train.n} training samples")
-        for name, value in _lock_step_settings(s).items():
-            if value != shared[name]:
-                raise ProtocolError(f"{where}sessions trained in lock-step need the same "
-                                    f"{name}: {value} here, {shared[name]} in lane 0")
+    check_lock_step([_lock_step_settings(s) for s in sessions], "sessions trained in lock-step",
+                    ProtocolError)
 
 
 def train_split(session: SplitSession, train: Dataset,

@@ -70,3 +70,38 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray,
     allow = np.maximum(abs_tol, rel_tol * np.abs(numeric))
     worst = (diff - allow).max()
     assert (diff <= allow).all(), f"gradient mismatch, worst excess {worst:.3e}"
+
+
+def per_record_replay(records, epochs: int, run_step, surrogate_step, dummy, dummy_step):
+    """Reference for the attack's replay: every epoch, one step per record in
+    recorded order, each reading its dummy rows after every earlier record's
+    update and updating them before the next record.
+
+    `records` holds (rows, cut, recorded gradient) per record, each with a
+    leading lane axis or none (rows: lanes x batch or batch). `dummy` is the
+    dummy-label table (lanes x n x k or n x k), updated in place.
+    run_step(dummy_batch, cut, recorded) returns (total, inversion,
+    surrogate gradient, dummy gradient); surrogate_step(gradient) and
+    dummy_step(dummy, rows, gradient) apply the two optimizers. Returns the
+    per-lane loss and inversion traces: per epoch, the mean over the records
+    of each lane's value."""
+    lanes = 1 if dummy.ndim == 2 else dummy.shape[0]
+    loss_traces = [[] for _ in range(lanes)]
+    inversion_traces = [[] for _ in range(lanes)]
+    for _ in range(epochs):
+        totals, inversions = [], []
+        for rows, cut, recorded in records:
+            if dummy.ndim == 2:
+                dummy_batch = dummy[rows]
+            else:
+                dummy_batch = np.stack([dummy[r][rows[r]] for r in range(lanes)])
+            total, inversion, w_grad, d_grad = run_step(dummy_batch, cut, recorded)
+            surrogate_step(w_grad)
+            dummy_step(dummy, rows, d_grad)
+            totals.append(np.reshape(total, lanes))
+            inversions.append(np.reshape(inversion, lanes))
+        for traces, values in ((loss_traces, totals), (inversion_traces, inversions)):
+            per_lane = np.array(values).T
+            for r in range(lanes):
+                traces[r].append(float(np.mean(np.ascontiguousarray(per_lane[r]))))
+    return loss_traces, inversion_traces

@@ -20,8 +20,10 @@ from splitlab.data import sample_leaked, split_standardize, synth_regression
 from splitlab.defense import NoDefense
 from splitlab.harness import _failed_lane
 from splitlab.metrics import mean_value_baseline
-from splitlab.nn import FcNetwork, Layer, build_network, stack_lanes, stack_networks
+from splitlab.nn import Adam, FcNetwork, Layer, build_network, stack_lanes, stack_networks
 from splitlab.protocol import SplitSession, Transcript, TranscriptRecord, train_split
+
+from oracles import per_record_replay
 
 
 @pytest.fixture(scope="module")
@@ -553,3 +555,150 @@ def test_divergence_on_a_replayed_batch_is_named_like_the_taped_step(monkeypatch
     assert re.fullmatch(rf"attack epoch 0, batch 2 diverged: non-finite values "
                         rf"produced by '{op}'{re.escape(lane_tag)}", errors[0])
     assert errors[1] == errors[0]
+
+
+# --- the cut table and the blocks: the replay equals a step per record -------
+
+@pytest.mark.parametrize("count", [1, 3], ids=["one_lane", "three_lanes"])
+def test_each_step_reads_its_batch_rows_of_the_cut_table(monkeypatch, count):
+    # batches of 64 and a short final one of 48: every step's activations are
+    # the bytes a forward pass over that batch alone gives
+    lanes, train, _ = plan_lanes([8, 1], "relu", count)
+    cuts = []
+
+    class Recording(StepPlan):
+        def run(self, arrays):
+            cuts.append(arrays[-2].copy())
+            return super().run(arrays)
+
+    monkeypatch.setattr(attack_module, "StepPlan", Recording)
+    attack_lanes(lanes, train)
+    bottom = stack_networks([lane.bottom for lane in lanes])
+    batches = [stack_lanes([rec.indices for rec in batch])
+               for batch in zip(*(lane.transcript.records for lane in lanes))]
+    assert [idx.shape[-1] for idx in batches] == [64, 64, 64, 48] * 2
+    want = [bottom.forward_values(train.features[idx]) for idx in batches] * 2
+    assert [c.tobytes() for c in cuts] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("lanes", [None, 3])
+def test_one_rowwise_adam_step_over_a_block_equals_a_step_per_record(lanes):
+    rng = np.random.default_rng(23)
+    lead = () if lanes is None else (lanes,)
+    shape = (*lead, 20, 3)
+    per_record, per_block = RowwiseAdam(shape, lr=0.1), RowwiseAdam(shape, lr=0.1)
+    values = rng.normal(size=shape)
+    blocked = values.copy()
+    for _ in range(3):
+        order = rng.permutation(20) if lanes is None else np.stack(
+            [rng.permutation(20) for _ in range(lanes)])
+        rows = [order[..., :6], order[..., 6:12], order[..., 12:16]]  # disjoint records
+        grads = [rng.normal(size=(*r.shape, 3)) for r in rows]
+        for r, g in zip(rows, grads):
+            per_record.step(values, r, g)
+        per_block.step(blocked, np.concatenate(rows, axis=-1), np.concatenate(grads, axis=-2))
+    assert blocked.tobytes() == values.tobytes()
+    for name in ("counts", "m", "v"):
+        assert getattr(per_block, name).tobytes() == getattr(per_record, name).tobytes()
+    # rows left out of some blocks: the rows' step counts differ
+    assert per_record.counts.max() == 3 and per_record.counts.min() < 3
+
+
+def test_blocks_of_a_training_transcript_are_its_epochs():
+    lanes, _, _ = plan_lanes([8, 1], "relu", 3)
+    batches = [stack_lanes([rec.indices for rec in batch])
+               for batch in zip(*(lane.transcript.records for lane in lanes))]
+    assert attack_module._blocks(batches, (3, 240)) == [range(0, 4), range(4, 8)]
+
+
+def handmade_lane(rows, seed, train):
+    """A lane over records of the given rows, all of epoch 0. Activations
+    are NaN: the attack must not read them."""
+    rng = np.random.default_rng(seed)
+    records = [TranscriptRecord(0, np.array(r), np.full((len(r), 4), np.nan),
+                                rng.normal(scale=0.02, size=(len(r), 4))) for r in rows]
+    bottom = build_network([4, 4], seed=seed, role="bottom")
+    return AttackLane(Transcript(records), bottom, sample_leaked(train, 0.1, seed=seed),
+                      AttackConfig(lr=0.05, epochs=3, seed=seed, surrogate_dims=[4, 3, 1]))
+
+
+def reference_replay(lanes, train):
+    """The attack's state after a replay of one step per record
+    (oracles.per_record_replay): the dummy labels, the surrogate's flat
+    buffer and the loss and inversion traces."""
+    count, config = len(lanes), lanes[0].config
+    dims = config.surrogate_dims
+    surrogates, dummies = [], []
+    for lane in lanes:
+        init_seed = int(np.random.SeedSequence([lane.config.seed, 0x5A]).generate_state(1)[0])
+        surrogates.append(build_network(dims, activation=config.activation, seed=init_seed,
+                                        role="surrogate"))
+        rng = np.random.default_rng(np.random.SeedSequence([lane.config.seed, 0xDB]))
+        dummies.append(rng.standard_normal((train.n, dims[-1])))
+    surrogate = stack_networks(surrogates)
+    dummy = stack_lanes(dummies)
+    bottom = stack_networks([lane.bottom for lane in lanes])
+    leaked_cut = bottom.forward_values(stack_lanes([lane.leaked.features for lane in lanes]))
+    leaked_labels = stack_lanes([lane.leaked.labels for lane in lanes])
+    records = []
+    for batch in zip(*(lane.transcript.records for lane in lanes)):
+        rows = stack_lanes([rec.indices for rec in batch])
+        records.append((rows, bottom.forward_values(train.features[rows]),
+                        stack_lanes([rec.gradient for rec in batch])))
+    surrogate_opt = Adam.for_network(surrogate, lr=config.lr)
+    plans = {}
+
+    def run_step(dummy_batch, cut, recorded):
+        if cut.shape not in plans:
+            plans[cut.shape] = attack_module._capture_step(surrogate, cut.shape, leaked_cut,
+                                                           leaked_labels, config.alpha)
+        return plans[cut.shape].run([*surrogate.parameters(), dummy_batch, cut, recorded])
+
+    traces = per_record_replay(records, config.epochs, run_step,
+                               lambda grad: surrogate_opt.step(surrogate.flat, grad),
+                               dummy, RowwiseAdam(dummy.shape, lr=config.lr).step)
+    return dummy, surrogate.flat, traces
+
+
+def assert_replay_matches_the_reference(monkeypatch, lanes, train):
+    steps = []
+
+    class Watching(Adam):
+        def step(self, params, grad):
+            steps.append(params)
+            super().step(params, grad)
+
+    monkeypatch.setattr(attack_module, "Adam", Watching)
+    results = attack_lanes(lanes, train)
+    dummy, surrogate_flat, (loss_traces, inversion_traces) = reference_replay(lanes, train)
+    assert steps[-1].tobytes() == surrogate_flat.tobytes()
+    for r, result in enumerate(results):
+        want = dummy if len(lanes) == 1 else dummy[r]
+        assert result.dummy_labels.tobytes() == want.tobytes()
+        assert result.loss_trace == loss_traces[r]
+        assert result.inversion_trace == inversion_traces[r]
+
+
+def test_replay_with_rows_shared_mid_epoch_equals_a_step_per_record(monkeypatch):
+    train, _ = split_standardize(synth_regression(40, 4, seed=2), seed=2)
+    assert train.n == 32
+    # record 2 shares rows 12-15 with record 1, and record 4 row 0 with record 2
+    rows = [range(0, 8), range(8, 16), [*range(12, 16), 0, 1, 2, 3], range(16, 24),
+            [0, *range(24, 31)], [31, 4, 5]]
+    lane = handmade_lane(rows, 3, train)
+    batches = [rec.indices for rec in lane.transcript.records]
+    assert attack_module._blocks(batches, (32,)) == [range(0, 2), range(2, 4), range(4, 6)]
+    assert_replay_matches_the_reference(monkeypatch, [lane], train)
+
+
+def test_two_lanes_that_share_rows_at_different_records_equal_a_step_per_record(
+        monkeypatch):
+    train, _ = split_standardize(synth_regression(40, 4, seed=2), seed=2)
+    # lane 0 repeats a row at record 2, lane 1 at record 4: blocks end at both
+    first = [range(0, 6), range(6, 12), range(9, 15), range(15, 21), range(21, 27), [27, 28]]
+    second = [range(0, 6), range(6, 12), range(12, 18), range(18, 24), range(14, 20), [24, 25]]
+    lanes = [handmade_lane(first, 5, train), handmade_lane(second, 6, train)]
+    batches = [stack_lanes([rec.indices for rec in batch])
+               for batch in zip(*(lane.transcript.records for lane in lanes))]
+    assert attack_module._blocks(batches, (2, 32)) == [range(0, 2), range(2, 4), range(4, 6)]
+    assert_replay_matches_the_reference(monkeypatch, lanes, train)

@@ -9,6 +9,10 @@ bytes agree). The set:
   - the `emit_results` JSON of the acceptance label-noise sweep (main
     profile, scales 0.1, 1 and 4) and of the `rle_small` run (small
     profile, random extension, 2 repeats);
+  - the `emit_results` JSON of one small-profile `run_experiment` at batch
+    48 with 2 repeats and the default window: its 400 training rows end in
+    a short batch of 16, and the attack replays two lanes over several
+    training epochs;
   - the `emit_results` JSON of one round shaped like the benchmark's
     `defense_sweep_small` workload (seed 0, n 500, three sweep families with
     two values each, both extension variants at widths 2 and 8, 2 repeats);
@@ -132,6 +136,8 @@ def digests(work: Path):
         sweep_defense(main, "label_noise", "scale", [0.1, 1, 4]), work)
     yield "acceptance rle_small", _results_digest(
         [run_experiment(replace(small, repeats=2, defense={"name": "random_extension"}))], work)
+    yield "small profile batch 48, 2 repeats", _results_digest(
+        [run_experiment(replace(small, repeats=2, batch_size=48))], work)
 
     sweep = ExperimentConfig(seed=0, synth_n=500, batch_size=16, epochs=20, attack_epochs=5,
                              attack_window=1, attack_lr=0.1, repeats=2)
