@@ -559,6 +559,12 @@ def test_divergence_on_a_replayed_batch_is_named_like_the_taped_step(monkeypatch
 
 # --- the cut table and the blocks: the replay equals a step per record -------
 
+def lane_batches(lanes):
+    """Each replayed batch's indices, stacked over the lanes."""
+    return [stack_lanes([rec.indices for rec in batch])
+            for batch in zip(*(lane.transcript.records for lane in lanes))]
+
+
 @pytest.mark.parametrize("count", [1, 3], ids=["one_lane", "three_lanes"])
 def test_each_step_reads_its_batch_rows_of_the_cut_table(monkeypatch, count):
     # batches of 64 and a short final one of 48: every step's activations are
@@ -574,8 +580,7 @@ def test_each_step_reads_its_batch_rows_of_the_cut_table(monkeypatch, count):
     monkeypatch.setattr(attack_module, "StepPlan", Recording)
     attack_lanes(lanes, train)
     bottom = stack_networks([lane.bottom for lane in lanes])
-    batches = [stack_lanes([rec.indices for rec in batch])
-               for batch in zip(*(lane.transcript.records for lane in lanes))]
+    batches = lane_batches(lanes)
     assert [idx.shape[-1] for idx in batches] == [64, 64, 64, 48] * 2
     want = [bottom.forward_values(train.features[idx]) for idx in batches] * 2
     assert [c.tobytes() for c in cuts] == [w.tobytes() for w in want]
@@ -606,8 +611,7 @@ def test_one_rowwise_adam_step_over_a_block_equals_a_step_per_record(lanes):
 
 def test_blocks_of_a_training_transcript_are_its_epochs():
     lanes, _, _ = plan_lanes([8, 1], "relu", 3)
-    batches = [stack_lanes([rec.indices for rec in batch])
-               for batch in zip(*(lane.transcript.records for lane in lanes))]
+    batches = lane_batches(lanes)
     assert attack_module._blocks(batches, (3, 240)) == [range(0, 4), range(4, 8)]
 
 
@@ -698,7 +702,6 @@ def test_two_lanes_that_share_rows_at_different_records_equal_a_step_per_record(
     first = [range(0, 6), range(6, 12), range(9, 15), range(15, 21), range(21, 27), [27, 28]]
     second = [range(0, 6), range(6, 12), range(12, 18), range(18, 24), range(14, 20), [24, 25]]
     lanes = [handmade_lane(first, 5, train), handmade_lane(second, 6, train)]
-    batches = [stack_lanes([rec.indices for rec in batch])
-               for batch in zip(*(lane.transcript.records for lane in lanes))]
+    batches = lane_batches(lanes)
     assert attack_module._blocks(batches, (2, 32)) == [range(0, 2), range(2, 4), range(4, 6)]
     assert_replay_matches_the_reference(monkeypatch, lanes, train)
