@@ -225,10 +225,10 @@ def run_attack(transcript: Transcript, bottom: FcNetwork, train: Dataset,
 
 def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
     """The lane's records, after checking it against the dataset: every
-    replayed index must name a training sample, and no record may name one
-    twice (RowwiseAdam steps distinct rows). A bad record is named by its
-    epoch and its batch, its place among that epoch's records (see
-    Transcript)."""
+    replayed index must name a training sample, no record may name one
+    twice (RowwiseAdam steps distinct rows), and every recorded gradient
+    must have the first one's width. A bad record is named by its epoch and
+    its batch, its place among that epoch's records (see Transcript)."""
     records = lane.transcript.records
     if not records:
         raise AttackError(f"{where}transcript has no records")
@@ -259,6 +259,10 @@ def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
         k, index = min(repeats)
         refuse(k, f"names sample index {index} more than once")
     cut_dim = records[0].gradient.shape[1]
+    for k, rec in enumerate(records):
+        if rec.gradient.shape[1] != cut_dim:
+            refuse(k, f"has a gradient of width {rec.gradient.shape[1]}, "
+                      f"not the first record's {cut_dim}")
     if lane.bottom.out_dim != cut_dim:
         raise AttackError(f"{where}bottom model output dim {lane.bottom.out_dim} "
                           f"!= transcript cut dim {cut_dim}")
@@ -314,7 +318,8 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     exactly what it would alone.
 
     A record gives the attack its indices and its recorded gradient; the
-    attack reads nothing from the recorded activations. It forms the frozen
+    attack reads nothing from the recorded activations, and the harness
+    hands it records without activations. It forms the frozen
     bottom model's activations once, as one table of every training
     sample's (n x cut per lane), and each step takes its batch's rows of it.
     The records are replayed in blocks (see _blocks): within a block each

@@ -31,6 +31,7 @@ from .defense import FIELD_PARSERS, Defense, defense_from_dict
 from .metrics import MetricPair, mean_value_baseline, metric_pair
 from .nn import build_network
 from .protocol import SplitSession, predict, train_lanes, train_split  # noqa: F401
+from .protocol import Transcript, TranscriptRecord
 
 # run_attack and train_split, the single-run entry points, stay importable
 # from here for code that wraps them where the harness used to call them.
@@ -408,17 +409,20 @@ def _run_group(lanes: list[_Lane], train: Dataset, test: Dataset,
                window: int) -> list[RunOutcome]:
     """Train, evaluate and attack one lock-step group of lanes; the attack
     replays the final `window` training epochs, the only records the trainer
-    keeps."""
+    hands on. Of each record, the lane's sink keeps the indices and the
+    gradient, all the attack reads, and drops the activations."""
     started = time.perf_counter()
+    kept = [Transcript() for _ in lanes]
     try:
-        trained = train_lanes([lane.session for lane in lanes], train, keep_epochs=window)
+        train_lanes([lane.session for lane in lanes], train, keep_epochs=window,
+                    sinks=[_replay_sink(transcript) for transcript in kept])
         originals = [(metric_pair(predict(lane.session, train.features), train.labels),
                       metric_pair(predict(lane.session, test.features), test.labels))
                      for lane in lanes]
         attacks = attack_lanes(
             [AttackLane(transcript, lane.session.bottom, lane.plan.leaked, lane.plan.config,
                         lane.plan.evaluation_column)
-             for lane, (transcript, _) in zip(lanes, trained)],
+             for lane, transcript in zip(lanes, kept)],
             train, test=test)
     except Exception as exc:
         lane = _failed_lane(exc)
@@ -435,6 +439,14 @@ def _run_group(lanes: list[_Lane], train: Dataset, test: Dataset,
         attack_test=attack.test_metrics,
         runtime_ms=share_ms,
     ) for lane, (original_train, original_test), attack in zip(lanes, originals, attacks)]
+
+
+def _replay_sink(transcript: Transcript):
+    """A train_lanes sink that appends to `transcript` what the attack
+    replays of each record, its indices and gradient, without its
+    activations."""
+    return lambda record: transcript.records.append(
+        TranscriptRecord(record.epoch, record.indices, None, record.gradient))
 
 
 def _failed_lane(exc: BaseException | None) -> int | None:

@@ -5,9 +5,12 @@ party computes cut-layer activations from its bottom model, the label party
 forms its training targets as its defense prescribes, trains its top model on
 the unperturbed loss, and sends back the cut-layer gradient its defense makes
 of the raw one. The feature party updates its bottom model from the gradient
-it actually received, and records (activations, received gradient) for every
-batch; that record is the entire attack surface. Which defense runs is the
-session's concern only through the members of `defense.Defense`.
+it actually received, and records (batch indices, activations, received
+gradient) for every batch; that record is the entire attack surface, and the
+attack replays its indices and gradient alone. A transcript file holds whole
+records; a record kept in memory only for replay may leave out its
+activations (see TranscriptRecord). Which defense runs is the session's
+concern only through the members of `defense.Defense`.
 
 A training step is one program, whatever the defense: the feature party's
 forward (features and bottom parameters in, cut activations out), the label
@@ -61,19 +64,26 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class TranscriptRecord:
+    """One batch as the feature party saw it. `activations` is None only
+    in a record kept for replay, which needs the indices and the gradient
+    alone (the harness keeps such records); a transcript file refuses
+    it."""
+
     epoch: int
-    indices: np.ndarray      # train-split positions in this batch
-    activations: np.ndarray  # batch x cut_dim, as sent to the label party
-    gradient: np.ndarray     # batch x cut_dim, as received back
+    indices: np.ndarray             # train-split positions in this batch
+    activations: np.ndarray | None  # batch x cut_dim, as sent to the label party
+    gradient: np.ndarray            # batch x cut_dim, as received back
 
     def __post_init__(self):
-        _check_shapes(self.indices.shape[0], self.activations.shape, self.gradient.shape)
+        _check_shapes(self.indices.shape[0],
+                      None if self.activations is None else self.activations.shape,
+                      self.gradient.shape)
 
 
-def _check_shapes(index_count: int, activations: tuple, gradient: tuple) -> None:
-    if activations != gradient:
+def _check_shapes(index_count: int, activations: tuple | None, gradient: tuple) -> None:
+    if activations is not None and activations != gradient:
         raise ProtocolError("activation / gradient shapes differ")
-    if index_count != activations[0]:
+    if index_count != gradient[0]:
         raise ProtocolError("index count does not match batch size")
 
 
@@ -105,7 +115,8 @@ class Transcript:
         writer of the framing. Binary framing, little-endian: the magic
         b"SLTRAN01" and the u64 record count, then per record the u32 epoch,
         the u32 index count and the u64 indices, then the activations and
-        the gradient, each as u32 rows, u32 cols and row-major f64 values."""
+        the gradient, each as u32 rows, u32 cols and row-major f64 values.
+        A record without activations is refused, and no file is left."""
         with TranscriptWriter(path) as writer:
             for record in self.records:
                 writer.append(record)
@@ -209,7 +220,8 @@ class TranscriptWriter:
     """Writes a transcript file record by record, in the framing
     `Transcript.save` documents, so a run's records need not be held
     together. The record count goes first: the writer leaves a placeholder
-    there, and close() fills in the number of records appended.
+    there, and close() fills in the number of records appended. append()
+    refuses a record without activations (see TranscriptRecord).
 
     The file is written as `<name>.part` next to `path`. close() renames it
     to `path`; abort() deletes it. As a context manager the writer closes
@@ -228,6 +240,9 @@ class TranscriptWriter:
             raise
 
     def append(self, record: TranscriptRecord) -> None:
+        if record.activations is None:
+            raise ProtocolError(f"the record of epoch {record.epoch} has no activations: "
+                                f"a transcript file holds whole records")
         fh = self._fh
         fh.write(struct.pack("<II", record.epoch, len(record.indices)))
         fh.write(np.ascontiguousarray(record.indices, dtype="<u8"))
@@ -353,10 +368,12 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
 
     Each lane hands every record, as it is made, to its sink: a callable
     taking a TranscriptRecord, such as `TranscriptWriter.append`, which
-    streams it to disk. By default (sinks=None) the sink appends to the
-    lane's returned transcript; with sinks given, the returned transcripts
-    stay empty. keep_epochs=k hands on only the records of the final k
-    epochs (all epochs when None), those `Transcript.last_epochs(k)` keeps.
+    streams it to disk, or the harness's, which keeps the record's indices
+    and gradient and drops its activations. By default (sinks=None) the
+    sink appends the whole record to the lane's returned transcript; with
+    sinks given, the returned transcripts stay empty. keep_epochs=k hands on
+    only the records of the final k epochs (all epochs when None), those
+    `Transcript.last_epochs(k)` keeps.
     """
     if not sessions:
         raise ProtocolError("no sessions to train")

@@ -291,6 +291,26 @@ def test_a_record_naming_one_sample_twice_is_refused_before_any_step(trained_run
                    AttackConfig(epochs=1))
 
 
+def test_a_gradient_of_another_width_is_refused_before_any_step(trained_run, monkeypatch):
+    # each record is whole on its own, and only its width differs from the
+    # first record's
+    session, transcript, train, _ = trained_run
+    leaked = sample_leaked(train, 0.02, seed=9)
+    records = list(transcript.records)
+    bad = records[283]
+    records[283] = TranscriptRecord(bad.epoch, bad.indices, bad.activations[:, :3],
+                                    bad.gradient[:, :3])
+
+    def no_capture(*args, **kwargs):
+        raise AssertionError("an attack step was captured")
+
+    monkeypatch.setattr(attack_module, "_capture_step", no_capture)
+    with pytest.raises(AttackError, match=r"^transcript epoch 28, batch 3 has a gradient of "
+                                          r"width 3, not the first record's 4$"):
+        run_attack(Transcript(records).last_epochs(2), session.bottom, train, leaked,
+                   AttackConfig(epochs=1))
+
+
 def test_a_bad_record_is_named_by_its_epoch_and_batch_in_any_window(tmp_path):
     # epochs out of file order: the window keeps the records of epoch 2 at
     # file indices 1 and 3, and the bad one is that epoch's second batch

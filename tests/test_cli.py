@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from splitlab.cli import main
-from splitlab.protocol import Transcript
+from splitlab.protocol import Transcript, TranscriptRecord
 
 
 def tiny_config_file(tmp_path, **extra):
@@ -417,6 +417,21 @@ def test_attack_on_a_transcript_that_does_not_fit_the_dataset_is_a_one_line_erro
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: transcript epoch \d, batch \d holds sample index \d+, "
                         rf"outside the {int(0.8 * n)} training samples\n", err)
+
+
+def test_attack_on_a_transcript_with_a_narrower_gradient_is_a_one_line_error(tmp_path, capsys):
+    # the record's activations and gradient agree, so the file loads; its
+    # width differs from the first record's
+    run_dir = trained_run(tmp_path)
+    path = run_dir / "transcript.bin"
+    records = Transcript.load(path).records
+    last = records[-1]
+    records[-1] = TranscriptRecord(last.epoch, last.indices, last.activations[:, :3],
+                                   last.gradient[:, :3])
+    Transcript(records).save(path)
+    err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
+    assert err == ("error: transcript epoch 3, batch 3 has a gradient of width 3, "
+                   "not the first record's 4\n")
 
 
 def test_attack_on_a_transcript_index_past_the_int64_range_is_a_one_line_error(

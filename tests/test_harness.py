@@ -281,6 +281,40 @@ def record_groups(monkeypatch):
     return groups
 
 
+def test_the_attack_replays_records_without_activations(monkeypatch):
+    # each group is also trained from copies of its sessions through the
+    # default sink, whose records are whole
+    from splitlab import harness
+    from splitlab.protocol import SplitSession
+
+    train_lanes, attack_lanes = harness.train_lanes, harness.attack_lanes
+    whole, replayed = [], []
+
+    def training_twice(sessions, train, **kwargs):
+        copies = [SplitSession(s.bottom.copy(), s.top.copy(), s.defense, lr=s.lr,
+                               batch_size=s.batch_size, epochs=s.epochs, seed=s.seed)
+                  for s in sessions]
+        whole.extend(t for t, _ in train_lanes(copies, train,
+                                               keep_epochs=kwargs["keep_epochs"]))
+        return train_lanes(sessions, train, **kwargs)
+
+    def watching(lanes, *args, **kwargs):
+        replayed.extend(lane.transcript for lane in lanes)
+        return attack_lanes(lanes, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_lanes", training_twice)
+    monkeypatch.setattr(harness, "attack_lanes", watching)
+    run_experiment(tiny_config(repeats=2, attack_window=2))
+    assert len(replayed) == len(whole) == 2
+    for handed, kept in zip(replayed, whole):
+        assert len(handed) == len(kept) == 8
+        for a, b in zip(handed.records, kept.records):
+            assert a.activations is None
+            assert a.epoch == b.epoch
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.gradient.tobytes() == b.gradient.tobytes()
+
+
 def test_an_extension_sweep_trains_one_group_per_width(monkeypatch, tmp_path):
     # random and adaptive lanes of one width train and are attacked together,
     # and each point's rows are the bytes of that point run alone

@@ -308,6 +308,26 @@ def test_the_writer_leaves_no_file_when_its_block_raises(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_the_writer_refuses_a_record_without_activations_and_leaves_no_file(tmp_path):
+    rng = np.random.default_rng(4)
+    whole = TranscriptRecord(0, np.arange(2), rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
+    replayed = TranscriptRecord(1, np.arange(2), None, rng.normal(size=(2, 3)))
+    message = "^the record of epoch 1 has no activations: a transcript file holds whole records$"
+    with pytest.raises(ProtocolError, match=message):
+        with TranscriptWriter(tmp_path / "streamed") as writer:
+            writer.append(whole)
+            writer.append(replayed)
+    with pytest.raises(ProtocolError, match=message):
+        Transcript([whole, replayed]).save(tmp_path / "saved")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_record_kept_for_replay_ties_its_index_count_to_the_gradient_rows():
+    assert TranscriptRecord(0, np.arange(2), None, np.zeros((2, 3))).activations is None
+    with pytest.raises(ProtocolError, match="^index count does not match batch size$"):
+        TranscriptRecord(0, np.arange(3), None, np.zeros((2, 3)))
+
+
 @pytest.mark.parametrize("window", [None, 1, 2])
 def test_every_header_is_checked_whatever_the_window(saved_transcript, window):
     path, count = saved_transcript
