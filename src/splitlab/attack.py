@@ -224,11 +224,15 @@ def run_attack(transcript: Transcript, bottom: FcNetwork, train: Dataset,
 
 
 def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
-    """The lane's records, after checking it against the dataset: every
-    replayed index must name a training sample, no record may name one
-    twice (RowwiseAdam steps distinct rows), and every recorded gradient
-    must have the first one's width. A bad record is named by its epoch and
-    its batch, its place among that epoch's records (see Transcript)."""
+    """The lane's records, after checking it against the dataset, one record
+    at a time: every record must name at least one sample, every replayed
+    index must name a training sample, no record may name one twice
+    (RowwiseAdam steps distinct rows), and every recorded gradient must
+    have the first one's width. The first record with no samples or an
+    index out of range is refused, before the first record that repeats an
+    index, before the first gradient of another width; no array is built
+    from more than one record. A bad record is named by its epoch and its
+    batch, its place among that epoch's records (see Transcript)."""
     records = lane.transcript.records
     if not records:
         raise AttackError(f"{where}transcript has no records")
@@ -238,26 +242,21 @@ def _check_lane(lane: AttackLane, train: Dataset, where: str) -> list:
         batch = sum(rec.epoch == epoch for rec in records[:k])
         raise AttackError(f"{where}transcript epoch {epoch}, batch {batch} {problem}")
 
-    indices = np.concatenate([rec.indices for rec in records])
-    if not ((0 <= indices) & (indices < train.n)).all():
-        for k, rec in enumerate(records):
-            bad = rec.indices[(rec.indices < 0) | (rec.indices >= train.n)]
-            if bad.size:
-                refuse(k, f"holds sample index {bad[0]}, outside the {train.n} training samples")
-    # one check per batch size: a sorted record repeats an index next to it
-    by_size: dict[int, list[int]] = {}
+    repeat = None  # the first record that repeats an index, and that index
     for k, rec in enumerate(records):
-        by_size.setdefault(rec.indices.size, []).append(k)
-    repeats = []
-    for ks in by_size.values():
-        ordered = np.sort(np.stack([records[k].indices for k in ks]), axis=1)
-        same = ordered[:, 1:] == ordered[:, :-1]
-        rows = np.flatnonzero(same.any(axis=1))
-        if rows.size:
-            repeats.append((ks[rows[0]], ordered[rows[0], 1:][same[rows[0]]][0]))
-    if repeats:
-        k, index = min(repeats)
-        refuse(k, f"names sample index {index} more than once")
+        if not rec.indices.size:
+            refuse(k, "holds no samples")
+        # a sorted record ends in its extremes and repeats an index next to it
+        ordered = np.sort(rec.indices)
+        if ordered[0] < 0 or ordered[-1] >= train.n:
+            bad = rec.indices[(rec.indices < 0) | (rec.indices >= train.n)]
+            refuse(k, f"holds sample index {bad[0]}, outside the {train.n} training samples")
+        if repeat is None:
+            same = ordered[1:] == ordered[:-1]
+            if same.any():
+                repeat = k, ordered[1:][same][0]
+    if repeat is not None:
+        refuse(repeat[0], f"names sample index {repeat[1]} more than once")
     cut_dim = records[0].gradient.shape[1]
     for k, rec in enumerate(records):
         if rec.gradient.shape[1] != cut_dim:
@@ -322,16 +321,18 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     hands it records without activations. It forms the frozen
     bottom model's activations once, as one table of every training
     sample's (n x cut per lane), and each step takes its batch's rows of it.
-    The records are replayed in blocks (see _blocks): within a block each
-    step reads its dummy labels from one gather made at the block's start
-    and leaves its dummy-label gradient in the block's rows, and one
-    RowwiseAdam step over those rows ends the block, while the surrogate
-    steps after every record. No row is read after another record of its
-    block has moved it, so each row sees what a step per record would give
-    it. A table row equals the row a forward pass over the batch alone
-    gives wherever the BLAS computes each row of a matrix product the same
-    at any place in the matrix; OpenBLAS does not for some narrow layer
-    widths, whose last rows can then differ in their last bits.
+    The records are replayed in blocks (see _blocks): at a block's start its
+    records' indices are joined into the block's rows, in one buffer reused
+    by every block, so the attack holds one block's rows at a time. Within
+    a block each step reads its dummy labels from one gather of those rows
+    and leaves its dummy-label gradient in them, and one RowwiseAdam step
+    over the rows ends the block, while the surrogate steps after every
+    record. No row is read after another record of its block has moved it,
+    so each row sees what a step per record would give it. A table row
+    equals the row a forward pass over the batch alone gives wherever the
+    BLAS computes each row of a matrix product the same at any place in the
+    matrix; OpenBLAS does not for some narrow layer widths, whose last rows
+    can then differ in their last bits.
     """
     if not lanes:
         raise AttackError("no attacks to run")
@@ -361,12 +362,14 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     # The bottom model is frozen and the records and leaked pairs never
     # change, so the activations of every training sample (one n x cut table
     # per lane), each batch's indices and recorded gradient, the blocks and
-    # their rows, and the leaked activations are formed once.
+    # the leaked activations are formed once. A block's rows are joined at
+    # its start, into one buffer that fits the largest block.
     cut_table = bottom.forward_values(stack_lanes([train.features] * count))
     batch_idx = [stack_lanes([rec.indices for rec in batch]) for batch in zip(*records)]
     batch_grads = [stack_lanes([rec.gradient for rec in batch]) for batch in zip(*records)]
     blocks = _blocks(batch_idx, dummy.shape[:-1])
-    block_rows = [np.concatenate([batch_idx[k] for k in block], axis=-1) for block in blocks]
+    block_sizes = [sum(batch_idx[k].shape[-1] for k in block) for block in blocks]
+    rows_buffer = np.empty((*batch_idx[0].shape[:-1], max(block_sizes)), dtype=np.int64)
     leaked_cut = bottom.forward_values(stack_lanes([lane.leaked.features for lane in lanes]))
     leaked_labels = stack_lanes([lane.leaked.labels for lane in lanes])
 
@@ -379,7 +382,9 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     plans: dict[tuple[int, ...], StepPlan] = {}
     surrogate_params = surrogate.parameters()
     for epoch in range(config.epochs):
-        for block, rows in zip(blocks, block_rows):
+        for block, size in zip(blocks, block_sizes):
+            rows = np.concatenate([batch_idx[k] for k in block], axis=-1,
+                                  out=rows_buffer[..., :size])
             block_dummy = gather_rows(dummy, rows)
             block_grad = np.empty_like(block_dummy)
             start = 0

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -311,24 +312,63 @@ def test_a_gradient_of_another_width_is_refused_before_any_step(trained_run, mon
                    AttackConfig(epochs=1))
 
 
+def test_a_record_with_no_samples_is_refused_before_any_step(trained_run, monkeypatch):
+    session, transcript, train, _ = trained_run
+    leaked = sample_leaked(train, 0.02, seed=9)
+    records = list(transcript.records)
+    width = records[0].gradient.shape[1]
+    records[284] = TranscriptRecord(records[284].epoch, np.zeros(0, np.int64),
+                                    np.zeros((0, width)), np.zeros((0, width)))
+
+    def no_capture(*args, **kwargs):
+        raise AssertionError("an attack step was captured")
+
+    monkeypatch.setattr(attack_module, "_capture_step", no_capture)
+    with pytest.raises(AttackError, match=r"^transcript epoch 28, batch 4 holds no samples$"):
+        run_attack(Transcript(records).last_epochs(2), session.bottom, train, leaked,
+                   AttackConfig(epochs=1))
+
+
+def test_checking_a_transcript_makes_no_copy_of_its_indices():
+    # 2000 records of 64: a copy of every replayed index would be 1 MB
+    train, _ = split_standardize(synth_regression(160, 4, seed=3), seed=3)
+    rng = np.random.default_rng(0)
+    gradient = rng.normal(size=(64, 3))
+    records = [TranscriptRecord(k // 2, rng.permutation(train.n)[:64], None, gradient)
+               for k in range(2000)]
+    index_bytes = sum(rec.indices.nbytes for rec in records)
+    lane = AttackLane(Transcript(records), build_network([4, 3], seed=1, role="bottom"),
+                      sample_leaked(train, 0.1, seed=0), AttackConfig(epochs=1))
+    tracemalloc.start()
+    try:
+        attack_module._check_lane(lane, train, "")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < index_bytes / 10
+
+
 def test_a_bad_record_is_named_by_its_epoch_and_batch_in_any_window(tmp_path):
     # epochs out of file order: the window keeps the records of epoch 2 at
-    # file indices 1 and 3, and the bad one is that epoch's second batch
+    # file indices 1 and 3, and the bad one is that epoch's second batch.
+    # With first=0 the window's first record also names sample 0 twice: an
+    # index out of range is refused before any repeat, in any record.
     train, _ = split_standardize(synth_regression(40, 4, seed=2), seed=2)
     assert train.n == 32
     rng = np.random.default_rng(0)
-    records = [TranscriptRecord(epoch, np.array([0, last]), rng.normal(size=(2, 3)),
-                                rng.normal(size=(2, 3)))
-               for epoch, last in ((0, 1), (2, 1), (1, 1), (2, 99))]
-    path = tmp_path / "shuffled.transcript"
-    Transcript(records).save(path)
     bottom = build_network([4, 3], seed=1, role="bottom")
     leaked = sample_leaked(train, 0.1, seed=0)
     message = ("^transcript epoch 2, batch 1 holds sample index 99, "
                "outside the 32 training samples$")
-    for window in (Transcript(records).last_epochs(1), Transcript.load(path, last_epochs=1)):
-        with pytest.raises(AttackError, match=message):
-            run_attack(window, bottom, train, leaked, AttackConfig(epochs=1))
+    for first in (1, 0):
+        records = [TranscriptRecord(epoch, np.array([0, last]), rng.normal(size=(2, 3)),
+                                    rng.normal(size=(2, 3)))
+                   for epoch, last in ((0, 1), (2, first), (1, 1), (2, 99))]
+        path = tmp_path / f"shuffled-{first}.transcript"
+        Transcript(records).save(path)
+        for window in (Transcript(records).last_epochs(1), Transcript.load(path, last_epochs=1)):
+            with pytest.raises(AttackError, match=message):
+                run_attack(window, bottom, train, leaked, AttackConfig(epochs=1))
 
 
 def test_divergence_names_epoch_batch_and_op(frozen_run):

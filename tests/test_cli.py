@@ -434,6 +434,18 @@ def test_attack_on_a_transcript_with_a_narrower_gradient_is_a_one_line_error(tmp
                    "not the first record's 4\n")
 
 
+def test_attack_on_a_record_with_no_samples_is_a_one_line_error(tmp_path, capsys):
+    run_dir = trained_run(tmp_path)
+    path = run_dir / "transcript.bin"
+    records = Transcript.load(path).records
+    last = records[-1]
+    records.insert(-1, TranscriptRecord(last.epoch, np.zeros(0, np.int64), np.zeros((0, 4)),
+                                        np.zeros((0, 4))))
+    Transcript(records).save(path)
+    err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
+    assert err == "error: transcript epoch 3, batch 3 holds no samples\n"
+
+
 def test_attack_on_a_transcript_index_past_the_int64_range_is_a_one_line_error(
         tmp_path, capsys):
     # indices are stored as u64; one above the int64 range must not wrap
