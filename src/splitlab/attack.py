@@ -71,9 +71,11 @@ class AttackError(RuntimeError):
 @dataclass(frozen=True)
 class AttackConfig:
     """The attacker's settings. The attack replays every record of the
-    transcript it is given; to replay only the final k training epochs, give
-    it `transcript.last_epochs(k)`, or read the file with
-    `Transcript.load(path, last_epochs=k)`."""
+    transcript it is given, and reads only its indices and gradient; to
+    replay only the final k training epochs, give it
+    `transcript.last_epochs(k)`, or read the file with
+    `Transcript.load(path, last_epochs=k, activations=False)`, which reads
+    nothing else (what `splitlab attack` does)."""
 
     alpha: float = 0.05          # weight of the leaked-label fine-tuning term
     lr: float = 0.01
@@ -302,6 +304,17 @@ def _blocks(batch_idx: list[np.ndarray], rows_shape: tuple[int, ...]) -> list[ra
     return [range(start, stop) for start, stop in zip(starts, [*starts[1:], len(batch_idx)])]
 
 
+def _stacked_gradients(records: list[list], batch_no: int, buffer: np.ndarray) -> np.ndarray:
+    """The recorded gradients of every lane's record batch_no, as
+    stack_lanes gives them; several lanes are stacked into the start of the
+    flat `buffer`, which the next call overwrites."""
+    grads = [recs[batch_no].gradient for recs in records]
+    if len(grads) == 1:
+        return grads[0]
+    return np.stack(grads, out=buffer[:len(grads) * grads[0].size].reshape(
+        len(grads), *grads[0].shape))
+
+
 def attack_lanes(lanes: list[AttackLane], train: Dataset,
                  test: Dataset | None = None) -> list[AttackResult]:
     """Run several attacks on one dataset in lock-step; returns each lane's
@@ -318,7 +331,9 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
 
     A record gives the attack its indices and its recorded gradient; the
     attack reads nothing from the recorded activations, and the harness
-    hands it records without activations. It forms the frozen
+    and `splitlab attack` hand it records without activations. Several
+    lanes' recorded gradients are stacked at their step, into one buffer
+    reused by every step, not held twice. It forms the frozen
     bottom model's activations once, as one table of every training
     sample's (n x cut per lane), and each step takes its batch's rows of it.
     The records are replayed in blocks (see _blocks): at a block's start its
@@ -361,15 +376,16 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
 
     # The bottom model is frozen and the records and leaked pairs never
     # change, so the activations of every training sample (one n x cut table
-    # per lane), each batch's indices and recorded gradient, the blocks and
-    # the leaked activations are formed once. A block's rows are joined at
-    # its start, into one buffer that fits the largest block.
+    # per lane), each batch's indices, the blocks and the leaked activations
+    # are formed once. A block's rows are joined at its start, into one
+    # buffer that fits the largest block; several lanes' recorded gradients
+    # are stacked at their step, into one buffer that fits the largest batch.
     cut_table = bottom.forward_values(stack_lanes([train.features] * count))
     batch_idx = [stack_lanes([rec.indices for rec in batch]) for batch in zip(*records)]
-    batch_grads = [stack_lanes([rec.gradient for rec in batch]) for batch in zip(*records)]
     blocks = _blocks(batch_idx, dummy.shape[:-1])
     block_sizes = [sum(batch_idx[k].shape[-1] for k in block) for block in blocks]
     rows_buffer = np.empty((*batch_idx[0].shape[:-1], max(block_sizes)), dtype=np.int64)
+    grads_buffer = np.empty(count * max(idx.shape[-1] for idx in batch_idx) * cut_dim)
     leaked_cut = bottom.forward_values(stack_lanes([lane.leaked.features for lane in lanes]))
     leaked_labels = stack_lanes([lane.leaked.labels for lane in lanes])
 
@@ -393,13 +409,14 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
                 part = slice(start, start + idx.shape[-1])
                 start = part.stop
                 cut_values = gather_rows(cut_table, idx)
+                recorded = _stacked_gradients(records, batch_no, grads_buffer)
                 plan = plans.get(cut_values.shape)
                 if plan is None:
                     plan = plans[cut_values.shape] = _capture_step(
                         surrogate, cut_values.shape, leaked_cut, leaked_labels, config.alpha)
                 try:
                     outputs = plan.run([*surrogate_params, block_dummy[..., part, :],
-                                        cut_values, batch_grads[batch_no]])
+                                        cut_values, recorded])
                 except AutogradError as exc:
                     raise AttackError(
                         f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc

@@ -183,8 +183,10 @@ def cmd_attack(args) -> int:
     raw = load_dataset(cfg)
     train, test = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
     bottom = load_checkpoint(run_dir / bottom_file)
-    # every header is checked, but only the replayed epochs are read
-    transcript = Transcript.load(run_dir / transcript_file, last_epochs=cfg.attack_window)
+    # every header is checked, but only the replayed epochs' indices and
+    # gradients are read
+    transcript = Transcript.load(run_dir / transcript_file, last_epochs=cfg.attack_window,
+                                 activations=False)
 
     plan = plan_attack(cfg, defense, train, cfg.seed)
     result = run_attack(transcript, bottom, train, plan.leaked, plan.config,

@@ -66,8 +66,8 @@ class ProtocolError(RuntimeError):
 class TranscriptRecord:
     """One batch as the feature party saw it. `activations` is None only
     in a record kept for replay, which needs the indices and the gradient
-    alone (the harness keeps such records); a transcript file refuses
-    it."""
+    alone (the harness keeps such records, and `Transcript.load` reads them
+    with activations=False); a transcript file refuses it."""
 
     epoch: int
     indices: np.ndarray             # train-split positions in this batch
@@ -122,7 +122,8 @@ class Transcript:
                 writer.append(record)
 
     @classmethod
-    def load(cls, path, last_epochs: int | None = None) -> "Transcript":
+    def load(cls, path, last_epochs: int | None = None, *,
+             activations: bool = True) -> "Transcript":
         """Read a file in the framing save() documents. Every record header
         is read and checked, whatever the window: each header and payload
         must fit in the file, a record's two matrices must share one shape
@@ -133,28 +134,42 @@ class Transcript:
         With last_epochs=k, only the records that `last_epochs(k)` keeps
         (epoch >= the last record's epoch + 1 - k) have their payloads read,
         so the result equals `load(path).last_epochs(k)`; the others are
-        skipped on disk and never held. None reads every record.
+        skipped on disk and never held. None reads every record. With
+        activations=False the kept records' activations are skipped on disk
+        too, and the records are replay records (activations None, see
+        TranscriptRecord): what the attack reads. The headers are checked
+        the same in both modes.
 
         The headers are walked in one pass through a buffered reader, which
         steps over the payloads inside its buffer without a system call; the
         kept payloads are then read from the unbuffered file, straight into
-        their arrays."""
+        one block per kind: the indices (little-endian int64, so an index of
+        2^63 or more reads as a negative one), the gradients and, when asked,
+        the activations. A record's arrays are views of those blocks, so
+        any record kept holds its blocks."""
         with open(path, "rb", buffering=_READ_BUFFER) as fh:
             size = os.fstat(fh.fileno()).st_size
             if fh.read(8) != _MAGIC:
                 raise ProtocolError(f"{path}: not a transcript file")
             layout = _record_layout(fh, size, path)
             cutoff = 0 if last_epochs is None or not layout else layout[-1][0] + 1 - last_epochs
-            kept = [i for i, entry in enumerate(layout) if entry[0] >= cutoff]
+            kept = [entry for entry in layout if entry[0] >= cutoff]
+            index_block = np.empty(sum(entry[1] for entry in kept), dtype="<i8")
+            gradient_block = np.empty(sum(math.prod(entry[3]) for entry in kept), dtype="<f8")
+            activation_block = np.empty_like(gradient_block) if activations else None
             raw = fh.raw
             records = []
-            for epoch, n_idx, at_indices, shape, at_matrices in (layout[i] for i in kept):
-                indices = np.empty(n_idx, dtype="<u8")
-                _read_into(raw, at_indices, indices, path)
-                matrices = [np.empty(shape, dtype="<f8") for _ in at_matrices]
-                for at, matrix in zip(at_matrices, matrices):
-                    _read_into(raw, at, matrix, path)
-                records.append(TranscriptRecord(epoch, indices.astype(np.int64), *matrices))
+            index_at = value_at = 0
+            for epoch, n_idx, at_indices, shape, (at_activations, at_gradient) in kept:
+                values = slice(value_at, value_at + math.prod(shape))
+                indices = _read_into(raw, at_indices, index_block[index_at:index_at + n_idx],
+                                     path)
+                sent = None if activation_block is None else _read_into(
+                    raw, at_activations, activation_block[values].reshape(shape), path)
+                gradient = _read_into(raw, at_gradient, gradient_block[values].reshape(shape),
+                                      path)
+                records.append(TranscriptRecord(epoch, indices, sent, gradient))
+                index_at, value_at = index_at + n_idx, values.stop
         return cls(records)
 
 
@@ -164,10 +179,11 @@ _READ_BUFFER = 1 << 20
 _COUNT, _HEADER = struct.Struct("<Q"), struct.Struct("<II")
 
 
-def _read_into(fh, at: int, buf, path) -> None:
+def _read_into(fh, at: int, buf: np.ndarray, path) -> np.ndarray:
     fh.seek(at)
-    if fh.readinto(buf) != memoryview(buf).nbytes:
+    if fh.readinto(buf) != buf.nbytes:
         raise ProtocolError(f"{path}: file shrank while being read")
+    return buf
 
 
 def _record_layout(fh, size: int, path) -> list[tuple]:

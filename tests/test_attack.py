@@ -348,6 +348,30 @@ def test_checking_a_transcript_makes_no_copy_of_its_indices():
     assert peak < index_bytes / 10
 
 
+def test_a_lock_step_attack_holds_no_second_copy_of_the_gradients():
+    # 2 lanes of 500 records of 32 x 16: 4.1 MB of recorded gradients,
+    # which a stack of every record's lanes would copy whole
+    train, _ = split_standardize(synth_regression(200, 4, seed=3), seed=3)
+    lanes = []
+    for lane in range(2):
+        rng = np.random.default_rng(lane)
+        records = [TranscriptRecord(epoch, batch, None, rng.normal(scale=0.02, size=(32, 16)))
+                   for epoch in range(100)
+                   for batch in rng.permutation(train.n).reshape(-1, 32)]
+        bottom = build_network([4, 16], seed=lane, role="bottom")
+        lanes.append(AttackLane(Transcript(records), bottom, sample_leaked(train, 0.1, seed=lane),
+                                AttackConfig(epochs=1, seed=lane)))
+    gradient_bytes = sum(rec.gradient.nbytes for lane in lanes for rec in lane.transcript.records)
+    tracemalloc.start()
+    try:
+        attack_lanes(lanes, train)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 0.17 of it: the stacked indices (1/16 of it) and the plans
+    assert peak < gradient_bytes / 4
+
+
 def test_a_bad_record_is_named_by_its_epoch_and_batch_in_any_window(tmp_path):
     # epochs out of file order: the window keeps the records of epoch 2 at
     # file indices 1 and 3, and the bad one is that epoch's second batch.

@@ -466,6 +466,23 @@ def test_attack_on_a_transcript_index_past_the_int64_range_is_a_one_line_error(
                         r"sample index -3, outside the 128 training samples\n", err)
 
 
+def test_attack_reads_a_u64_index_as_int64(tmp_path, capsys):
+    # indices are stored as u64 and read as int64: 2^64 - 1 is index -1
+    run_dir = tmp_path / "run"
+    config = tiny_config_file(tmp_path, training={"epochs": 2, "batch_size": 32, "seed": 0},
+                              attack={"epochs": 2, "window": 2, "leak_fraction": 0.05})
+    assert main(["train", "--config", config, "--out", str(run_dir)]) == 0
+    path = run_dir / "transcript.bin"
+    blob = bytearray(path.read_bytes())
+    # the first index of epoch 0, batch 0: after the magic, the record
+    # count and the record's epoch and index count
+    struct.pack_into("<Q", blob, 8 + 8 + 8, 2**64 - 1)
+    path.write_bytes(bytes(blob))
+    err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
+    assert err == ("error: transcript epoch 0, batch 0 holds sample index -1, "
+                   "outside the 128 training samples\n")
+
+
 def test_attack_on_a_record_naming_one_sample_twice_is_a_one_line_error(tmp_path, capsys):
     run_dir = trained_run(tmp_path)
     path = run_dir / "transcript.bin"

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,11 +213,16 @@ def test_transcript_last_epochs(small_data):
     assert transcript.epochs == 3
 
 
-def test_transcript_rejects_garbage(tmp_path):
+# every malformed file is refused the same by a whole load and a replay load
+LOAD_MODES = pytest.mark.parametrize("activations", [True, False], ids=["whole", "replay"])
+
+
+@LOAD_MODES
+def test_transcript_rejects_garbage(tmp_path, activations):
     p = tmp_path / "bad.transcript"
     p.write_bytes(b"definitely not a transcript")
-    with pytest.raises(ProtocolError):
-        Transcript.load(p)
+    with pytest.raises(ProtocolError, match=f"^{re.escape(str(p))}: not a transcript file$"):
+        Transcript.load(p, activations=activations)
 
 
 @pytest.fixture
@@ -229,23 +235,25 @@ def saved_transcript(tmp_path, small_data):
     return path, len(transcript)
 
 
-def test_transcript_rejects_truncated_file(saved_transcript):
+@LOAD_MODES
+def test_transcript_rejects_truncated_file(saved_transcript, activations):
     path, count = saved_transcript
     blob = path.read_bytes()
     path.write_bytes(blob[:-100])
     with pytest.raises(ProtocolError, match=rf"{path.name}: record {count - 1} gradient truncated"):
-        Transcript.load(path)
+        Transcript.load(path, activations=activations)
     # a cut inside a record header is reported the same way, not as struct.error
     path.write_bytes(blob[:8 + 8 + 4])
     with pytest.raises(ProtocolError, match=rf"{path.name}: record 0 header truncated"):
-        Transcript.load(path)
+        Transcript.load(path, activations=activations)
 
 
-def test_transcript_rejects_trailing_bytes(saved_transcript):
+@LOAD_MODES
+def test_transcript_rejects_trailing_bytes(saved_transcript, activations):
     path, count = saved_transcript
     path.write_bytes(path.read_bytes() + b"\0" * 5)
     with pytest.raises(ProtocolError, match=rf"{path.name}: 5 trailing bytes after the last of {count} records"):
-        Transcript.load(path)
+        Transcript.load(path, activations=activations)
 
 
 # --- windowed reads and streamed writes ---------------------------------------
@@ -328,16 +336,18 @@ def test_a_record_kept_for_replay_ties_its_index_count_to_the_gradient_rows():
         TranscriptRecord(0, np.arange(3), None, np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("window", [None, 1, 2])
-def test_every_header_is_checked_whatever_the_window(saved_transcript, window):
+@pytest.mark.parametrize("window,activations",
+                         [(w, True) for w in (None, 1, 2)] + [(w, False) for w in (None, 1, 2)],
+                         ids=["None", "1", "2", "None-replay", "1-replay", "2-replay"])
+def test_every_header_is_checked_whatever_the_window(saved_transcript, window, activations):
     path, count = saved_transcript
     blob = path.read_bytes()
     path.write_bytes(blob[:-100])
     with pytest.raises(ProtocolError, match=rf"{path.name}: record {count - 1} gradient truncated"):
-        Transcript.load(path, last_epochs=window)
+        Transcript.load(path, last_epochs=window, activations=activations)
     path.write_bytes(blob + b"\0" * 5)
     with pytest.raises(ProtocolError, match=rf"{path.name}: 5 trailing bytes after the last of {count} records"):
-        Transcript.load(path, last_epochs=window)
+        Transcript.load(path, last_epochs=window, activations=activations)
 
     # record 0 (epoch 0, outside windows 1 and 2) with matrix headers
     # rewritten to keep every size: 64 x 4 becomes 4 x 64 for the gradient
@@ -353,7 +363,46 @@ def test_every_header_is_checked_whatever_the_window(saved_transcript, window):
             struct.pack_into("<II", bad, at, *shape)
         path.write_bytes(bytes(bad))
         with pytest.raises(ProtocolError, match=re.escape(f"{path.name}: record 0: {message}")):
-            Transcript.load(path, last_epochs=window)
+            Transcript.load(path, last_epochs=window, activations=activations)
+
+
+def test_a_replay_load_equals_the_whole_load_without_activations(saved_transcript):
+    path, _ = saved_transcript
+    epochs = Transcript.load(path).epochs
+    for k in (None, *range(1, epochs + 1)):
+        whole = Transcript.load(path, last_epochs=k)
+        replay = Transcript.load(path, last_epochs=k, activations=False)
+        assert [r.epoch for r in replay.records] == [r.epoch for r in whole.records]
+        for a, b in zip(replay.records, whole.records):
+            assert a.activations is None and b.activations is not None
+            assert a.indices.dtype == b.indices.dtype == np.int64
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.gradient.tobytes() == b.gradient.tobytes()
+
+
+def test_a_replay_load_allocates_no_activations(tmp_path):
+    # 250 records of 64 x 64: 8.2 MB of gradients and as much of
+    # activations, well above the reader's 1 MB buffer
+    rng = np.random.default_rng(0)
+    path = tmp_path / "run.transcript"
+    with TranscriptWriter(path) as writer:
+        for k in range(250):
+            writer.append(TranscriptRecord(k // 10, rng.permutation(1000)[:64],
+                                           rng.normal(size=(64, 64)), rng.normal(size=(64, 64))))
+    peaks = {}
+    for activations in (True, False):
+        tracemalloc.start()
+        try:
+            transcript = Transcript.load(path, activations=activations)
+            _, peaks[activations] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    held = sum(r.indices.nbytes + r.gradient.nbytes for r in transcript.records)
+    # the reader's buffer, and per record its header's layout, its record
+    # and its views: about 600 bytes, where one activation matrix is 32 kB
+    slack = protocol_module._READ_BUFFER + 2048 * len(transcript)
+    assert peaks[False] <= held + slack
+    assert peaks[False] < 0.6 * peaks[True]
 
 
 def test_divergence_raises_with_context_before_any_update(small_data):
