@@ -106,19 +106,20 @@ class AttackResult:
     dummy_labels: np.ndarray | None = None  # full n_train x width matrix
 
 
-def gradient_inversion_loss(tape: Tape, surrogate: FcNetwork, cut_values,
+def gradient_inversion_loss(surrogate: FcNetwork, params: list[Tensor], cut: Tensor,
                             dummy_batch: Tensor, recorded_grad) -> tuple[Tensor, Tensor]:
-    """Per-batch inversion loss for a surrogate already attached to `tape` and
-    a dummy-label batch living on it.
+    """Per-batch inversion loss of the surrogate over its parameter leaves
+    `params` (see FcNetwork.attach), at the batch's activations `cut`, a
+    leaf the caller made on their tape (an untaped cut is refused), with a
+    dummy-label batch living on it.
 
     Returns (loss, match_term) where match_term measures how well the
-    gradient induced by (surrogate, dummy labels) at the batch's activations
-    reproduces the recorded gradient; the loss adds the anchor term
-    mse(surrogate(cut), dummy). Both are differentiable in the surrogate
-    parameters and the dummy labels. `cut_values` is an array, or a leaf of
-    `tape` made by the caller. `recorded_grad` is an array, a constant
-    tensor, or a leaf of `tape`; a step captured as a StepPlan takes both as
-    leaves, so that replay reads each batch's own arrays.
+    gradient induced by (surrogate, dummy labels) at the cut reproduces the
+    recorded gradient; the loss adds the anchor term mse(surrogate(cut),
+    dummy). Both are differentiable in the surrogate parameters and the
+    dummy labels. `recorded_grad` is an array, a constant tensor, or a leaf
+    of the tape; a step plan takes it as a leaf, so that replay reads each
+    batch's own arrays.
 
     Gradients on the wire carry the mean-reduction of the batch loss, so
     their entries shrink with batch size; squaring that in a raw mse would
@@ -127,11 +128,13 @@ def gradient_inversion_loss(tape: Tape, surrogate: FcNetwork, cut_values,
     per-sample units (scaled by the batch row count), which makes the match
     term batch-size invariant and keeps the two terms commensurate.
     """
-    if recorded_grad.shape != (*cut_values.shape[:-1], surrogate.in_dim):
+    if not isinstance(cut, Tensor) or cut.tape is None:
+        raise AttackError("the cut activations must be a tape leaf, not an untaped "
+                          f"{type(cut).__name__}")
+    if recorded_grad.shape != (*cut.shape[:-1], surrogate.in_dim):
         raise AttackError(
             f"recorded gradient shape {recorded_grad.shape} does not match batch")
-    cut = cut_values if isinstance(cut_values, Tensor) else tape.leaf(cut_values)
-    pred = surrogate.forward(cut)
+    pred = surrogate.forward(cut, params)
     anchor = mse(pred, dummy_batch)
     (induced,) = backward(anchor, [cut], create_graph=True)
     per_sample = float(cut.rows)
@@ -139,10 +142,11 @@ def gradient_inversion_loss(tape: Tape, surrogate: FcNetwork, cut_values,
     return add(match, anchor), match
 
 
-def model_completion_loss(tape: Tape, surrogate: FcNetwork, leaked_cut: np.ndarray,
+def model_completion_loss(surrogate: FcNetwork, params: list[Tensor], leaked_cut: np.ndarray,
                           leaked_labels: np.ndarray) -> Tensor:
-    """Fine-tuning loss on the leaked pairs: mse between the surrogate's
-    outputs at the leaked activations and the leaked labels.
+    """Fine-tuning loss on the leaked pairs: mse between the outputs of the
+    surrogate over its parameter leaves `params` at the leaked activations
+    and the leaked labels.
 
     When the surrogate is wider than one column (dimension-matched against a
     label-extension defense) the attacker cannot tell which output column
@@ -155,7 +159,7 @@ def model_completion_loss(tape: Tape, surrogate: FcNetwork, leaked_cut: np.ndarr
     """
     if leaked_labels.size == 0:
         raise AttackError("leaked set is empty")
-    pred = surrogate.forward(constant(leaked_cut))
+    pred = surrogate.forward(constant(leaked_cut), params)
     return mse(pred, np.repeat(leaked_labels, surrogate.out_dim, axis=-1))
 
 
@@ -172,16 +176,16 @@ def _capture_step(surrogate: FcNetwork, cut_shape: tuple[int, ...], leaked_cut: 
     surrogate = surrogate.copy()
     surrogate.flat[...] = 0.0
     tape = Tape()
-    handles = surrogate.attach(tape)
+    params = surrogate.attach(tape)
     dummy_batch = tape.leaf(np.zeros((*cut_shape[:-1], surrogate.out_dim)))
     cut = tape.leaf(np.zeros(cut_shape))
     recorded = tape.leaf(np.zeros(cut_shape))
-    gi_loss, _ = gradient_inversion_loss(tape, surrogate, cut, dummy_batch, recorded)
-    mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_labels)
+    gi_loss, _ = gradient_inversion_loss(surrogate, params, cut, dummy_batch, recorded)
+    mc_loss = model_completion_loss(surrogate, params, leaked_cut, leaked_labels)
     total = add(gi_loss, smul(mc_loss, alpha))
     # create_graph keeps every gradient a node the plan can name
-    grads = backward(total, [*handles, dummy_batch], create_graph=True)
-    return StepPlan([*handles, dummy_batch, cut, recorded],
+    grads = backward(total, [*params, dummy_batch], create_graph=True)
+    return StepPlan([*params, dummy_batch, cut, recorded],
                     [total, gi_loss, grads[:-1], grads[-1]])
 
 

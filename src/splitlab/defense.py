@@ -11,7 +11,8 @@ Two families:
 Each defense is a frozen dataclass of its parameters that owns its
 behaviour through the members of `Defense`: its `name` in configs and
 tables, the top model's `output_dim`, the `label_column` that predicts the
-label, `target_table(labels, seed)` drawn before training (or None), and
+label, `target_table(labels, seed)`, the table of training targets made
+before training (the labels themselves unless the defense draws one), and
 two members defined only when their flag is set: `outgoing_gradient(grad,
 seed, epoch, batch_no)`, the gradient one lane sends (`changes_gradient`),
 and `snapshot_targets(...)`, one batch's targets from an epoch-start copy
@@ -67,8 +68,8 @@ class Defense:
     changes_gradient = False
     uses_snapshot = False
 
-    def target_table(self, labels: np.ndarray, seed: int) -> np.ndarray | None:
-        return None
+    def target_table(self, labels: np.ndarray, seed: int) -> np.ndarray:
+        return labels
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ ADAM_BETA2 and ADAM_EPSILON.
 Networks are stacks of (weight, bias, activation) layers used in three roles:
 the feature party's bottom model, the label party's top model, and the
 attacker's surrogate. Hidden layers use the configured activation; the final
-layer is always linear (regression output). For a differentiation step the
-network is attached to a tape, which registers leaf tensors for every
-parameter.
+layer is always linear (regression output). A taped forward pass is a
+function of its inputs: ``attach(tape)`` registers a leaf for every parameter
+on the tape and returns the leaves, ``forward(x, params)`` computes over the
+leaves it is given, and the network keeps nothing of any tape.
 
 Flat store. A network keeps all of its parameters in one contiguous float64
 buffer, ``FcNetwork.flat``, parameter by parameter in layer order (weight,
@@ -56,7 +57,6 @@ from .autograd import (
     Tensor,
     activation as apply_activation,
     add_bias,
-    constant,
     matmul,
 )
 
@@ -143,7 +143,6 @@ class FcNetwork:
                 raise ValueError("layers disagree on the lane axis")
         self.layers = layers
         self.role = role
-        self._handles: list[Tensor] | None = None
         self._place(np.empty(sum(p.size for p in self.parameters())))
 
     def _place(self, flat: np.ndarray) -> None:
@@ -207,32 +206,24 @@ class FcNetwork:
             target[...] = values
 
     def attach(self, tape: Tape) -> list[Tensor]:
-        """Register every parameter as a leaf on the tape; returns the handles
-        (weight, bias, weight, bias, ...) in layer order."""
-        handles = []
-        for layer in self.layers:
-            handles.append(tape.leaf(layer.weight))
-            handles.append(tape.leaf(layer.bias))
-        self._handles = handles
-        return handles
+        """Register every parameter as a leaf on the tape and return the
+        leaves (weight, bias, weight, bias, ...) in layer order: the `params`
+        of forward(). The network keeps nothing of the tape, so it can be
+        attached to any number of tapes, each getting leaves of its own."""
+        return [tape.leaf(p) for p in self.parameters()]
 
-    def detach(self) -> None:
-        self._handles = None
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Taped forward pass. Uses the attached parameter leaves when present
-        so gradients w.r.t. the parameters can be requested; otherwise the
-        parameters enter as constants."""
+    def forward(self, x: Tensor, params: Sequence[Tensor]) -> Tensor:
+        """Taped forward pass over the parameter leaves `params`, as attach()
+        returns them, so gradients w.r.t. the parameters can be requested;
+        the layers give only their activations."""
+        if len(params) != 2 * len(self.layers):
+            raise AutogradError(f"{len(params)} parameter leaves given, the network's "
+                                f"{len(self.layers)} layers take {2 * len(self.layers)}")
         if x.cols != self.in_dim:
             raise AutogradError(f"input has {x.cols} columns, network expects {self.in_dim}")
         h = x
-        for i, layer in enumerate(self.layers):
-            if self._handles is not None:
-                w, b = self._handles[2 * i], self._handles[2 * i + 1]
-            else:
-                w, b = constant(layer.weight), constant(layer.bias)
-            h = add_bias(matmul(h, w), b)
-            h = apply_activation(h, layer.activation)
+        for layer, w, b in zip(self.layers, params[::2], params[1::2]):
+            h = apply_activation(add_bias(matmul(h, w), b), layer.activation)
         return h
 
     def forward_values(self, x: np.ndarray) -> np.ndarray:

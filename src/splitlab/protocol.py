@@ -105,7 +105,7 @@ class Transcript:
 
     def last_epochs(self, k: int = 1) -> "Transcript":
         """The records from the final k training epochs, in recorded order:
-        the transcript train_lanes(keep_epochs=k) returns and
+        those train_lanes(keep_epochs=k) hands its sinks and
         load(last_epochs=k) reads."""
         cutoff = self.epochs - k
         return Transcript([r for r in self.records if r.epoch >= cutoff])
@@ -355,15 +355,16 @@ def train_split(session: SplitSession, train: Dataset,
     """Run the full protocol; returns the trained session, the feature
     party's transcript (every batch of every epoch), and the per-epoch mean
     training loss. This is train_lanes with one lane; a `sink` receives the
-    records instead of the transcript (see train_lanes)."""
-    ((transcript, trace),) = train_lanes([session], train, sinks=None if sink is None else [sink])
+    records instead of the transcript, which then stays empty."""
+    transcript = Transcript()
+    (trace,) = train_lanes([session], train, [transcript.records.append if sink is None else sink])
     return session, transcript, trace
 
 
-def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int | None = None,
-                sinks: list | None = None) -> list[tuple[Transcript, list[float]]]:
+def train_lanes(sessions: list[SplitSession], train: Dataset, sinks: list,
+                keep_epochs: int | None = None) -> list[list[float]]:
     """Train several sessions on one dataset in lock-step; returns each
-    session's (transcript, per-epoch mean loss), in session order.
+    session's per-epoch mean loss, in session order.
 
     The sessions ("lanes") share the top-model width, learning rate, batch
     size and epochs; each keeps its own seed, networks and defense, of any
@@ -375,26 +376,26 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     ends with the call (see SplitSession).
 
     Each lane follows its own defense's rules. The lanes are split once by
-    where their targets come from (an epoch-start snapshot of the top
-    model, a table drawn before training, or the labels), and each batch
-    forms each source's targets once, for its lanes; a group with one source
+    where their targets come from (an epoch-start snapshot of the top model,
+    one split per snapshot rule, or their target tables: the labels, or a
+    table drawn before training), and each batch forms each source's targets
+    once, for its lanes, from one gather of rows; a group with one source
     indexes no lanes. Only the lanes whose defense changes the gradient
     pass it through their rule; with none, the cut gradient is sent as it
     is.
 
-    Each lane hands every record, as it is made, to its sink: a callable
-    taking a TranscriptRecord, such as `TranscriptWriter.append`, which
-    streams it to disk, or the harness's, which keeps the record's indices
-    and gradient and drops its activations. By default (sinks=None) the
-    sink appends the whole record to the lane's returned transcript; with
-    sinks given, the returned transcripts stay empty. keep_epochs=k hands on
-    only the records of the final k epochs (all epochs when None), those
+    Each lane hands every record, as it is made, to its sink, one per lane:
+    a callable taking a TranscriptRecord, such as `TranscriptWriter.append`,
+    which streams it to disk, `Transcript().records.append`, which keeps it
+    whole, or the harness's, which keeps the record's indices and gradient
+    and drops its activations. keep_epochs=k hands on only the records of
+    the final k epochs (all epochs when None), those
     `Transcript.last_epochs(k)` keeps.
     """
     if not sessions:
         raise ProtocolError("no sessions to train")
     _check_lanes(sessions, train)
-    if sinks is not None and len(sinks) != len(sessions):
+    if len(sinks) != len(sessions):
         raise ProtocolError(f"{len(sinks)} record sinks for {len(sessions)} sessions")
     lanes = len(sessions)
     first = sessions[0]
@@ -410,9 +411,6 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
     senders = [s.defense.changes_gradient for s in sessions]
     sends_raw = not any(senders)
     first_kept = 0 if keep_epochs is None else max(0, first.epochs - keep_epochs)
-    transcripts = [Transcript() for _ in sessions]
-    if sinks is None:
-        sinks = [transcript.records.append for transcript in transcripts]
     traces: list[list[float]] = [[] for _ in sessions]
     # this epoch's per-batch losses, one row per lane
     epoch_losses = np.empty((lanes, -(-train.n // first.batch_size)))
@@ -430,15 +428,14 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
             for batch_no, start in enumerate(range(0, train.n, first.batch_size)):
                 idx = order[..., start:start + first.batch_size]
                 x_batch = train.features[idx]
-                y_batch = train.labels[idx]
 
                 def targets_of(cut):
                     if len(sources) == 1:
-                        return sources[0].targets(snapshots[0], cut, idx, y_batch)
+                        return sources[0].targets(snapshots[0], cut, idx)
                     targets = np.empty((*idx.shape, first.top.out_dim))
                     for part, snapshot in zip(sources, snapshots):
                         at = part.lanes
-                        targets[at] = part.targets(snapshot, cut[at], idx[at], y_batch[at])
+                        targets[at] = part.targets(snapshot, cut[at], idx[at])
                     return targets
 
                 def sent_of(cut_grad):
@@ -471,7 +468,7 @@ def train_lanes(sessions: list[SplitSession], train: Dataset, keep_epochs: int |
         for s, b, t in zip(sessions, bottom.split(), top.split()):
             s.bottom.set_parameters(b.parameters())
             s.top.set_parameters(t.parameters())
-    return list(zip(transcripts, traces))
+    return traces
 
 
 @dataclass(frozen=True)
@@ -479,38 +476,38 @@ class _TargetSource:
     """The lanes of a lock-step group whose targets come from one source
     (`lanes` is None when it serves every lane): "snapshot" (formed by the
     rule of `defense`, the first of these lanes' defenses, from an
-    epoch-start copy of their top models), "table" (rows of `table`, drawn
-    before training) or "labels"."""
+    epoch-start copy of their top models and the rows of `table`) or
+    "table" (the rows of `table`, their target tables stacked)."""
 
     source: str
     lanes: np.ndarray | None
     defense: Defense
-    table: np.ndarray | None
+    table: np.ndarray
     label_columns: np.ndarray | int | None
 
-    def targets(self, snapshot, cut, idx, y_batch):
-        """One batch's targets for these lanes, from their cut, batch
-        positions and labels."""
-        if self.source == "snapshot":
-            return self.defense.snapshot_targets(snapshot, cut, y_batch, self.label_columns)
-        return y_batch if self.table is None else gather_rows(self.table, idx)
+    def targets(self, snapshot, cut, idx):
+        """One batch's targets for these lanes, from their cut and batch
+        positions."""
+        rows = gather_rows(self.table, idx)
+        if self.source == "table":
+            return rows
+        return self.defense.snapshot_targets(snapshot, cut, rows, self.label_columns)
 
 
 def _target_sources(sessions: list[SplitSession], labels: np.ndarray) -> list[_TargetSource]:
     """The lanes of each target source, in order of each source's first
-    lane, with the tables and label columns they read. Snapshot lanes are
-    split by defense class, each class applying its own rule."""
+    lane, with the target table and label columns they read. Snapshot
+    lanes are split by defense class, each class applying its own rule."""
     tables = [s.defense.target_table(labels, s.seed) for s in sessions]
     by_source: dict[tuple, list[int]] = {}
-    for r, (s, table) in enumerate(zip(sessions, tables)):
-        key = (("snapshot", type(s.defense)) if s.defense.uses_snapshot
-               else ("labels",) if table is None else ("table",))
+    for r, s in enumerate(sessions):
+        key = ("snapshot", type(s.defense)) if s.defense.uses_snapshot else ("table",)
         by_source.setdefault(key, []).append(r)
     return [_TargetSource(
         source,
         None if len(by_source) == 1 else np.array(lanes),
         sessions[lanes[0]].defense,
-        stack_lanes([tables[r] for r in lanes]) if source == "table" else None,
+        stack_lanes([tables[r] for r in lanes]),
         stack_lanes([sessions[r].defense.label_column for r in lanes])
         if source == "snapshot" else None)
         for (source, *_), lanes in by_source.items()]
@@ -543,23 +540,23 @@ def _capture_step(bottom: FcNetwork, top: FcNetwork, x_shape: tuple[int, ...]) -
     top.flat[...] = 0.0
     tape = Tape()
     x = tape.leaf(np.zeros(x_shape))
-    bottom_handles = bottom.attach(tape)
-    cut = bottom.forward(x)
+    bottom_params = bottom.attach(tape)
+    cut = bottom.forward(x, bottom_params)
     targets = tape.leaf(np.zeros((*x_shape[:-1], top.out_dim)))
-    top_handles = top.attach(tape)
-    loss = mse(top.forward(cut), targets)
+    top_params = top.attach(tape)
+    loss = mse(top.forward(cut, top_params), targets)
     # label party: gradients for its own update and for the wire, a walk
     # that stops at the cut; create_graph keeps every gradient a node a plan
     # can name
-    *top_grads, cut_grad = backward(loss, [*top_handles, cut], create_graph=True)
+    *top_grads, cut_grad = backward(loss, [*top_params, cut], create_graph=True)
     sent = tape.leaf(np.zeros(cut.shape))
     # feature party: backprop resumes from the gradient actually received,
     # whatever the defense did to it, over the forward's own values
     relay = sum_all(mul(cut, sent))
-    bottom_grads = backward(relay, bottom_handles, create_graph=True)
+    bottom_grads = backward(relay, bottom_params, create_graph=True)
     # the relay's value is a plan output only so that a run checks it for
     # finiteness, as a taped step does
-    return StepPlan([x, *bottom_handles, *top_handles],
+    return StepPlan([x, *bottom_params, *top_params],
                     [cut, targets, loss, [*top_grads, *bottom_grads], sent, relay],
                     fed=[(targets, cut), (sent, cut_grad)])
 

@@ -178,10 +178,10 @@ def test_criterion_2_gradient_fixed_point():
     for rec in transcript.last_epochs(1).records:
         surrogate = session.top.copy(role="surrogate")
         tape = Tape()
-        surrogate.attach(tape)
-        cut = session.bottom.forward_values(train.features[rec.indices])
+        params = surrogate.attach(tape)
+        cut = tape.leaf(session.bottom.forward_values(train.features[rec.indices]))
         dummy = tape.leaf(train.labels[rec.indices])
-        _, match = gradient_inversion_loss(tape, surrogate, cut, dummy, rec.gradient)
+        _, match = gradient_inversion_loss(surrogate, params, cut, dummy, rec.gradient)
         worst = max(worst, match.item())
     elapsed = time.perf_counter() - started
     ok = worst < 1e-8

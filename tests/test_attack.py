@@ -16,7 +16,7 @@ from splitlab.attack import (
     model_completion_loss,
     run_attack,
 )
-from splitlab.autograd import StepPlan, Tape, add, backward, smul
+from splitlab.autograd import StepPlan, Tape, add, backward, constant, smul
 from splitlab.data import sample_leaked, split_standardize, synth_regression
 from splitlab.defense import NoDefense
 from splitlab.harness import _failed_lane
@@ -60,12 +60,27 @@ def test_gradient_match_is_zero_at_the_truth(frozen_run):
     for rec in transcript.last_epochs(1).records:
         surrogate = session.top.copy(role="surrogate")
         tape = Tape()
-        surrogate.attach(tape)
-        cut = session.bottom.forward_values(train.features[rec.indices])
+        params = surrogate.attach(tape)
+        cut = tape.leaf(session.bottom.forward_values(train.features[rec.indices]))
         dummy_batch = tape.leaf(train.labels[rec.indices])
-        _, match = gradient_inversion_loss(tape, surrogate, cut, dummy_batch,
-                                           rec.gradient)
+        _, match = gradient_inversion_loss(surrogate, params, cut, dummy_batch, rec.gradient)
         assert match.item() < 1e-10
+
+
+@pytest.mark.parametrize("untaped", [np.asarray, constant], ids=["array", "constant"])
+def test_gradient_inversion_loss_refuses_an_untaped_cut(frozen_run, untaped):
+    # the induced gradient is taken w.r.t. the cut, so it must be a leaf the
+    # caller made on the tape
+    session, transcript, train, _ = frozen_run
+    rec = transcript.records[0]
+    surrogate = session.top.copy(role="surrogate")
+    tape = Tape()
+    params = surrogate.attach(tape)
+    cut = untaped(session.bottom.forward_values(train.features[rec.indices]))
+    with pytest.raises(AttackError, match=r"^the cut activations must be a tape leaf, not an "
+                                          rf"untaped {type(cut).__name__}$"):
+        gradient_inversion_loss(surrogate, params, cut, tape.leaf(train.labels[rec.indices]),
+                                rec.gradient)
 
 
 def test_anchor_term_zero_when_dummy_equals_prediction(frozen_run):
@@ -75,9 +90,9 @@ def test_anchor_term_zero_when_dummy_equals_prediction(frozen_run):
     cut = session.bottom.forward_values(train.features[rec.indices])
 
     tape = Tape()
-    surrogate.attach(tape)
+    params = surrogate.attach(tape)
     dummy_batch = tape.leaf(surrogate.forward_values(cut))
-    loss, match = gradient_inversion_loss(tape, surrogate, cut, dummy_batch,
+    loss, match = gradient_inversion_loss(surrogate, params, tape.leaf(cut), dummy_batch,
                                           rec.gradient)
     # anchor = loss - match vanishes by construction
     assert loss.item() - match.item() == pytest.approx(0.0, abs=1e-15)
@@ -93,10 +108,10 @@ def test_inversion_loss_gradient_wrt_dummy_matches_fd(frozen_run):
 
     def loss_at(dummy_values):
         tape = Tape()
-        surrogate.attach(tape)
+        params = surrogate.attach(tape)
         batch = tape.leaf(dummy_values)
-        loss, _ = gradient_inversion_loss(tape, surrogate, cut, batch, rec.gradient)
-        surrogate.detach()
+        loss, _ = gradient_inversion_loss(surrogate, params, tape.leaf(cut), batch,
+                                          rec.gradient)
         return loss, batch
 
     loss, batch_handle = loss_at(dummy0)
@@ -125,13 +140,14 @@ def test_inversion_loss_gradient_wrt_weights_matches_fd(frozen_run):
         surrogate = build_network([4, 1], seed=0, role="surrogate")
         surrogate.layers[0].weight = w_values.copy()
         tape = Tape()
-        handles = surrogate.attach(tape)
+        params = surrogate.attach(tape)
         batch = tape.leaf(dummy0)
-        loss, _ = gradient_inversion_loss(tape, surrogate, cut, batch, rec.gradient)
-        return loss, handles
+        loss, _ = gradient_inversion_loss(surrogate, params, tape.leaf(cut), batch,
+                                          rec.gradient)
+        return loss, params
 
-    loss, handles = loss_at(w0)
-    (analytic, _) = backward(loss, handles[:2])[0], None
+    loss, params = loss_at(w0)
+    (analytic, _) = backward(loss, params[:2])[0], None
 
     step = 1e-4
     numeric = np.zeros_like(w0)
@@ -151,9 +167,7 @@ def test_model_completion_exact_predictor_zero(frozen_run):
     leaked_cut = session.bottom.forward_values(leaked.features)
     exact = surrogate.forward_values(leaked_cut)
 
-    tape = Tape()
-    surrogate.attach(tape)
-    loss = model_completion_loss(tape, surrogate, leaked_cut, exact)
+    loss = model_completion_loss(surrogate, surrogate.attach(Tape()), leaked_cut, exact)
     assert loss.item() == 0.0
 
 
@@ -164,9 +178,7 @@ def test_model_completion_zero_weights_gives_mean_square(frozen_run):
     surrogate.layers[0].weight = np.zeros((4, 1))
     leaked_cut = session.bottom.forward_values(leaked.features)
 
-    tape = Tape()
-    surrogate.attach(tape)
-    loss = model_completion_loss(tape, surrogate, leaked_cut, leaked.labels)
+    loss = model_completion_loss(surrogate, surrogate.attach(Tape()), leaked_cut, leaked.labels)
     assert loss.item() == pytest.approx(float((leaked.labels ** 2).mean()), abs=1e-12)
 
 
@@ -180,12 +192,11 @@ def test_model_completion_gradient_matches_fd(frozen_run):
     def loss_at(w):
         surrogate = build_network([4, 1], seed=0)
         surrogate.layers[0].weight = w.copy()
-        tape = Tape()
-        handles = surrogate.attach(tape)
-        return model_completion_loss(tape, surrogate, leaked_cut, leaked.labels), handles
+        params = surrogate.attach(Tape())
+        return model_completion_loss(surrogate, params, leaked_cut, leaked.labels), params
 
-    loss, handles = loss_at(w0)
-    (analytic,) = backward(loss, [handles[0]])
+    loss, params = loss_at(w0)
+    (analytic,) = backward(loss, [params[0]])
 
     step = 1e-4
     numeric = np.zeros_like(w0)
@@ -200,10 +211,9 @@ def test_model_completion_gradient_matches_fd(frozen_run):
 
 def test_model_completion_rejects_empty_leak():
     surrogate = build_network([4, 1], seed=0)
-    tape = Tape()
-    surrogate.attach(tape)
     with pytest.raises(AttackError):
-        model_completion_loss(tape, surrogate, np.zeros((0, 4)), np.zeros((0, 1)))
+        model_completion_loss(surrogate, surrogate.attach(Tape()), np.zeros((0, 4)),
+                              np.zeros((0, 1)))
 
 
 def test_rowwise_adam_touches_only_given_rows():
@@ -555,13 +565,13 @@ def recording_plans(lanes, taped, log):
         *params, dummy, cut, recorded = arrays
         surrogate = FcNetwork([Layer(w, b, a) for w, b, a in zip(params[::2], params[1::2], acts)])
         tape = Tape()
-        handles = surrogate.attach(tape)
+        params = surrogate.attach(tape)
         dummy_batch = tape.leaf(dummy)
-        gi_loss, _ = gradient_inversion_loss(tape, surrogate, cut, dummy_batch,
+        gi_loss, _ = gradient_inversion_loss(surrogate, params, tape.leaf(cut), dummy_batch,
                                              tape.leaf(recorded))
-        mc_loss = model_completion_loss(tape, surrogate, leaked_cut, leaked_labels)
+        mc_loss = model_completion_loss(surrogate, params, leaked_cut, leaked_labels)
         total = add(gi_loss, smul(mc_loss, cfg.alpha))
-        grads = backward(total, [*handles, dummy_batch])
+        grads = backward(total, [*params, dummy_batch])
         return [total.data, gi_loss.data, np.concatenate([g.data for g in grads[:-1]], axis=None),
                 grads[-1].data]
 

@@ -591,16 +591,13 @@ def _attack_like_step(net, arrays, create_graph):
     *params, dummy, cut, recorded = arrays
     net.set_parameters(params)
     tape = Tape()
-    handles = net.attach(tape)
-    try:
-        y, e, r = tape.leaf(dummy), tape.leaf(cut), tape.leaf(recorded)
-        anchor = mse(net.forward(e), y)
-        (induced,) = backward(anchor, [e], create_graph=True)
-        total = add(smul(mse(r, induced), 3.0), anchor)
-        grads = backward(total, [*handles, y], create_graph=create_graph)
-    finally:
-        net.detach()
-    return [*handles, y, e, r], [total, *grads]
+    params = net.attach(tape)
+    y, e, r = tape.leaf(dummy), tape.leaf(cut), tape.leaf(recorded)
+    anchor = mse(net.forward(e, params), y)
+    (induced,) = backward(anchor, [e], create_graph=True)
+    total = add(smul(mse(r, induced), 3.0), anchor)
+    grads = backward(total, [*params, y], create_graph=create_graph)
+    return [*params, y, e, r], [total, *grads]
 
 
 @pytest.mark.parametrize("lanes", [None, LANES], ids=["one_lane", "lane_stack"])
@@ -709,21 +706,16 @@ def _fed_step(bottom, top, arrays, feeders, create_graph):
     targets_of, sent_of = feeders
     tape = Tape()
     leaf_x = tape.leaf(x)
-    bottom_handles = bottom.attach(tape)
-    try:
-        cut = bottom.forward(leaf_x)
-        targets = tape.leaf(targets_of(cut.data))
-        top_handles = top.attach(tape)
-        loss = mse(top.forward(cut), targets)
-        *top_grads, cut_grad = backward(loss, [*top_handles, cut], create_graph=create_graph)
-        sent = tape.leaf(sent_of(cut_grad.data))
-        bottom_grads = backward(sum_all(mul(cut, sent)), bottom_handles,
-                                create_graph=create_graph)
-    finally:
-        bottom.detach()
-        top.detach()
+    bottom_params = bottom.attach(tape)
+    cut = bottom.forward(leaf_x, bottom_params)
+    targets = tape.leaf(targets_of(cut.data))
+    top_params = top.attach(tape)
+    loss = mse(top.forward(cut, top_params), targets)
+    *top_grads, cut_grad = backward(loss, [*top_params, cut], create_graph=create_graph)
+    sent = tape.leaf(sent_of(cut_grad.data))
+    bottom_grads = backward(sum_all(mul(cut, sent)), bottom_params, create_graph=create_graph)
     links = {"fed": [(targets, cut), (sent, cut_grad)]}
-    return ([leaf_x, *bottom_handles, *top_handles],
+    return ([leaf_x, *bottom_params, *top_params],
             [cut, loss, top_grads, sent, bottom_grads], links)
 
 
@@ -926,17 +918,13 @@ def _training_step(bottom, top, x, targets, create_graph):
     the top parameters and the cut, then the feature party's backward from
     the cut gradient to the bottom parameters. Returns every gradient."""
     tape = Tape()
-    bottom_handles = bottom.attach(tape)
-    try:
-        cut = bottom.forward(constant(x))
-        top_handles = top.attach(tape)
-        loss = mse(top.forward(cut), constant(targets))
-        *top_grads, cut_grad = backward(loss, [*top_handles, cut], create_graph=create_graph)
-        relay = sum_all(mul(cut, constant(cut_grad.data)))
-        bottom_grads = backward(relay, bottom_handles, create_graph=create_graph)
-    finally:
-        bottom.detach()
-        top.detach()
+    bottom_params = bottom.attach(tape)
+    cut = bottom.forward(constant(x), bottom_params)
+    top_params = top.attach(tape)
+    loss = mse(top.forward(cut, top_params), constant(targets))
+    *top_grads, cut_grad = backward(loss, [*top_params, cut], create_graph=create_graph)
+    relay = sum_all(mul(cut, constant(cut_grad.data)))
+    bottom_grads = backward(relay, bottom_params, create_graph=create_graph)
     return [g.data for g in (*top_grads, cut_grad, *bottom_grads)]
 
 

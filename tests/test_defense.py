@@ -29,6 +29,13 @@ from oracles import central_diff
 
 # -- noise --------------------------------------------------------------------
 
+@pytest.mark.parametrize("defense", [NoDefense(), GradientNoise(0.1), GradientCompression(0.5),
+                                     AdaptiveLabelExtension(3, 1)], ids=lambda d: d.name)
+def test_a_defense_that_draws_no_table_trains_on_the_labels(defense):
+    labels = np.arange(6.0).reshape(6, 1)
+    assert defense.target_table(labels, seed=4) is labels
+
+
 def test_noise_scale_zero_is_identity():
     y = np.arange(6, dtype=float).reshape(-1, 1)
     out = noise_labels(y, "laplace", 0.0, seed=1)

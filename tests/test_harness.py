@@ -282,10 +282,10 @@ def record_groups(monkeypatch):
 
 
 def test_the_attack_replays_records_without_activations(monkeypatch):
-    # each group is also trained from copies of its sessions through the
-    # default sink, whose records are whole
+    # each group is also trained from copies of its sessions through sinks
+    # that keep the whole records
     from splitlab import harness
-    from splitlab.protocol import SplitSession
+    from splitlab.protocol import SplitSession, Transcript
 
     train_lanes, attack_lanes = harness.train_lanes, harness.attack_lanes
     whole, replayed = [], []
@@ -294,8 +294,10 @@ def test_the_attack_replays_records_without_activations(monkeypatch):
         copies = [SplitSession(s.bottom.copy(), s.top.copy(), s.defense, lr=s.lr,
                                batch_size=s.batch_size, epochs=s.epochs, seed=s.seed)
                   for s in sessions]
-        whole.extend(t for t, _ in train_lanes(copies, train,
-                                               keep_epochs=kwargs["keep_epochs"]))
+        kept = [Transcript() for _ in copies]
+        train_lanes(copies, train, [t.records.append for t in kept],
+                    keep_epochs=kwargs["keep_epochs"])
+        whole.extend(kept)
         return train_lanes(sessions, train, **kwargs)
 
     def watching(lanes, *args, **kwargs):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from splitlab.autograd import Tape, backward, constant, mse
+from splitlab.autograd import AutogradError, Tape, backward, constant, mse
 from splitlab.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -84,10 +84,46 @@ def test_taped_forward_matches_plain_forward():
     net = build_network([4, 6, 3], seed=2)
     x = rng.normal(size=(5, 4))
     tape = Tape()
-    net.attach(tape)
-    out = net.forward(constant(x))
-    net.detach()
+    out = net.forward(constant(x), net.attach(tape))
     assert np.array_equal(out.data, net.forward_values(x))
+
+
+def test_one_network_attached_to_two_tapes_computes_the_same_on_each():
+    # each attach makes leaves of its own; nothing is undone in between
+    rng = np.random.default_rng(13)
+    net = build_network([4, 6, 2], activation="tanh", seed=3)
+    x, y = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
+    runs = []
+    for _ in range(2):
+        params = net.attach(Tape())
+        loss = mse(net.forward(constant(x), params), constant(y))
+        runs.append([loss.data.tobytes()] + [g.data.tobytes() for g in backward(loss, params)])
+    assert runs[0] == runs[1]
+
+
+def test_attach_leaves_the_network_as_it_was():
+    net = build_network([4, 6, 2], seed=3)
+    before = dict(vars(net))
+    values = net.flat.tobytes()
+    layers = [(l.weight, l.bias, l.activation) for l in net.layers]
+    params = net.attach(Tape())
+    assert vars(net).keys() == before.keys()
+    assert all(vars(net)[name] is value for name, value in before.items())
+    assert all(l.weight is w and l.bias is b and l.activation == a
+               for l, (w, b, a) in zip(net.layers, layers))
+    assert net.flat.tobytes() == values
+    # the leaves hold copies: moving the network leaves them alone
+    net.flat[...] = 0.0
+    assert any(p.data.any() for p in params)
+
+
+@pytest.mark.parametrize("count", [0, 2, 6], ids=["none", "one_layer_short", "one_too_many"])
+def test_forward_refuses_a_wrong_leaf_count(count):
+    net = build_network([4, 6, 2], seed=3)
+    params = (net.attach(Tape()) * 2)[:count]
+    with pytest.raises(AutogradError, match=rf"^{count} parameter leaves given, the "
+                                            r"network's 2 layers take 4$"):
+        net.forward(constant(np.zeros((3, 4))), params)
 
 
 def test_forward_shape_mismatch():
@@ -170,11 +206,10 @@ def test_linear_regression_converges():
     final = np.inf
     for _ in range(500):
         tape = Tape()
-        handles = net.attach(tape)
-        loss = mse(net.forward(constant(x)), constant(y))
-        grads = backward(loss, handles)
+        params = net.attach(tape)
+        loss = mse(net.forward(constant(x), params), constant(y))
+        grads = backward(loss, params)
         opt.step(net.flat, np.concatenate([g.data for g in grads], axis=None))
-        net.detach()
         final = loss.item()
     assert final < 1e-3
 
@@ -221,9 +256,7 @@ def test_stacked_networks_compute_each_network_alone():
     assert (stack.lanes, stack.in_dim, stack.out_dim, stack.dims) == (3, 4, 2, [4, 5, 2])
     xs = rng.normal(size=(3, 6, 4))
     tape = Tape()
-    stack.attach(tape)
-    taped = stack.forward(constant(xs))
-    stack.detach()
+    taped = stack.forward(constant(xs), stack.attach(tape))
     for lane, net in enumerate(nets):
         assert np.array_equal(stack.forward_values(xs)[lane], net.forward_values(xs[lane]))
         assert np.array_equal(taped.data[lane], net.forward_values(xs[lane]))

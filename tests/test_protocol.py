@@ -19,7 +19,7 @@ from splitlab.defense import (
     RandomLabelExtension,
 )
 from splitlab.metrics import mean_value_baseline, metric_pair
-from splitlab.nn import FcNetwork, Layer, build_network, stack_networks
+from splitlab.nn import FcNetwork, Layer, build_network, gather_rows, stack_networks
 from splitlab.protocol import (
     ProtocolError,
     SplitSession,
@@ -479,6 +479,15 @@ def lane_sessions(train, defenses):
             for seed, d in zip((4, 9, 4, 7, 2, 9), defenses)]
 
 
+def train_keeping(sessions, train, keep_epochs=None):
+    """train_lanes with a sink per lane that keeps its whole records: each
+    lane's (transcript, per-epoch mean loss)."""
+    transcripts = [Transcript() for _ in sessions]
+    traces = train_lanes(sessions, train, [t.records.append for t in transcripts],
+                         keep_epochs=keep_epochs)
+    return list(zip(transcripts, traces))
+
+
 def assert_same_records(a, b):
     assert len(a.records) == len(b.records)
     for x, y in zip(a.records, b.records):
@@ -500,7 +509,7 @@ def test_lock_step_lanes_match_separate_runs(small_data, kind):
     defenses = LANE_DEFENSES[kind]
     alone = lane_sessions(train, defenses)
     together = lane_sessions(train, defenses)
-    outcomes = train_lanes(together, train)
+    outcomes = train_keeping(together, train)
     for session, twin, (transcript, trace) in zip(alone, together, outcomes):
         _, expected, expected_trace = train_split(session, train)
         assert trace == expected_trace
@@ -511,8 +520,8 @@ def test_lock_step_lanes_match_separate_runs(small_data, kind):
 def test_lock_step_keep_epochs_trims_only_old_records(small_data):
     train, _ = small_data
     defenses = LANE_DEFENSES["label_noise"][:2]
-    full = train_lanes(lane_sessions(train, defenses)[:2], train)
-    kept = train_lanes(lane_sessions(train, defenses)[:2], train, keep_epochs=1)
+    full = train_keeping(lane_sessions(train, defenses)[:2], train)
+    kept = train_keeping(lane_sessions(train, defenses)[:2], train, keep_epochs=1)
     for (transcript, trace), (trimmed, trimmed_trace) in zip(full, kept):
         assert trimmed_trace == trace
         assert_same_records(trimmed, transcript.last_epochs(1))
@@ -521,17 +530,43 @@ def test_lock_step_keep_epochs_trims_only_old_records(small_data):
 def test_lock_step_rejects_incompatible_sessions(small_data):
     train, _ = small_data
     # defense kinds may differ, top-model widths may not
-    train_lanes(lane_sessions(train, [NoDefense(), LabelNoise(0.1), NoDefense()]), train)
+    train_keeping(lane_sessions(train, [NoDefense(), LabelNoise(0.1), NoDefense()]), train)
     widths = lane_sessions(train, [NoDefense(), RandomLabelExtension(3, 0), NoDefense()])
     with pytest.raises(ProtocolError, match="lane 1: .* need the same top-model width"):
-        train_lanes(widths, train)
+        train_keeping(widths, train)
     rates = [make_session(train, lr=0.01), make_session(train, lr=0.02)]
     with pytest.raises(ProtocolError, match=re.escape(
             "lane 1: sessions trained in lock-step need the same learning rate: "
             "0.02 here, 0.01 in lane 0")):
-        train_lanes(rates, train)
+        train_keeping(rates, train)
     with pytest.raises(ProtocolError):
-        train_lanes([], train)
+        train_keeping([], train)
+
+
+def test_lock_step_training_takes_one_sink_per_lane(small_data):
+    train, _ = small_data
+    sessions = lane_sessions(train, LANE_DEFENSES["none"])
+    with pytest.raises(ProtocolError, match=r"^2 record sinks for 3 sessions$"):
+        train_lanes(sessions, train, [print, print])
+
+
+@pytest.mark.parametrize("kind,per_batch", [("none", 1), ("mixed_width_1", 2),
+                                            ("mixed_snapshot_rules", 3)])
+def test_each_target_source_gathers_its_rows_once_per_batch(monkeypatch, small_data, kind,
+                                                           per_batch):
+    # the table lanes, the labels' lanes included, are one source; each
+    # snapshot rule is another, which gathers the labels it writes in
+    train, _ = small_data
+    gathers = []
+
+    def counting(table, idx):
+        gathers.append(idx.shape)
+        return gather_rows(table, idx)
+
+    monkeypatch.setattr(protocol_module, "gather_rows", counting)
+    train_keeping(lane_sessions(train, LANE_DEFENSES[kind]), train)
+    # 3 epochs x 4 batches
+    assert len(gathers) == 12 * per_batch
 
 
 @pytest.mark.parametrize("lanes,message", [
@@ -549,7 +584,7 @@ def test_a_lock_step_refusal_names_the_lane_the_setting_and_both_values(small_da
     (name, values), = lanes.items()
     sessions = [make_session(train, **{name: value}) for value in values]
     with pytest.raises(ProtocolError, match=rf"^lane 1: {re.escape(message)}$"):
-        train_lanes(sessions, train)
+        train_keeping(sessions, train)
 
 
 def test_lock_step_divergence_names_the_lane(small_data):
@@ -559,7 +594,7 @@ def test_lock_step_divergence_names_the_lane(small_data):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ProtocolError, match=r"epoch 0, batch 0: non-finite values "
                                                 r"produced by 'matmul' \(lane 2\)"):
-            train_lanes(sessions, train)
+            train_keeping(sessions, train)
 
 
 # --- step plans: one capture per batch shape, every batch runs the plans -----
@@ -587,14 +622,14 @@ def taping_replay(sessions, log):
         bottom, top = network(bottom_params, acts[0]), network(top_params, acts[1])
         tape = Tape()
         x = tape.leaf(x_batch)
-        bottom_handles = bottom.attach(tape)
-        cut = bottom.forward(x)
+        bottom_params = bottom.attach(tape)
+        cut = bottom.forward(x, bottom_params)
         targets = tape.leaf(targets_of(cut.data))
-        top_handles = top.attach(tape)
-        loss = mse(top.forward(cut), targets)
-        *top_grads, cut_grad = backward(loss, [*top_handles, cut])
+        top_params = top.attach(tape)
+        loss = mse(top.forward(cut, top_params), targets)
+        *top_grads, cut_grad = backward(loss, [*top_params, cut])
         sent = tape.leaf(sent_of(cut_grad.data))
-        bottom_grads = backward(sum_all(mul(cut, sent)), bottom_handles)
+        bottom_grads = backward(sum_all(mul(cut, sent)), bottom_params)
         outputs = (cut.data, targets.data, loss.data, flat([*top_grads, *bottom_grads]),
                    sent.data)
         log.append(outputs)
@@ -636,7 +671,7 @@ def test_replayed_batches_equal_a_loop_that_tapes_every_step(monkeypatch, small_
         step = taping_replay(sessions, log) if taped else logging_replay(log)
         with monkeypatch.context() as m:
             m.setattr(protocol_module, "_replay_step", step)
-            runs.append((sessions, train_lanes(sessions, train), log))
+            runs.append((sessions, train_keeping(sessions, train), log))
     (replayed, replayed_out, replayed_log), (reference, reference_out, reference_log) = runs
     # 3 epochs x 4 batches, every one of them run from the plans
     assert len(replayed_log) == len(reference_log) == 12
@@ -663,7 +698,7 @@ def test_training_captures_one_set_of_plans_per_batch_shape_per_call(monkeypatch
     monkeypatch.setattr(protocol_module, "StepPlan", Counting)
     for count in (1, 3):
         captured.clear()
-        train_lanes(lane_group(train, "none", count), train)
+        train_keeping(lane_group(train, "none", count), train)
         lead = () if count == 1 else (count,)
         assert captured == [(*lead, 48, 3), (*lead, 16, 3)]
 
@@ -725,7 +760,7 @@ def test_defense_rules_never_see_a_non_finite_cut_or_cut_gradient(monkeypatch, s
         with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
             m.setattr(protocol_module, "_replay_step", step)
             with pytest.raises(ProtocolError) as info:
-                train_lanes(sessions, train)
+                train_keeping(sessions, train)
         runs.append((str(info.value), seen))
     (replayed, seen), (taped_message, taped_seen) = runs
     assert replayed == taped_message == {
@@ -775,7 +810,7 @@ def test_divergence_on_a_replayed_batch_is_named_like_the_taped_step(monkeypatch
         with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
             m.setattr(protocol_module, "_replay_step", step)
             with pytest.raises(ProtocolError) as info:
-                train_lanes(sessions, train)
+                train_keeping(sessions, train)
         errors.append(str(info.value))
         assert info.value.__cause__.lane == (None if count == 1 else bad)
     assert errors[0] == (f"epoch 0, batch 2: non-finite values produced by '{op}'"
