@@ -378,61 +378,66 @@ def attack_lanes(lanes: list[AttackLane], train: Dataset,
     surrogate_opt = Adam.for_network(surrogate, lr=config.lr)
     dummy_opt = RowwiseAdam(dummy.shape, lr=config.lr)
 
-    # The bottom model is frozen and the records and leaked pairs never
-    # change, so the activations of every training sample (one n x cut table
-    # per lane), each batch's indices, the blocks and the leaked activations
-    # are formed once. A block's rows are joined at its start, into one
-    # buffer that fits the largest block; several lanes' recorded gradients
-    # are stacked at their step, into one buffer that fits the largest batch.
-    cut_table = bottom.forward_values(stack_lanes([train.features] * count))
-    batch_idx = [stack_lanes([rec.indices for rec in batch]) for batch in zip(*records)]
-    blocks = _blocks(batch_idx, dummy.shape[:-1])
-    block_sizes = [sum(batch_idx[k].shape[-1] for k in block) for block in blocks]
-    rows_buffer = np.empty((*batch_idx[0].shape[:-1], max(block_sizes)), dtype=np.int64)
-    grads_buffer = np.empty(count * max(idx.shape[-1] for idx in batch_idx) * cut_dim)
-    leaked_cut = bottom.forward_values(stack_lanes([lane.leaked.features for lane in lanes]))
-    leaked_labels = stack_lanes([lane.leaked.labels for lane in lanes])
+    # An overflow in the cut tables or a step is refused by the plan's
+    # finiteness scan, in one line; numpy's own warnings about it are not
+    # printed. The state is entered once per call, not once per step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The bottom model is frozen and the records and leaked pairs never
+        # change, so the activations of every training sample (one n x cut table
+        # per lane), each batch's indices, the blocks and the leaked activations
+        # are formed once. A block's rows are joined at its start, into one
+        # buffer that fits the largest block; several lanes' recorded gradients
+        # are stacked at their step, into one buffer that fits the largest batch.
+        cut_table = bottom.forward_values(stack_lanes([train.features] * count))
+        batch_idx = [stack_lanes([rec.indices for rec in batch]) for batch in zip(*records)]
+        blocks = _blocks(batch_idx, dummy.shape[:-1])
+        block_sizes = [sum(batch_idx[k].shape[-1] for k in block) for block in blocks]
+        rows_buffer = np.empty((*batch_idx[0].shape[:-1], max(block_sizes)), dtype=np.int64)
+        grads_buffer = np.empty(count * max(idx.shape[-1] for idx in batch_idx) * cut_dim)
+        leaked_cut = bottom.forward_values(stack_lanes([lane.leaked.features for lane in lanes]))
+        leaked_labels = stack_lanes([lane.leaked.labels for lane in lanes])
 
-    loss_traces: list[list[float]] = [[] for _ in lanes]
-    inversion_traces: list[list[float]] = [[] for _ in lanes]
-    # this epoch's per-batch losses, one row per lane
-    totals = np.empty((count, len(batch_idx)))
-    inversions = np.empty((count, len(batch_idx)))
-    # one plan per batch shape: every batch but a short final one runs it
-    plans: dict[tuple[int, ...], StepPlan] = {}
-    surrogate_params = surrogate.parameters()
-    for epoch in range(config.epochs):
-        for block, size in zip(blocks, block_sizes):
-            rows = np.concatenate([batch_idx[k] for k in block], axis=-1,
-                                  out=rows_buffer[..., :size])
-            block_dummy = gather_rows(dummy, rows)
-            block_grad = np.empty_like(block_dummy)
-            start = 0
-            for batch_no in block:
-                idx = batch_idx[batch_no]
-                part = slice(start, start + idx.shape[-1])
-                start = part.stop
-                cut_values = gather_rows(cut_table, idx)
-                recorded = _stacked_gradients(records, batch_no, grads_buffer)
-                plan = plans.get(cut_values.shape)
-                if plan is None:
-                    plan = plans[cut_values.shape] = _capture_step(
-                        surrogate, cut_values.shape, leaked_cut, leaked_labels, config.alpha)
-                try:
-                    outputs = plan.run([*surrogate_params, block_dummy[..., part, :],
-                                        cut_values, recorded])
-                except AutogradError as exc:
-                    raise AttackError(
-                        f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc
-                total, gi_loss, w_grad, d_grad = outputs
-                surrogate_opt.step(surrogate.flat, w_grad)
-                block_grad[..., part, :] = d_grad
-                totals[:, batch_no] = total.reshape(count)
-                inversions[:, batch_no] = gi_loss.reshape(count)
-            dummy_opt.step(dummy, rows, block_grad)
-        for traces, values in ((loss_traces, totals), (inversion_traces, inversions)):
-            for trace, per_lane in zip(traces, values):
-                trace.append(float(np.mean(per_lane)))
+        loss_traces: list[list[float]] = [[] for _ in lanes]
+        inversion_traces: list[list[float]] = [[] for _ in lanes]
+        # this epoch's per-batch losses, one row per lane
+        totals = np.empty((count, len(batch_idx)))
+        inversions = np.empty((count, len(batch_idx)))
+        # one plan per batch shape: every batch but a short final one runs it
+        plans: dict[tuple[int, ...], StepPlan] = {}
+        surrogate_params = surrogate.parameters()
+        for epoch in range(config.epochs):
+            for block, size in zip(blocks, block_sizes):
+                rows = np.concatenate([batch_idx[k] for k in block], axis=-1,
+                                      out=rows_buffer[..., :size])
+                block_dummy = gather_rows(dummy, rows)
+                block_grad = np.empty_like(block_dummy)
+                start = 0
+                for batch_no in block:
+                    idx = batch_idx[batch_no]
+                    part = slice(start, start + idx.shape[-1])
+                    start = part.stop
+                    cut_values = gather_rows(cut_table, idx)
+                    recorded = _stacked_gradients(records, batch_no, grads_buffer)
+                    try:
+                        plan = plans.get(cut_values.shape)
+                        if plan is None:
+                            plan = plans[cut_values.shape] = _capture_step(
+                                surrogate, cut_values.shape, leaked_cut, leaked_labels,
+                                config.alpha)
+                        outputs = plan.run([*surrogate_params, block_dummy[..., part, :],
+                                            cut_values, recorded])
+                    except AutogradError as exc:
+                        raise AttackError(
+                            f"attack epoch {epoch}, batch {batch_no} diverged: {exc}") from exc
+                    total, gi_loss, w_grad, d_grad = outputs
+                    surrogate_opt.step(surrogate.flat, w_grad)
+                    block_grad[..., part, :] = d_grad
+                    totals[:, batch_no] = total.reshape(count)
+                    inversions[:, batch_no] = gi_loss.reshape(count)
+                dummy_opt.step(dummy, rows, block_grad)
+            for traces, values in ((loss_traces, totals), (inversion_traces, inversions)):
+                for trace, per_lane in zip(traces, values):
+                    trace.append(float(np.mean(per_lane)))
 
     results = []
     for r, (lane, sur, dummy_r, leaked_cut_r) in enumerate(zip(

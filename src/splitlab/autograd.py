@@ -19,7 +19,9 @@ dictionary cost far more than the small-matrix arithmetic itself. A
 ``StepPlan`` is captured from one taped step whose backward passes ran with
 ``create_graph=True``, so that every gradient is a node. The caller names the
 plan's inputs (leaves) and outputs; the plan keeps only the outputs'
-ancestors. At capture it lays out one float64 buffer with a slot for each
+ancestors, each value once (a transpose with one row or one column is a
+view of its argument, and a repeated operation reads the first one's
+result). At capture it lays out one float64 buffer with a slot for each
 kept leaf and operation, and binds every operation to fixed views of its
 argument slots and its own slot (captured constants stay separate arrays).
 ``run(arrays)`` copies the inputs into their slots and recomputes each
@@ -549,12 +551,19 @@ class StepPlan:
     it.
 
     The plan owns one float64 buffer with a slot for each leaf and each kept
-    operation. The outputs' slots lie back to back in output order, so a run
-    returns views of one copy of them. Every operation is bound once to fixed
-    views of its argument slots (or its captured constants) and of its own
-    slot, and every run writes into them, so a plan, like a tape, belongs to
-    one logical thread. ``run`` returns new arrays, which a later run does not
-    touch.
+    operation, and holds each value once (see _bindings): a transpose with
+    one row or one column is bound as a view of its argument's slot, a
+    transpose of a transpose reads its source's slot, and an operation that
+    repeats an earlier one (same kind, inputs and aux; constants compared by
+    their bytes) reads that one's slot. None of these is computed or checked:
+    each repeats an earlier value, so the first non-finite value in tape
+    order is never one of them. The outputs' slots lie back to back in
+    output order, so a run returns views of one copy of them; an output
+    that is bound so, or named twice, is filled by a copy. Every operation
+    is bound once to fixed views of its argument slots (or its captured
+    constants) and of its own slot, and every run writes into them, so a
+    plan, like a tape, belongs to one logical thread. ``run`` returns new
+    arrays, which a later run does not touch.
     """
 
     def __init__(self, inputs: Sequence[Tensor], outputs: Sequence, fed: Sequence = ()):
@@ -585,10 +594,17 @@ class StepPlan:
         fed_sources = {leaf.node: source.node for leaf, source in fed}
         output_ids = [t.node for t in flat_outputs]
 
-        needed = {*output_ids, *fed_ids, *fed_sources.values()}
+        ancestors = {*output_ids, *fed_ids, *fed_sources.values()}
+        for nid in range(max(ancestors), -1, -1):
+            if nid in ancestors:
+                ancestors.update(i for i in nodes[nid].inputs if i is not None)
+        canon, views = _bindings(nodes, sorted(ancestors))
+        # what the outputs and feeders read once every value is held once
+        needed = {*(canon[nid] for nid in output_ids), *fed_ids,
+                  *(canon[nid] for nid in fed_sources.values())}
         for nid in range(max(needed), -1, -1):
             if nid in needed:
-                needed.update(i for i in nodes[nid].inputs if i is not None)
+                needed.update(canon[i] for i in nodes[nid].inputs if i is not None)
         order = sorted(needed | set(input_ids))
         for nid in order:
             if nodes[nid].op == "leaf" and nid not in input_ids and nid not in fed_sources:
@@ -598,7 +614,7 @@ class StepPlan:
         # Segment k holds what is made after k fed leaves, in tape order: the
         # run computes and checks it, then feeds the next leaf.
         segments = len(fed_ids) + 1
-        segment = {nid: bisect.bisect_right(fed_ids, nid) for nid in order}
+        segment = {nid: bisect.bisect_right(fed_ids, nid) for nid in {*ancestors, *order}}
         if [segment[nid] for nid in output_ids] != sorted(segment[nid] for nid in output_ids):
             raise AutogradError("plan outputs made after a fed leaf precede outputs made "
                                 "before it")
@@ -607,7 +623,8 @@ class StepPlan:
         # segment k's rest to segment k's last output, which holds all of
         # segments 0..k and nothing later.
         output_set = set(output_ids)
-        rest = [[nid for nid in order if segment[nid] == k and nid not in output_set]
+        rest = [[nid for nid in order
+                 if segment[nid] == k and nid not in output_set and nid not in views]
                 for k in range(segments)]
         kept = [*output_ids, *(nid for r in rest for nid in r)]
         self._buffer = np.empty(sum(nodes[nid].out.size for nid in kept))
@@ -627,10 +644,11 @@ class StepPlan:
             for nid in rest[k]:
                 slot[nid] = place(nid)
         out_start = offset
-        # segment k's outputs end at out_end[k]; a node named again gets a
-        # slot of its own, filled by a copy after the node is made
+        # segment k's outputs end at out_end[k]; a node named again, or one
+        # that reads another's slot, gets a slot of its own, filled by a copy
+        # after the node is made
         out_end = [out_start] * segments
-        copies: list[list] = [[] for _ in range(segments)]
+        copied: list[list] = [[] for _ in range(segments)]
         # per output, its place in the region and its shape (None: a group,
         # returned flat)
         self._unpack = []
@@ -640,8 +658,8 @@ class StepPlan:
             for t in (given if group else [given]):
                 nid = t.node
                 view = place(nid)
-                if nid in slot:
-                    copies[segment[nid]].append((_copy_forward, None, view, slot[nid], None))
+                if nid in slot or nid in views or canon[nid] != nid:
+                    copied[segment[nid]].append((view, nid))
                 else:
                     slot[nid] = view
                 for k in range(segment[nid], segments):
@@ -651,6 +669,14 @@ class StepPlan:
         for nid in rest[-1]:
             slot[nid] = place(nid)
         self._outputs = self._buffer[out_start:offset]
+        for nid in order:
+            if nid in views:
+                source = views[nid]
+                held = nodes[nid].values[0] if source is None else slot[source]
+                # flattened first, so the view has the strides of a slot
+                slot[nid] = np.reshape(held, -1).reshape(nodes[nid].out.shape)
+        copies = [[(_copy_forward, None, view, slot[canon[nid]], None) for view, nid in c]
+                  for c in copied]
         scans = [self._buffer[rest_start[k]:out_end[k]] for k in range(segments - 1)]
         scans.append(self._buffer[out_end[-2] if segments > 1 else 0:])
 
@@ -664,17 +690,19 @@ class StepPlan:
             program = []
             for nid in order:
                 node = nodes[nid]
-                if segment[nid] != k or node.op == "leaf":
+                if segment[nid] != k or node.op == "leaf" or nid in views:
                     continue
-                args = [arr if i is None else slot[i] for i, arr in zip(node.inputs, node.values)]
+                args = [arr if i is None else slot[canon[i]]
+                        for i, arr in zip(node.inputs, node.values)]
                 program.append((_FORWARD[node.op], node.aux, slot[nid], args[0],
                                 args[1] if len(args) > 1 else None))
             self._ops += len(program)
-            checked = [(slot[nid], nodes[nid].op) for nid in order if segment[nid] == k]
+            checked = [(slot[nid], nodes[nid].op) for nid in order
+                       if segment[nid] == k and nid not in views]
             feed = None
             if k < segments - 1:
                 leaf = fed_ids[k]
-                source = slot[fed_sources[leaf]].view()
+                source = slot[canon[fed_sources[leaf]]].view()
                 source.flags.writeable = False
                 feed = (feeder_of[leaf], source, slot[leaf])
             self._phases.append((program + copies[k], scans[k], checked, feed))
@@ -723,3 +751,38 @@ class StepPlan:
 
 def _copy_forward(aux, out, a, b):
     np.copyto(out, a)
+
+
+def _bindings(nodes: list[_Node],
+              order: list[int]) -> tuple[dict[int, int], dict[int, int | None]]:
+    """How a plan holds each value once: (canon, views) over the nodes of
+    `order`, in tape order. canon maps every node to the node whose slot
+    holds its value, in its shape: itself, or an earlier node when it is a
+    transpose of a transpose (its source's source) or repeats an earlier
+    operation (the same kind, the same inputs, as canon names them, and the
+    same aux; captured constants compared by their bytes). views maps each
+    transpose whose result has one row or one column, which holds the bytes
+    of its argument in the same order, to the node whose slot it views (None:
+    its captured constant); such a node is bound, not computed."""
+    canon: dict[int, int] = {}
+    views: dict[int, int | None] = {}
+    known: dict[tuple, int] = {}
+    for nid in order:
+        node = nodes[nid]
+        canon[nid] = nid
+        if node.op == "leaf":
+            continue
+        key = (node.op, repr(node.aux), *(
+            ("node", canon[i]) if i is not None else ("constant", arr.shape, arr.tobytes())
+            for i, arr in zip(node.inputs, node.values)))
+        if key in known:
+            canon[nid] = known[key]
+        elif node.op == "transpose":
+            source = None if node.inputs[0] is None else canon[node.inputs[0]]
+            inner = None if source is None else nodes[source]
+            if inner is not None and inner.op == "transpose" and inner.inputs[0] is not None:
+                canon[nid] = canon[inner.inputs[0]]
+            elif 1 in node.out.shape[-2:]:
+                views[nid] = source
+        known.setdefault(key, canon[nid])
+    return canon, views

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .attack import AttackError, run_attack
-from .data import split_standardize
+from .data import split_standardize  # noqa: F401
 from .defense import defense_from_dict, defense_to_dict
 from .harness import (
     DATASET_KEYS,
@@ -24,7 +24,7 @@ from .harness import (
     HarnessError,
     build_session,
     emit_results,
-    load_dataset,
+    load_split,
     plan_attack,
     result_rows,
     run_experiment,
@@ -34,6 +34,10 @@ from .harness import (
 from .metrics import mean_value_baseline
 from .nn import load_checkpoint, save_checkpoint
 from .protocol import ProtocolError, Transcript, TranscriptWriter, train_split
+
+# split_standardize is not called here (the commands split through
+# harness.load_split); it stays importable from here for code that looks it
+# up by this module's name.
 
 
 def _parse_value(text: str):
@@ -124,10 +128,9 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    raw = load_dataset(cfg)
-    train, _ = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
+    train, _ = load_split(cfg)
     defense = defense_from_dict(cfg.defense, cut_dim=cfg.cut_dim, seed=cfg.seed)
-    session = build_session(cfg, defense, raw.d, cfg.seed)
+    session = build_session(cfg, defense, train.d, cfg.seed)
     # records stream to disk as they are made; a run that fails leaves no file
     with TranscriptWriter(out / "transcript.bin") as transcript:
         _, _, trace = train_split(session, train, sink=transcript.append)
@@ -159,6 +162,16 @@ def _manifest_entry(manifest, path, *keys):
     return node
 
 
+def _manifest_file(manifest, path, key: str) -> str:
+    """The file name manifest["files"][key]; a missing key, or a value
+    that is not a string, is a one-line error naming the manifest and the
+    key."""
+    name = _manifest_entry(manifest, path, "files", key)
+    if not isinstance(name, str):
+        raise HarnessError(f"{path}: 'files.{key}' is {name!r}, not a file name")
+    return name
+
+
 def cmd_attack(args) -> int:
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
@@ -167,10 +180,10 @@ def cmd_attack(args) -> int:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise HarnessError(f"{manifest_path}: not JSON: {exc}") from None
-    entries = [_manifest_entry(manifest, manifest_path, *keys)
-               for keys in (("config",), ("defense_resolved",), ("files", "bottom"),
-                            ("files", "transcript"))]
-    config, defense_spec, bottom_file, transcript_file = entries
+    config = _manifest_entry(manifest, manifest_path, "config")
+    defense_spec = _manifest_entry(manifest, manifest_path, "defense_resolved")
+    bottom_file = _manifest_file(manifest, manifest_path, "bottom")
+    transcript_file = _manifest_file(manifest, manifest_path, "transcript")
     try:
         cfg = ExperimentConfig.from_dict(config)
     except HarnessError as exc:
@@ -180,8 +193,7 @@ def cmd_attack(args) -> int:
     except ValueError as exc:
         raise HarnessError(f"{manifest_path}: bad defense {defense_spec!r}: {exc}") from None
 
-    raw = load_dataset(cfg)
-    train, test = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
+    train, test = load_split(cfg)
     bottom = load_checkpoint(run_dir / bottom_file)
     # every header is checked, but only the replayed epochs' indices and
     # gradients are read
@@ -248,14 +260,13 @@ def cmd_sweep_dims(args) -> int:
 
 def cmd_baseline_mp(args) -> int:
     cfg = _build_config(args)
-    raw = load_dataset(cfg)
-    train, test = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
+    train, test = load_split(cfg)
     tr = mean_value_baseline(train.labels, train.labels)
     te = mean_value_baseline(train.labels, test.labels)
-    print(f"{raw.name}: mean-prediction train {tr.mae:.4f}/{tr.mse:.4f} "
+    print(f"{train.name}: mean-prediction train {tr.mae:.4f}/{tr.mse:.4f} "
           f"test {te.mae:.4f}/{te.mse:.4f}")
     if args.out:
-        payload = {"dataset": raw.name,
+        payload = {"dataset": train.name,
                    "train": {"mae": tr.mae, "mse": tr.mse},
                    "test": {"mae": te.mae, "mse": te.mse}}
         with open(args.out, "w") as fh:

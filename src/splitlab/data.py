@@ -58,8 +58,19 @@ class Standardizer:
         return cls(f_mean, f_std, l_mean, l_std)
 
     def transform(self, features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (features - self.feature_mean) / self.feature_std, \
-               (labels - self.label_mean) / self.label_std
+        """New arrays of the z-scores: (x - mean) / std, column by column."""
+        features = np.array(features, dtype=np.float64)
+        labels = np.array(labels, dtype=np.float64)
+        self.transform_in_place(features, labels)
+        return features, labels
+
+    def transform_in_place(self, features: np.ndarray, labels: np.ndarray) -> None:
+        """Overwrite float64 arrays with their z-scores: subtract the mean,
+        then divide by the std, the bytes of (x - mean) / std."""
+        features -= self.feature_mean
+        features /= self.feature_std
+        labels -= self.label_mean
+        labels /= self.label_std
 
     def inverse_labels(self, labels: np.ndarray) -> np.ndarray:
         return labels * self.label_std + self.label_mean
@@ -114,7 +125,10 @@ def load_csv(path, label_column=-1, header: bool = True, name: str = "") -> Data
     with `float`: that pass names the row and column at fault, or returns
     what `float` reads where it accepts a spelling numpy does not (`1_000`,
     non-ASCII digits), so the files accepted and the values read are those
-    of `float` on every cell."""
+    of `float` on every cell.
+
+    The labels and the features are copies that own their data, so the
+    parsed table is freed when this returns: no label view keeps it alive."""
     if not isinstance(path, (str, os.PathLike)):
         raise DataError(f"a CSV path is a string or path, got {path!r}")
     parsed = _parse_table(path, header)
@@ -122,7 +136,7 @@ def load_csv(path, label_column=-1, header: bool = True, name: str = "") -> Data
         parsed = _parse_cells(path, header, label_column)
     columns, data = parsed
     label_idx = _label_index(label_column, columns, data.shape[1])
-    labels = data[:, label_idx:label_idx + 1]
+    labels = data[:, label_idx:label_idx + 1].copy()
     features = np.delete(data, label_idx, axis=1)
     return Dataset(features, labels, name=name or str(path))
 
@@ -218,7 +232,11 @@ def _label_index(label_column, columns: list[str] | None, width: int) -> int:
 
 def split_standardize(ds: Dataset, ratio: float = 0.8, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Shuffle by seed, split train:test at `ratio`, then z-score both splits
-    with statistics fitted on the training split only."""
+    with statistics fitted on the training split only.
+
+    Each side's rows are gathered once and standardized in place
+    (Standardizer.transform_in_place), so no whole-table temporary is
+    made."""
     if not 0 < ratio < 1:
         raise DataError(f"split ratio must be in (0, 1), got {ratio}")
     n_train = int(np.floor(ratio * ds.n))
@@ -229,9 +247,13 @@ def split_standardize(ds: Dataset, ratio: float = 0.8, seed: int = 0) -> tuple[D
     perm = rng.permutation(ds.n)
     tr, te = perm[:n_train], perm[n_train:]
 
-    scaler = Standardizer.fit(ds.features[tr], ds.labels[tr])
-    f_tr, l_tr = scaler.transform(ds.features[tr], ds.labels[tr])
-    f_te, l_te = scaler.transform(ds.features[te], ds.labels[te])
+    # each side's rows, gathered once, as float64 arrays of their own
+    (f_tr, l_tr), (f_te, l_te) = [
+        [np.asarray(table[rows], dtype=np.float64) for table in (ds.features, ds.labels)]
+        for rows in (tr, te)]
+    scaler = Standardizer.fit(f_tr, l_tr)
+    scaler.transform_in_place(f_tr, l_tr)
+    scaler.transform_in_place(f_te, l_te)
     train = Dataset(f_tr, l_tr, name=ds.name, scaler=scaler)
     test = Dataset(f_te, l_te, name=ds.name, scaler=scaler)
     return train, test

@@ -43,6 +43,7 @@ __all__ = [
     "ExperimentResult",
     "AttackPlan",
     "load_dataset",
+    "load_split",
     "build_session",
     "plan_attack",
     "run_experiment",
@@ -298,6 +299,13 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
+def load_split(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The configured dataset's standardized (train, test) split. The
+    parsed table is held by no name past the split, so only the two sides
+    outlive this call."""
+    return split_standardize(load_dataset(cfg), ratio=cfg.split_ratio, seed=cfg.seed)
+
+
 def build_session(cfg: ExperimentConfig, defense: Defense, feature_dim: int,
                   run_seed: int) -> SplitSession:
     """A fresh, untrained session for one run, its models seeded from run_seed."""
@@ -373,8 +381,7 @@ def _run_points(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     """
     started = time.perf_counter()
     cfg = configs[0]
-    raw = load_dataset(cfg)
-    train, test = split_standardize(raw, ratio=cfg.split_ratio, seed=cfg.seed)
+    train, test = load_split(cfg)
     if cfg.batch_size > train.n:
         raise HarnessError(f"batch size {cfg.batch_size} exceeds the {train.n} training samples")
     defenses = [defense_from_dict(c.defense, cut_dim=c.cut_dim, seed=c.seed) for c in configs]
@@ -385,7 +392,7 @@ def _run_points(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
             run_seed = c.seed + i
             label = f"{_defense_label(defense)} run {i} (seed {run_seed})"
             try:
-                lane = _Lane(point, i, label, build_session(c, defense, raw.d, run_seed),
+                lane = _Lane(point, i, label, build_session(c, defense, train.d, run_seed),
                              plan_attack(c, defense, train, run_seed))
             except Exception as exc:
                 raise HarnessError(f"{label}: {exc}") from exc
@@ -399,7 +406,7 @@ def _run_points(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     mp_train = mean_value_baseline(train.labels, train.labels)
     mp_test = mean_value_baseline(train.labels, test.labels)
     runtime_ms = (time.perf_counter() - started) * 1e3 / len(configs)
-    return [ExperimentResult(config=c, dataset_name=raw.name, defense=defense,
+    return [ExperimentResult(config=c, dataset_name=train.name, defense=defense,
                              runs=tuple(point_runs), mp_train=mp_train, mp_test=mp_test,
                              runtime_ms=runtime_ms)
             for c, defense, point_runs in zip(configs, defenses, runs)]

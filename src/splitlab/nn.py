@@ -228,17 +228,22 @@ class FcNetwork:
 
     def forward_values(self, x: np.ndarray) -> np.ndarray:
         """Plain numpy forward pass (no tape); same arithmetic as forward().
-        A lane stack takes one input per lane."""
+        A lane stack takes one input per lane.
+
+        Each layer's product is a new array, and the bias and the activation
+        are applied to it in place, so a layer makes one array, not three,
+        and the input is never written."""
         h = np.asarray(x, dtype=np.float64)
         lead = self.layers[0].weight.shape[:-2]
         if h.ndim != 2 + len(lead) or h.shape[:-2] != lead or h.shape[-1] != self.in_dim:
             raise ValueError(f"input shape {h.shape} incompatible with in_dim {self.in_dim}")
         for layer in self.layers:
-            h = h @ layer.weight + layer.bias
+            h = h @ layer.weight
+            h += layer.bias
             if layer.activation == "relu":
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
             elif layer.activation == "tanh":
-                h = np.tanh(h)
+                np.tanh(h, out=h)
         return h
 
     def copy(self, role: str | None = None) -> "FcNetwork":

@@ -911,6 +911,84 @@ def test_plan_inputs_of_any_layout_replay_as_contiguous_float64_copies(layout):
     assert [out.tobytes() for out in plan.run(given)] == want
 
 
+# --- bound values: each value is held once ---------------------------------
+
+def _taped(build, arrays):
+    """The leaves of `arrays` on a new tape and the outputs build makes of
+    them."""
+    tape = Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    return leaves, build(*leaves)
+
+
+ZEROS = np.zeros((3, 4))
+
+# name: (build, input shapes, operations a run computes)
+BOUND = {
+    # a transpose with one column or one row is a view of its argument's slot,
+    # also as an output, which a copy fills
+    "one_column_transpose": (lambda a, b: [matmul(b, transpose(a)), transpose(a)],
+                             [(5, 1), (3, 1)], 1),
+    "one_row_transpose_lanes": (lambda a, b: [matmul(transpose(a), b), transpose(a)],
+                                [(LANES, 1, 5), (LANES, 1, 2)], 1),
+    "one_by_one_transpose": (lambda a, b: [mul(transpose(a), b)], [(1, 1), (1, 1)], 1),
+    # a transpose of a transpose reads its source
+    "transpose_of_transpose": (lambda a, b: [add(transpose(transpose(a)), b)],
+                               [(3, 4), (3, 4)], 1),
+    "transpose_of_transpose_output": (lambda a, b: [transpose(transpose(a)), mul(a, b)],
+                                      [(3, 4), (3, 4)], 1),
+    # a repeated operation reads the first one's slot
+    "repeated_op": (lambda a, b: [add(matmul(a, b), matmul(a, b))], [(3, 4), (4, 2)], 2),
+    "repeated_output": (lambda a, b: [matmul(a, b), matmul(a, b)], [(3, 4), (4, 2)], 1),
+    "repeated_transpose": (lambda a, b: [matmul(transpose(a), b), matmul(transpose(a), b)],
+                           [(4, 3), (4, 2)], 2),
+    # constants are compared by their bytes, scale factors by their value
+    "equal_constants": (lambda a, b: [add(mul(a, constant(np.full((3, 4), 0.5))),
+                                          mul(a, constant(np.full((3, 4), 0.5))))],
+                        [(3, 4), (3, 4)], 2),
+    "zeros_of_two_signs": (lambda a, b: [add(mul(a, constant(ZEROS)), mul(a, constant(-ZEROS)))],
+                           [(3, 4), (3, 4)], 3),
+    "scales_of_two_signs": (lambda a, b: [add(smul(a, 0.0), smul(a, -0.0))],
+                            [(3, 4), (3, 4)], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUND))
+def test_a_plan_holds_each_value_once_and_replays_the_taped_bytes(case):
+    build, shapes, ops = BOUND[case]
+    rng = np.random.default_rng(31)
+    plan = ag.StepPlan(*_taped(build, [rng.normal(size=s) for s in shapes]))
+    assert len(plan) == ops
+    for _ in range(2):
+        arrays = [rng.normal(size=s) for s in shapes]
+        _, taped = _taped(build, arrays)
+        replayed = plan.run(arrays)
+        assert [(out.shape, out.tobytes()) for out in replayed] == \
+            [(t.shape, t.data.tobytes()) for t in taped]
+        assert len({id(out) for out in replayed}) == len(replayed)
+
+
+def test_a_plan_with_bound_values_names_the_first_op_the_taped_step_names():
+    # the scaled column overflows; its transposes are views and the second
+    # product repeats the first, so only the scale can be named
+    def build(a, b):
+        scaled = smul(a, 1e300)
+        return [matmul(transpose(scaled), b), matmul(transpose(scaled), b)]
+
+    rng = np.random.default_rng(32)
+    plan = ag.StepPlan(*_taped(build, [rng.normal(size=(5, 1)), rng.normal(size=(5, 2))]))
+    assert len(plan) == 2
+    arrays = [rng.normal(size=(5, 1)), rng.normal(size=(5, 2))]
+    arrays[0][3, 0] = 1e10
+    errors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (plan.run, lambda a: _taped(build, a)):
+            with pytest.raises(AutogradError) as info:
+                run(arrays)
+            errors.append(str(info.value))
+    assert errors == ["non-finite values produced by 'smul'"] * 2
+
+
 # --- the training step: create_graph changes no first-order byte -------------
 
 def _training_step(bottom, top, x, targets, create_graph):

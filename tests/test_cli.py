@@ -1,7 +1,11 @@
 import csv
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,38 @@ def test_attack_on_manifest_missing_a_key_is_a_one_line_error(tmp_path, capsys, 
     capsys.readouterr()
     assert main(["attack", "--run", str(run_dir)]) == 1
     assert capsys.readouterr().err == f"error: {manifest_path}: missing '{path[-1]}'\n"
+
+
+@pytest.mark.parametrize("value", [5, ["bottom.json"], True, None],
+                         ids=["int", "list", "bool", "null"])
+@pytest.mark.parametrize("key", ["bottom", "transcript"])
+def test_attack_on_a_manifest_file_entry_that_is_not_a_string_is_a_one_line_error(
+        tmp_path, capsys, key, value):
+    run_dir = trained_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"][key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    err = one_line_error(capsys, ["attack", "--run", str(run_dir)])
+    assert err == f"error: {manifest_path}: 'files.{key}' is {value!r}, not a file name\n"
+
+
+def test_attack_with_a_huge_checkpoint_weight_prints_only_the_error_line(tmp_path):
+    # a process of its own, so that numpy's RuntimeWarning lines, which the
+    # test runner would catch, reach stderr as they would for a user
+    run_dir = trained_run(tmp_path)
+    checkpoint = json.loads((run_dir / "bottom.json").read_text())
+    checkpoint["layers"][0]["weight"][0] = 1e308
+    (run_dir / "bottom.json").write_text(json.dumps(checkpoint))
+    src = str(Path(__import__("splitlab").__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from splitlab.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", "attack", "--run", str(run_dir)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: attack epoch 0, batch 0 diverged: non-finite values")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_attack_on_non_json_manifest_is_a_one_line_error(tmp_path, capsys):

@@ -330,3 +330,29 @@ def test_synth_validation():
     for noise_std in (-1.0, float("nan")):
         with pytest.raises(DataError, match=rf"^noise_std must be >= 0, got {noise_std}$"):
             synth_regression(10, 3, noise_std=noise_std)
+
+
+@pytest.mark.parametrize("text", ["a,y,b\n1,2,3\n4,5,6\n7,8,9\n",
+                                  "a,y,b\n1,2,3\n4,5,6\n7,8,1_000\n"],
+                         ids=["numpy_parse", "cell_by_cell_parse"])
+def test_load_csv_labels_and_features_own_their_data(tmp_path, text):
+    ds = load_csv(write(tmp_path, text), label_column="y")
+    assert ds.labels.base is None and ds.features.base is None
+    assert np.array_equal(ds.labels, [[2], [5], [8]])
+
+
+def test_split_standardize_equals_the_allocating_transform_bit_for_bit():
+    ds = synth_regression(203, 5, seed=8)
+    ratio, seed = 0.75, 6
+    train, test = split_standardize(ds, ratio=ratio, seed=seed)
+    # the split's shuffle, as split_standardize draws it
+    perm = np.random.default_rng(np.random.SeedSequence([seed, 0xD5])).permutation(ds.n)
+    tr, te = perm[:int(np.floor(ratio * ds.n))], perm[int(np.floor(ratio * ds.n)):]
+    f_mean, f_std = ds.features[tr].mean(axis=0), ds.features[tr].std(axis=0)
+    l_mean, l_std = float(ds.labels[tr].mean()), float(ds.labels[tr].std())
+    for side, rows in ((train, tr), (test, te)):
+        want_f = (ds.features[rows] - f_mean) / f_std
+        want_l = (ds.labels[rows] - l_mean) / l_std
+        assert side.features.tobytes() == want_f.tobytes()
+        assert side.labels.tobytes() == want_l.tobytes()
+    assert ds.features.tobytes() == synth_regression(203, 5, seed=8).features.tobytes()

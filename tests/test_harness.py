@@ -6,10 +6,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from splitlab.data import split_standardize
 from splitlab.harness import (
     ExperimentConfig,
     HarnessError,
     emit_results,
+    load_dataset,
+    load_split,
     result_rows,
     run_experiment,
     sweep_defense,
@@ -546,3 +549,22 @@ def test_config_range_checks_hold_for_a_config_built_in_code():
         tiny_config(activation="sigmoid")
     with pytest.raises(HarnessError, match="^bad configuration: split_ratio"):
         tiny_config(split_ratio=float("nan"))
+
+
+def test_load_split_returns_the_split_of_the_loaded_dataset(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "table.csv"
+    np.savetxt(path, rng.normal(size=(40, 4)), delimiter=",", header="a,y,b,c", comments="")
+    for cfg in (tiny_config(split_ratio=0.7, seed=3),
+                ExperimentConfig(dataset_path=str(path), label_column="y", dataset_name="t",
+                                 seed=5)):
+        got = load_split(cfg)
+        want = split_standardize(load_dataset(cfg), ratio=cfg.split_ratio, seed=cfg.seed)
+        for g, w in zip(got, want):
+            assert g.name == w.name
+            for a, b in ((g.features, w.features), (g.labels, w.labels),
+                         (g.scaler.feature_mean, w.scaler.feature_mean),
+                         (g.scaler.feature_std, w.scaler.feature_std)):
+                assert a.tobytes() == b.tobytes()
+            assert (g.scaler.label_mean, g.scaler.label_std) == \
+                (w.scaler.label_mean, w.scaler.label_std)

@@ -451,3 +451,23 @@ def test_joined_stacks_share_one_buffer_and_one_adam_step_equals_one_per_network
     assert joint.m.tobytes() == np.concatenate([opt.m for opt in opts]).tobytes()
     assert joint.v.tobytes() == np.concatenate([opt.v for opt in opts]).tobytes()
     assert joint.step_count == opts[0].step_count == opts[1].step_count == 3
+
+
+@pytest.mark.parametrize("lanes", [None, 3], ids=["plain", "lane_stack"])
+@pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+def test_forward_values_equals_the_allocating_pass_and_leaves_its_input(act, lanes):
+    rng = np.random.default_rng(23)
+    nets = [build_network([5, 7, 4, 2], activation=act, seed=s) for s in range(lanes or 1)]
+    net = nets[0] if lanes is None else stack_networks(nets)
+    for p in net.parameters():
+        p[...] = rng.normal(size=p.shape)  # nonzero biases, so the add shows
+    x = rng.normal(size=(9, 5) if lanes is None else (lanes, 9, 5))
+    given = x.copy()
+    h = x
+    for layer in net.layers:
+        h = h @ layer.weight + layer.bias
+        h = {"relu": lambda v: np.maximum(v, 0.0), "tanh": np.tanh,
+             "identity": lambda v: v}[layer.activation](h)
+    got = net.forward_values(x)
+    assert got.shape == h.shape and got.tobytes() == h.tobytes()
+    assert x.tobytes() == given.tobytes()

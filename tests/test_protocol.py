@@ -705,11 +705,12 @@ def test_training_captures_one_set_of_plans_per_batch_shape_per_call(monkeypatch
 
 def test_the_training_plan_runs_the_bottom_forward_once():
     # 4 lanes, batch 16, an [8, 16, 8] bottom and an [8, 1] top: the forward
-    # (5 ops), the label party's part (11) and the feature party's backward
-    # over the forward's own values (12)
+    # (5 ops), the label party's part (10: the transpose of the top's 8 x 1
+    # weight is bound as a view of it) and the feature party's backward over
+    # the forward's own values (12)
     bottom = stack_networks([build_network([8, 16, 8], seed=s) for s in range(4)])
     top = stack_networks([build_network([8, 1], seed=10 + s) for s in range(4)])
-    assert len(protocol_module._capture_step(bottom, top, (4, 16, 8))) == 5 + 11 + 12
+    assert len(protocol_module._capture_step(bottom, top, (4, 16, 8))) == 5 + 10 + 12
 
 
 @dataclass(frozen=True)

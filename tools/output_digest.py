@@ -36,7 +36,11 @@ bytes agree). The set:
   - two `splitlab experiment` runs that diverge, one in training and one in
     the attack, printed as their exit code and final `error:` line instead
     of a digest (the RuntimeWarning lines numpy writes before it carry
-    source paths and line numbers, so they are left out).
+    source paths and line numbers, so they are left out);
+  - a CSV whose label column is neither the first nor the last, through
+    `splitlab experiment --out` (label column by name) and `splitlab
+    baseline-mp --out` (by index), from inside the temporary directory: both
+    outputs carry the dataset's name, its path as given.
 
 Usage, from the root of a checkout (about 20 s on two cores):
 
@@ -205,6 +209,21 @@ def digests(work: Path):
         yield f"divergence {name}", _failure(
             ["experiment", "--dataset", "synth", "--set", "dataset.n=160",
              "--set", "training.epochs=2", *extra])
+
+    rows = np.random.default_rng(8).normal(size=(150, 4))
+    np.savetxt(work / "middle.csv", rows, delimiter=",", header="a,price,b,c", comments="")
+    os.chdir(work)
+    try:
+        _cli(["experiment", "--dataset", "middle.csv", "--set", "dataset.label_column=price",
+              "--set", "training.epochs=2", "--set", "attack.epochs=2",
+              "--set", "model.bottom_hidden=[]", "--set", "model.cut_dim=4",
+              "--out", "middle_experiment.json", "--format", "json"])
+        _cli(["baseline-mp", "--dataset", "middle.csv", "--set", "dataset.label_column=1",
+              "--out", "middle_baseline.json"])
+    finally:
+        os.chdir(previous)
+    for file in ("middle_experiment.json", "middle_baseline.json"):
+        yield f"csv label column 1 {file}", _sha(work / file)
 
 
 def run() -> None:
